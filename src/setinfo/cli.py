@@ -13,6 +13,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from statistics import fmean
 from types import SimpleNamespace
 
 import numpy as np
@@ -120,9 +121,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for (name, result), path in zip(results.items(), paths):
         meta = result.metadata
         ok = sum(1 for r in result.rewards["margin"] if r.satisfied)
+        rolling = result.rolling
+        dominant = sum(
+            1 for a, b, c in zip(rolling["i_xy"], rolling["i_yz"], rolling["i_xz"]) if a > b and a > c
+        )
         print(
             f"simulate: {name} ({result.label}) -> {path} | "
             f"steps={len(result.records)} ordering_ok={ok}/{len(result.records)} | "
+            f"mean i_xy={fmean(r.i_xy for r in result.records):.4f} "
+            f"rolling i_xy dominant={dominant}/{len(rolling['i_xy'])} | "
             f"joint mass monitor: fraction="
             f"{meta['joint_mass_violation_fraction']:.6g} "
             f"({meta['joint_mass_violations']}/{meta['joint_mass_comparisons']} pairs) | "

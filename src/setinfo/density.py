@@ -52,7 +52,6 @@ class EstimatorConfig:
     bandwidth: float = 5.0
     entropy_mode: str = "normalized"
     joint_mode: str = "union"
-    log_base: str = "nat"
     n_min: int = 1
     n_max: int = 3
     include_space: bool = True
@@ -64,8 +63,6 @@ class EstimatorConfig:
             raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
         if self.joint_mode not in JOINT_MODES:
             raise ValueError(f"joint_mode must be one of {JOINT_MODES}")
-        if self.log_base != "nat":
-            raise ValueError("only natural logarithms are supported")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 from statistics import fmean
 from typing import Sequence
@@ -52,7 +53,11 @@ CSV_HEADER = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a simulation run needs; defaults mirror the desk-scale setup."""
+    """Everything a simulation run needs; defaults mirror the desk-scale setup.
+
+    These field defaults are the only copy of the run defaults: config files
+    are read and written through ``CONFIG_SCHEMA`` below.
+    """
 
     corpus_path: str = "synthetic"
     strip_headers: bool = False
@@ -94,35 +99,23 @@ class RunConfig:
             raise ConfigInvalid(f"agent names must be unique, got {names}")
 
     def to_flat_dict(self) -> dict[str, str]:
-        est = self.estimator
-        flat = {
-            "corpus.path": str(self.corpus_path),
-            "corpus.strip_headers": str(self.strip_headers).lower(),
-            "context.length": str(self.context_length),
-            "context.per_step": str(self.per_step),
-            "run.k_max": str(self.k_max),
-            "run.window": str(self.window),
-            "run.seed": str(self.seed),
-            "estimator.bandwidth": format(est.bandwidth, ".12g"),
-            "estimator.entropy_mode": est.entropy_mode,
-            "estimator.joint_mode": est.joint_mode,
-            "ngram.n_min": str(est.n_min),
-            "ngram.n_max": str(est.n_max),
-            "ngram.include_space": str(est.include_space).lower(),
-            "agents": ", ".join(spec.name for spec in self.agents),
-        }
-        if self.groups is not None:
-            flat["corpus.groups"] = ", ".join(self.groups)
+        """Every key that can change a result, as ``from_dict`` reads it back.
+
+        Unset optional values are left out, and so are the ``synthetic.*``
+        keys when the corpus is not synthetic, since they then change nothing.
+        """
+        flat = {}
+        for key, attr, _, fmt in CONFIG_SCHEMA:
+            if fmt is None or (key.startswith("synthetic.") and self.corpus_path != "synthetic"):
+                continue
+            text = fmt(attrgetter(attr)(self))
+            if text is not None:
+                flat[key] = text
         for spec in self.agents:
-            flat[f"agent.{spec.name}.kind"] = spec.kind
-            if spec.path is not None:
-                flat[f"agent.{spec.name}.path"] = str(spec.path)
-        if self.corpus_path == "synthetic":
-            flat["synthetic.sentences"] = str(self.synthetic_sentences)
-            flat["synthetic.p_pref"] = format(self.synthetic_p_pref, ".12g")
-            flat["synthetic.sentences_per_doc"] = str(self.synthetic_sentences_per_doc)
-            if self.grammar_path:
-                flat["synthetic.grammar"] = str(self.grammar_path)
+            for suffix, attr in AGENT_KEYS:
+                value = getattr(spec, attr)
+                if value is not None:
+                    flat[f"agent.{spec.name}.{suffix}"] = str(value)
         return flat
 
     def config_hash(self) -> str:
@@ -131,53 +124,104 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, values: dict[str, str]) -> "RunConfig":
-        est = EstimatorConfig(
-            bandwidth=as_float(values.get("estimator.bandwidth", "5.0"), "estimator.bandwidth"),
-            entropy_mode=values.get("estimator.entropy_mode", "normalized"),
-            joint_mode=values.get("estimator.joint_mode", "union"),
-            n_min=as_int(values.get("ngram.n_min", "1"), "ngram.n_min"),
-            n_max=as_int(values.get("ngram.n_max", "3"), "ngram.n_max"),
-            include_space=as_bool(values.get("ngram.include_space", "true"), "ngram.include_space"),
-        )
-        agent_names = as_list(values.get("agents", "random, structured"))
-        specs = []
-        for name in agent_names:
-            kind = values.get(f"agent.{name}.kind", name)
-            path = values.get(f"agent.{name}.path")
-            lexicon = values.get(f"agent.{name}.lexicon")
-            try:
-                specs.append(AgentSpec(kind=kind, name=name, path=path, lexicon_path=lexicon))
-            except ValueError as exc:
-                raise ConfigInvalid(str(exc)) from exc
-        groups = None
-        if "corpus.groups" in values:
-            groups = tuple(as_list(values["corpus.groups"]))
-        cfg = cls(
-            corpus_path=values.get("corpus.path", "synthetic"),
-            strip_headers=as_bool(values.get("corpus.strip_headers", "false"), "corpus.strip_headers"),
-            groups=groups,
-            context_length=as_int(values.get("context.length", "10"), "context.length"),
-            per_step=as_int(values.get("context.per_step", "100"), "context.per_step"),
-            k_max=as_int(values.get("run.k_max", "120"), "run.k_max"),
-            window=as_int(values.get("run.window", "50"), "run.window"),
-            seed=as_int(values.get("run.seed", "0"), "run.seed"),
-            workers=as_int(values.get("run.workers", "1"), "run.workers"),
-            out_dir=values.get("run.out", "out"),
-            estimator=est,
-            agents=tuple(specs),
-            synthetic_sentences=as_int(values.get("synthetic.sentences", "12000"), "synthetic.sentences"),
-            synthetic_p_pref=as_float(values.get("synthetic.p_pref", "0.8"), "synthetic.p_pref"),
-            synthetic_sentences_per_doc=as_int(
-                values.get("synthetic.sentences_per_doc", "50"), "synthetic.sentences_per_doc"
-            ),
-            grammar_path=values.get("synthetic.grammar"),
-        )
+        """Parse flat config values; keys left out keep the field defaults.
+
+        An agent named like a default agent starts from that agent's spec;
+        any other agent's kind defaults to its name.  Unknown keys, and
+        ``agent.<name>.*`` keys for names not listed in ``agents``, are
+        rejected.
+        """
+        default_agents = {spec.name: spec for spec in cls().agents}
+        names = as_list(values["agents"]) if "agents" in values else list(default_agents)
+        allowed = {key for key, *_ in CONFIG_SCHEMA}
+        allowed.update(f"agent.{name}.{suffix}" for name in names for suffix, _ in AGENT_KEYS)
+        unknown = sorted(set(values) - allowed)
+        if unknown:
+            hint = ""
+            if any(key.startswith("agent.") for key in unknown):
+                hint = f" (agent.<name>.* needs <name> in agents: {', '.join(names)})"
+            raise ConfigInvalid(f"unknown config key(s): {', '.join(unknown)}{hint}")
+        kwargs: dict[str, dict[str, object]] = {"": {}, "estimator": {}}
+        for key, attr, parse, _ in CONFIG_SCHEMA:
+            if parse is not None and key in values:
+                owner, _, name = attr.rpartition(".")
+                kwargs[owner][name] = parse(values[key], key)
+        try:
+            specs = []
+            for name in names:
+                given = {
+                    attr: values[f"agent.{name}.{suffix}"]
+                    for suffix, attr in AGENT_KEYS
+                    if f"agent.{name}.{suffix}" in values
+                }
+                base = default_agents.get(name)
+                specs.append(
+                    replace(base, **given) if base else AgentSpec(given.pop("kind", name), name, **given)
+                )
+            cfg = cls(
+                **kwargs[""],
+                estimator=EstimatorConfig(**kwargs["estimator"]),
+                agents=tuple(specs),
+            )
+        except ValueError as exc:
+            raise ConfigInvalid(str(exc)) from exc
         cfg.validate()
         return cfg
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(load_config(path))
+
+
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _items(value: str, key: str) -> tuple[str, ...]:
+    return tuple(as_list(value))
+
+
+def _fmt(value: float) -> str:
+    return format(value, ".12g")
+
+
+def _fmt_bool(value: bool) -> str:
+    return str(value).lower()
+
+
+# The run-config schema: (key, RunConfig attribute, parser, formatter).  The
+# formatter writes the value into ``to_flat_dict`` and so into
+# ``config_hash``; it returns None to leave an unset value out.  Keys whose
+# formatter is None cannot change a result and are not hashed.  Changing how
+# a hashed key is written changes the hash of every existing run.
+CONFIG_SCHEMA = (
+    ("corpus.path", "corpus_path", _text, str),
+    ("corpus.strip_headers", "strip_headers", as_bool, _fmt_bool),
+    ("corpus.groups", "groups", _items, lambda v: None if v is None else ", ".join(v)),
+    ("context.length", "context_length", as_int, str),
+    ("context.per_step", "per_step", as_int, str),
+    ("run.k_max", "k_max", as_int, str),
+    ("run.window", "window", as_int, str),
+    ("run.seed", "seed", as_int, str),
+    ("run.workers", "workers", as_int, None),
+    ("run.out", "out_dir", _text, None),
+    ("estimator.bandwidth", "estimator.bandwidth", as_float, _fmt),
+    ("estimator.entropy_mode", "estimator.entropy_mode", _text, str),
+    ("estimator.joint_mode", "estimator.joint_mode", _text, str),
+    ("ngram.n_min", "estimator.n_min", as_int, str),
+    ("ngram.n_max", "estimator.n_max", as_int, str),
+    ("ngram.include_space", "estimator.include_space", as_bool, _fmt_bool),
+    # Parsed with the agent.<name>.* keys in RunConfig.from_dict.
+    ("agents", "agents", None, lambda specs: ", ".join(spec.name for spec in specs)),
+    ("synthetic.sentences", "synthetic_sentences", as_int, str),
+    ("synthetic.p_pref", "synthetic_p_pref", as_float, _fmt),
+    ("synthetic.sentences_per_doc", "synthetic_sentences_per_doc", as_int, str),
+    ("synthetic.grammar", "grammar_path", _text, lambda v: str(v) if v else None),
+)
+
+# Per-agent keys ``agent.<name>.<suffix>`` and the AgentSpec attribute each
+# sets; every one that is set is hashed.
+AGENT_KEYS = (("kind", "kind"), ("path", "path"), ("lexicon", "lexicon_path"))
 
 
 @dataclass
@@ -222,13 +266,20 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
         if key not in values:
             raise ConfigInvalid(f"grammar file is missing {key}")
         preferred[verb] = tuple(as_phrases(values[key]))
+    allowed = {"grammar.subjects", "grammar.verbs", "grammar.objects", "grammar.p_pref"}
+    unknown = sorted(set(values) - allowed - {f"grammar.preferred.{verb}" for verb in verbs})
+    if unknown:
+        raise ConfigInvalid(f"unknown grammar key(s): {', '.join(unknown)}")
+    optional = {}
+    if "grammar.p_pref" in values:
+        optional["p_pref"] = as_float(values["grammar.p_pref"], "grammar.p_pref")
     try:
         return SynthGrammar(
             subjects=tuple(as_phrases(values["grammar.subjects"])),
             verbs=verbs,
             objects=tuple(as_phrases(values["grammar.objects"])),
             preferred=preferred,
-            p_pref=as_float(values.get("grammar.p_pref", "0.8"), "grammar.p_pref"),
+            **optional,
         )
     except ValueError as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -347,10 +398,6 @@ def run_simulation(
             },
         )
     return results
-
-
-def _fmt(value: float) -> str:
-    return format(value, ".12g")
 
 
 # Metadata keys written as leading comments; wall time is deliberately

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from setinfo import read_csv
 from setinfo.cli import cli
 
@@ -91,6 +93,7 @@ class TestSimulate:
         assert (out / "structured.csv").exists()
         stdout = capsys.readouterr().out
         assert "joint mass monitor" in stdout
+        assert "mean i_xy=" in stdout and "rolling i_xy dominant=" in stdout
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -111,6 +114,14 @@ class TestSimulate:
 
     def test_missing_config_fails_validation(self, tmp_path):
         assert cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
+
+    @pytest.mark.parametrize("extra", ["run.kmax = 5", "agent.ghost.kind = random"])
+    def test_unknown_key_fails_validation(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, extra=extra)
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert extra.split(" =")[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gold_file_agent_from_disk(self, tmp_path):
         data = tmp_path / "data"

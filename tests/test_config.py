@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
-from setinfo import ConfigInvalid, parse_config_text
+from setinfo import ConfigInvalid, RunConfig, parse_config_text
 from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases
-from setinfo.trajectory import grammar_from_file
+from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
 
-REPO_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+REPO = Path(__file__).resolve().parents[1]
+REPO_CONFIGS = REPO / "configs"
 
 
 class TestParseConfigText:
@@ -65,12 +67,21 @@ class TestShippedConfigs:
         assert all(verb in grammar.preferred for verb in grammar.verbs)
 
     @pytest.mark.parametrize(
+        "extra,named",
+        [("grammar.p_prf = 0.5", "grammar.p_prf"), ("grammar.preferred.eats = a pie", "eats")],
+    )
+    def test_grammar_unknown_key_rejected(self, tmp_path, extra, named):
+        path = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        path.write_text(f"{text}\n{extra}\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=named):
+            grammar_from_file(path)
+
+    @pytest.mark.parametrize(
         "name,n_groups",
         [("newsgroups_similar.cfg", 4), ("newsgroups_unrelated.cfg", 7)],
     )
     def test_topic_presets_parse(self, name, n_groups):
-        from setinfo import RunConfig
-
         cfg = RunConfig.from_dict(
             {**_load(name), "corpus.path": "synthetic"}  # avoid touching disk paths
         )
@@ -79,11 +90,33 @@ class TestShippedConfigs:
         assert cfg.k_max == 120 and cfg.per_step == 100
 
     def test_synthetic_preset_parses(self):
-        from setinfo import RunConfig
-
         cfg = RunConfig.from_dict(_load("synthetic_run.cfg"))
         assert cfg.corpus_path == "synthetic"
         assert cfg.seed == 42
         assert cfg.estimator.entropy_mode == "raw"
         assert [a.kind for a in cfg.agents] == ["random", "gold_file"]
 
+    # Every hashed key must keep being written exactly as before, or the
+    # config_hash in existing CSVs no longer matches their config.
+    @pytest.mark.parametrize(
+        "name,digest",
+        [
+            ("synthetic_run.cfg", "7898330037ec"),
+            ("newsgroups_similar.cfg", "bee12ff86cdf"),
+            ("newsgroups_unrelated.cfg", "620f9972a4bf"),
+        ],
+    )
+    def test_config_hash_pinned(self, name, digest):
+        assert RunConfig.from_dict(_load(name)).config_hash() == digest
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    schema = {key for key, *_ in CONFIG_SCHEMA}
+    schema.update(f"agent.<name>.{suffix}" for suffix, _ in AGENT_KEYS)
+    assert documented == schema

@@ -60,7 +60,6 @@ class TestEstimatorConfig:
             {"bandwidth": -1.0},
             {"entropy_mode": "literal"},
             {"joint_mode": "zip"},
-            {"log_base": "bits"},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -121,12 +121,46 @@ class TestRunConfig:
         with pytest.raises(ConfigInvalid):
             RunConfig.from_dict({"agents": "oracle"})
 
+    @pytest.mark.parametrize("values", [{}, {"agents": "random, structured"}])
+    def test_from_dict_defaults_are_the_dataclass_defaults(self, values):
+        assert RunConfig.from_dict(values) == RunConfig()
+
+    def test_flat_dict_round_trip_with_lexicon(self):
+        cfg = small_config(
+            agents=(
+                AgentSpec(kind="random"),
+                AgentSpec(kind="extractor", name="miner", lexicon_path="verbs.txt"),
+            )
+        )
+        assert cfg.to_flat_dict()["agent.miner.lexicon"] == "verbs.txt"
+        assert RunConfig.from_dict(cfg.to_flat_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "values,named",
+        [
+            ({"run.kmax": "5"}, "run.kmax"),
+            ({"agent.ghost.kind": "random"}, "agent.ghost.kind"),
+            ({"agents": "random", "agent.structured.kind": "gold_file"}, "agent.structured.kind"),
+            ({"estimator.entropy_mode": "bits"}, "entropy_mode"),
+        ],
+    )
+    def test_from_dict_rejects_naming_the_cause(self, values, named):
+        with pytest.raises(ConfigInvalid, match=named):
+            RunConfig.from_dict(values)
+
     def test_config_hash_stable_and_sensitive(self):
         a = small_config()
         b = small_config()
         c = small_config(seed=8)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
+
+        def with_lexicon(path):
+            return small_config(
+                agents=(AgentSpec(kind="extractor", name="miner", lexicon_path=path),)
+            ).config_hash()
+
+        assert len({with_lexicon(None), with_lexicon("a.txt"), with_lexicon("b.txt")}) == 3
 
 
 class TestRunSimulation:
