@@ -50,7 +50,6 @@ from .density import (
     conditional_entropy,
     entropy,
     joint_entropy,
-    joint_marginal_mi,
     joint_mass_monitor,
     kernel,
     mutual_information,

@@ -57,9 +57,6 @@ class Triplet:
     x: LingSet
     y: LingSet
     z: LingSet
-    x_text: str
-    y_text: str
-    z_text: str
     origin: str = ""
 
 
@@ -108,9 +105,6 @@ def make_triplet(
         x=ngram_set(x_text, n_min, n_max, include_space),
         y=ngram_set(y_text, n_min, n_max, include_space),
         z=ngram_set(z_text, n_min, n_max, include_space),
-        x_text=x_text,
-        y_text=y_text,
-        z_text=z_text,
         origin=origin,
     )
 
@@ -242,7 +236,7 @@ def write_triplets(triplets: Iterable[Triplet], path: str | Path) -> None:
     with open(p, "w", encoding="utf-8") as fh:
         for t in triplets:
             fh.write(
-                json.dumps({"x": t.x_text, "y": t.y_text, "z": t.z_text}, sort_keys=True) + "\n"
+                json.dumps({"x": t.x.source, "y": t.y.source, "z": t.z.source}, sort_keys=True) + "\n"
             )
 
 
@@ -296,7 +290,7 @@ _OBJECTS = (
 )
 
 
-def default_grammar(p_pref: float = 0.8, preferred_size: int = 4) -> SynthGrammar:
+def default_grammar(p_pref: float = SynthGrammar.p_pref, preferred_size: int = 4) -> SynthGrammar:
     """Built-in pools; preferred subsets tile the object pool round-robin so
     the marginal object distribution stays uniform."""
     preferred: dict[str, tuple[str, ...]] = {}

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import agents as agents_mod
-from .config import ConfigInvalid
+from .config import ConfigInvalid, as_int
 from .corpus import (
     CorpusTooSmall,
     MalformedManifest,
@@ -55,9 +55,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen-synthetic", help="write a synthetic corpus plus its gold triples")
     p_gen.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    p_gen.add_argument("--sentences", type=int, default=12000)
+    p_gen.add_argument("--sentences", type=int, default=RunConfig.synthetic_sentences)
     p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument("--p-pref", type=float, default=0.8, help="preferred-object probability")
+    p_gen.add_argument(
+        "--p-pref", type=float, default=agents_mod.SynthGrammar.p_pref, help="preferred-object probability"
+    )
     p_gen.add_argument("--grammar", default=None, help="grammar config file (defaults to built-in pools)")
 
     p_sim = sub.add_parser("simulate", help="run the configured agents and write one CSV per agent")
@@ -98,7 +100,9 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
         else agents_mod.default_grammar(p_pref=args.p_pref)
     )
     rng = np.random.default_rng(args.seed)
-    docs, gold = agents_mod.synth_corpus(args.sentences, rng, grammar)
+    docs, gold = agents_mod.synth_corpus(
+        args.sentences, rng, grammar, sentences_per_doc=RunConfig.synthetic_sentences_per_doc
+    )
     write_manifest(docs, out / "corpus.jsonl")
     agents_mod.write_triplets(gold, out / "gold.jsonl")
     print(f"gen-synthetic: {len(docs)} documents -> {out / 'corpus.jsonl'}")
@@ -110,7 +114,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
     seed = args.seed
     if seed is None and SEED_ENV_VAR in os.environ:
-        seed = int(os.environ[SEED_ENV_VAR])
+        seed = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if args.workers is not None:

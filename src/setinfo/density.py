@@ -10,6 +10,12 @@ every entropy in [0, ln n].  ``raw`` mode uses the capacity masses as-is;
 its entropies are not normalized and conditional entropies may come out
 negative, which is reported, never clamped.
 
+A family's pairwise distances come from one indicator-matrix product: its n
+sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
+2 (M M^T)_AB, exact because every count is an integer below 2^53.  With
+n = ``per_step`` a family costs O(n*V + n^2) memory.  The scalar
+``kernel``/``hamming``/``capacity`` functions are the oracle it is tested against.
+
 All logarithms are natural; every quantity is in nats.
 """
 
@@ -37,7 +43,6 @@ class DegenerateDenominator(ArithmeticError):
 
 ENTROPY_MODES = ("normalized", "raw")
 JOINT_MODES = ("union", "concat")
-JOINT_MARGINAL_KINDS = ("XY_vs_Z", "XZ_vs_Y")
 
 
 @dataclass(frozen=True)
@@ -102,28 +107,19 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
 
 
 def _distance_matrix(sets: Sequence[LingSet]) -> np.ndarray:
-    """Pairwise symmetric-difference counts, via bit-packed gram indicators.
+    """Pairwise symmetric-difference counts, |A| + |B| - 2 |A & B|.
 
-    Distances are exact integers, so this vectorized path agrees with
-    per-pair ``hamming`` calls to the last bit.
+    The intersections come from one product of 0/1 gram-indicator rows.
+    Every count is an integer below 2^53, so the float64 distances agree
+    with per-pair ``hamming`` calls to the last bit.
     """
-    grams_list = [s.grams for s in sets]
     vocab: dict[str, int] = {}
-    for grams in grams_list:
-        for gram in grams:
-            if gram not in vocab:
-                vocab[gram] = len(vocab)
-    n = len(grams_list)
-    width = max(1, (len(vocab) + 63) // 64)
-    bits = np.zeros((n, width), dtype=np.uint64)
-    one = np.uint64(1)
-    for i, grams in enumerate(grams_list):
-        row = bits[i]
-        for gram in grams:
-            idx = vocab[gram]
-            row[idx >> 6] |= one << np.uint64(idx & 63)
-    xor = bits[:, None, :] ^ bits[None, :, :]
-    return np.bitwise_count(xor).sum(axis=2, dtype=np.int64).astype(np.float64)
+    cols = [vocab.setdefault(gram, len(vocab)) for s in sets for gram in s.grams]
+    counts = [len(s.grams) for s in sets]
+    m = np.zeros((len(sets), len(vocab)))
+    m[np.repeat(np.arange(len(sets)), counts), cols] = 1.0
+    sizes = np.array(counts, dtype=np.float64)
+    return sizes[:, None] + sizes[None, :] - 2.0 * (m @ m.T)
 
 
 def _capacity_vector(sets: Sequence[LingSet], bandwidth: float) -> np.ndarray:
@@ -196,28 +192,6 @@ def mutual_information(
     return entropy(firsts, cfg) + entropy(seconds, cfg) - joint_entropy(pairs, cfg)
 
 
-def joint_marginal_mi(
-    triples: Sequence[tuple[LingSet, LingSet, LingSet]],
-    which: str,
-    cfg: EstimatorConfig,
-) -> float:
-    """MI between a joined pair variable and the remaining marginal.
-
-    ``XY_vs_Z`` pairs the joined first+second components against the third;
-    ``XZ_vs_Y`` pairs the joined first+third components against the second.
-    """
-    triples = list(triples)
-    if not triples:
-        raise EmptySample("joint_marginal_mi needs a non-empty sample")
-    if which == "XY_vs_Z":
-        pairs = [(_join_pair(x, y, cfg), z) for x, y, z in triples]
-    elif which == "XZ_vs_Y":
-        pairs = [(_join_pair(x, z, cfg), y) for x, y, z in triples]
-    else:
-        raise ValueError(f"which must be one of {JOINT_MARGINAL_KINDS}, got {which!r}")
-    return mutual_information(pairs, cfg)
-
-
 def _triplet_list(sample: "StepSample | Sequence[Triplet]") -> list["Triplet"]:
     return list(getattr(sample, "triplets", sample))
 
@@ -253,27 +227,45 @@ def triplet_likelihood(
     return p_y_given_xz * p_z_given_x * p_x
 
 
-def compute_mi_record(
-    k: int, triplets: Sequence["Triplet"], cfg: EstimatorConfig
-) -> MiRecord:
-    """All five MI quantities plus marginal entropies for one step sample."""
-    triplets = list(triplets)
-    if not triplets:
-        raise EmptySample("a step sample must contain at least one triplet")
+def _pair_families(
+    triplets: Sequence["Triplet"], cfg: EstimatorConfig
+) -> tuple[list[LingSet], ...]:
+    """The step's x, y, z columns and their pairwise joins xy, yz, xz."""
     xs = [t.x for t in triplets]
     ys = [t.y for t in triplets]
     zs = [t.z for t in triplets]
-    sets3 = list(zip(xs, ys, zs))
+    xy = [_join_pair(a, b, cfg) for a, b in zip(xs, ys)]
+    yz = [_join_pair(a, b, cfg) for a, b in zip(ys, zs)]
+    xz = [_join_pair(a, b, cfg) for a, b in zip(xs, zs)]
+    return xs, ys, zs, xy, yz, xz
+
+
+def compute_mi_record(
+    k: int, triplets: Sequence["Triplet"], cfg: EstimatorConfig
+) -> MiRecord:
+    """All five MI quantities plus marginal entropies for one step sample.
+
+    Each joined family is built once.  Every MI is H(a) + H(b) - H(a+b) in
+    ``mutual_information``'s order, so the two agree bit for bit.
+    """
+    triplets = list(triplets)
+    if not triplets:
+        raise EmptySample("a step sample must contain at least one triplet")
+    xs, ys, zs, xy, yz, xz = _pair_families(triplets, cfg)
+    h_x, h_y, h_z = entropy(xs, cfg), entropy(ys, cfg), entropy(zs, cfg)
+    h_xy, h_yz, h_xz = entropy(xy, cfg), entropy(yz, cfg), entropy(xz, cfg)
+    h_xy_z = entropy([_join_pair(a, b, cfg) for a, b in zip(xy, zs)], cfg)
+    h_xz_y = entropy([_join_pair(a, b, cfg) for a, b in zip(xz, ys)], cfg)
     return MiRecord(
         k=k,
-        i_xy=mutual_information(list(zip(xs, ys)), cfg),
-        i_yz=mutual_information(list(zip(ys, zs)), cfg),
-        i_xz=mutual_information(list(zip(xs, zs)), cfg),
-        i_xy_z=joint_marginal_mi(sets3, "XY_vs_Z", cfg),
-        i_xz_y=joint_marginal_mi(sets3, "XZ_vs_Y", cfg),
-        h_x=entropy(xs, cfg),
-        h_y=entropy(ys, cfg),
-        h_z=entropy(zs, cfg),
+        i_xy=h_x + h_y - h_xy,
+        i_yz=h_y + h_z - h_yz,
+        i_xz=h_x + h_z - h_xz,
+        i_xy_z=h_xy + h_z - h_xy_z,
+        i_xz_y=h_xz + h_y - h_xz_y,
+        h_x=h_x,
+        h_y=h_y,
+        h_z=h_z,
         sample_size=len(triplets),
     )
 
@@ -292,17 +284,10 @@ def joint_mass_monitor(
     triplets = list(triplets)
     if not triplets:
         raise EmptySample("joint_mass_monitor needs a non-empty sample")
-    xs = [t.x for t in triplets]
-    ys = [t.y for t in triplets]
-    zs = [t.z for t in triplets]
-    marg: dict[int, np.ndarray] = {}
-    for key, sets in enumerate((xs, ys, zs)):
-        marg[key] = _capacity_vector(sets, cfg.bandwidth)
+    p_x, p_y, p_z, p_xy, p_yz, p_xz = (
+        _capacity_vector(sets, cfg.bandwidth) for sets in _pair_families(triplets, cfg)
+    )
     violations = 0
-    comparisons = 0
-    for ia, ib, a_sets, b_sets in ((0, 1, xs, ys), (1, 2, ys, zs), (0, 2, xs, zs)):
-        joints = [_join_pair(a, b, cfg) for a, b in zip(a_sets, b_sets)]
-        pj = _capacity_vector(joints, cfg.bandwidth)
-        violations += int((pj > marg[ia]).sum()) + int((pj > marg[ib]).sum())
-        comparisons += 2 * len(triplets)
-    return violations, comparisons
+    for pj, pa, pb in ((p_xy, p_x, p_y), (p_yz, p_y, p_z), (p_xz, p_x, p_z)):
+        violations += int((pj > pa).sum()) + int((pj > pb).sum())
+    return violations, 6 * len(triplets)

@@ -75,7 +75,7 @@ class RunConfig:
         AgentSpec(kind="gold_file", name="structured"),
     )
     synthetic_sentences: int = 12000
-    synthetic_p_pref: float = 0.8
+    synthetic_p_pref: float = SynthGrammar.p_pref
     synthetic_sentences_per_doc: int = 50
     grammar_path: str | None = None
 
@@ -101,12 +101,16 @@ class RunConfig:
     def to_flat_dict(self) -> dict[str, str]:
         """Every key that can change a result, as ``from_dict`` reads it back.
 
-        Unset optional values are left out, and so are the ``synthetic.*``
-        keys when the corpus is not synthetic, since they then change nothing.
+        Unset optional values are left out, and so are the keys that change
+        nothing for this config: the ``synthetic.*`` keys when the corpus is
+        not synthetic, and ``synthetic.p_pref`` when a grammar file supplies
+        ``p_pref``.
         """
         flat = {}
         for key, attr, _, fmt in CONFIG_SCHEMA:
             if fmt is None or (key.startswith("synthetic.") and self.corpus_path != "synthetic"):
+                continue
+            if key == "synthetic.p_pref" and self.grammar_path:
                 continue
             text = fmt(attrgetter(attr)(self))
             if text is not None:

@@ -175,8 +175,8 @@ def test_criterion_5_splitter_uniformity():
     counts: dict[tuple[int, int], int] = {}
     for _ in range(draws):
         t = random_split_agent(ctx, rng)
-        i = len(t.x_text.split())
-        j = i + len(t.y_text.split())
+        i = len(t.x.source.split())
+        j = i + len(t.y.source.split())
         counts[(i, j)] = counts.get((i, j), 0) + 1
     cells = [(i, j) for i in range(1, length) for j in range(i + 1, length)]
     assert len(cells) == 36

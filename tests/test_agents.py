@@ -34,7 +34,7 @@ class TestRandomSplitAgent:
     def test_three_tokens_has_unique_split(self):
         ctx = context("a", "b", "c")
         t = random_split_agent(ctx, np.random.default_rng(0))
-        assert (t.x_text, t.y_text, t.z_text) == ("a", "b", "c")
+        assert (t.x.source, t.y.source, t.z.source) == ("a", "b", "c")
 
     def test_too_short(self):
         with pytest.raises(ContextTooShort):
@@ -45,15 +45,15 @@ class TestRandomSplitAgent:
         rng = np.random.default_rng(5)
         for _ in range(200):
             t = random_split_agent(ctx, rng)
-            assert t.x_text and t.y_text and t.z_text
-            assert f"{t.x_text} {t.y_text} {t.z_text}" == ctx.text
+            assert t.x.source and t.y.source and t.z.source
+            assert f"{t.x.source} {t.y.source} {t.z.source}" == ctx.text
 
     def test_gram_sets_match_surfaces(self):
         ctx = context(*[f"t{i}" for i in range(6)])
         t = random_split_agent(ctx, np.random.default_rng(1))
-        assert t.x.grams == ngram_set(t.x_text, 1, 3).grams
-        assert t.y.grams == ngram_set(t.y_text, 1, 3).grams
-        assert t.z.grams == ngram_set(t.z_text, 1, 3).grams
+        assert t.x.grams == ngram_set(t.x.source, 1, 3).grams
+        assert t.y.grams == ngram_set(t.y.source, 1, 3).grams
+        assert t.z.grams == ngram_set(t.z.source, 1, 3).grams
 
     def test_determinism(self):
         ctx = context(*[f"t{i}" for i in range(10)])
@@ -70,8 +70,8 @@ class TestRandomSplitAgent:
         counts: dict[tuple[int, int], int] = {}
         for _ in range(draws):
             t = random_split_agent(ctx, rng)
-            i = len(t.x_text.split())
-            j = i + len(t.y_text.split())
+            i = len(t.x.source.split())
+            j = i + len(t.y.source.split())
             counts[(i, j)] = counts.get((i, j), 0) + 1
         cells = [(i, j) for i in range(1, length) for j in range(i + 1, length)]
         assert len(cells) == 36
@@ -87,7 +87,7 @@ class TestHeuristicExtract:
     def test_basic_split(self):
         t = heuristic_extract("the cat is on the mat", self.LEX)
         assert t is not None
-        assert (t.x_text, t.y_text, t.z_text) == ("the cat", "is", "on the mat")
+        assert (t.x.source, t.y.source, t.z.source) == ("the cat", "is", "on the mat")
 
     def test_leading_verb_rejected(self):
         assert heuristic_extract("is running fast", self.LEX) is None
@@ -101,7 +101,7 @@ class TestHeuristicExtract:
     def test_maximal_verb_run(self):
         t = heuristic_extract("the door was is stuck badly", self.LEX)
         assert t is not None
-        assert t.y_text == "was is"
+        assert t.y.source == "was is"
 
     def test_reconstruction_invariant(self):
         sentences = [
@@ -112,7 +112,7 @@ class TestHeuristicExtract:
         for sentence in sentences:
             t = heuristic_extract(sentence, self.LEX)
             assert t is not None
-            assert f"{t.x_text} {t.y_text} {t.z_text}" == sentence
+            assert f"{t.x.source} {t.y.source} {t.z.source}" == sentence
 
     def test_default_lexicon_loads(self):
         lexicon = load_verb_lexicon()
@@ -125,7 +125,7 @@ class TestLoadTriplets:
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"x": "the cat", "y": "sat on", "z": "the mat"}) + "\n")
         (triplet,) = load_triplets(path)
-        assert triplet.x_text == "the cat"
+        assert triplet.x.source == "the cat"
         assert triplet.y.grams == ngram_set("sat on", 1, 3).grams
 
     def test_empty_field_rejected_with_line_number(self, tmp_path):
@@ -155,7 +155,7 @@ class TestLoadTriplets:
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"x": "The  CAT", "y": "Sat", "z": "Down"}) + "\n")
         (triplet,) = load_triplets(path)
-        assert triplet.x_text == "the cat"
+        assert triplet.x.source == "the cat"
 
 
 class TestSynthCorpus:
@@ -174,7 +174,7 @@ class TestSynthCorpus:
             sentences.append(doc.text)
         joined_docs = " ".join(sentences)
         reconstructed = " ".join(
-            f"{t.x_text} {t.y_text} {t.z_text}" for t in gold
+            f"{t.x.source} {t.y.source} {t.z.source}" for t in gold
         )
         assert reconstructed == joined_docs
 
@@ -189,14 +189,14 @@ class TestSynthCorpus:
         grammar = default_grammar(p_pref=1.0)
         _, gold = synth_corpus(400, np.random.default_rng(3), grammar)
         for t in gold:
-            assert t.z_text in grammar.preferred[t.y_text]
+            assert t.z.source in grammar.preferred[t.y.source]
 
     def test_marginal_object_distribution_roughly_uniform(self):
         grammar = default_grammar(p_pref=0.8)
         _, gold = synth_corpus(8000, np.random.default_rng(4), grammar)
         counts = {}
         for t in gold:
-            counts[t.z_text] = counts.get(t.z_text, 0) + 1
+            counts[t.z.source] = counts.get(t.z.source, 0) + 1
         expected = len(gold) / len(grammar.objects)
         assert all(abs(c - expected) < 6 * np.sqrt(expected) for c in counts.values())
 
@@ -234,7 +234,7 @@ class TestBuildStepSamples:
         )
         assert all(len(s.triplets) == 100 for s in samples)
         # 100 draws from a 50-triple pool must repeat something.
-        texts = {t.x_text for t in samples[0].triplets}
+        texts = {t.x.source for t in samples[0].triplets}
         assert len(texts) <= 50
 
     def test_gold_determinism(self, tmp_path):
@@ -265,7 +265,7 @@ class TestBuildStepSamples:
         samples = build_step_samples(
             spec, docs, k_max=2, per_step=10, rng=np.random.default_rng(0)
         )
-        surfaces = {(t.x_text, t.y_text, t.z_text) for s in samples for t in s.triplets}
+        surfaces = {(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets}
         assert ("the cat", "is", "on the mat.") in surfaces
 
     def test_injected_pool_wins_over_path(self):

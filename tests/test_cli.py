@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from setinfo import read_csv
-from setinfo.cli import cli
+from setinfo import RunConfig, read_csv
+from setinfo.cli import _build_parser, cli
 
 
 def write_run_config(path, corpus="synthetic", extra=""):
@@ -38,10 +38,18 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli(["--help"]) == 0
-        assert "subcommand" in capsys.readouterr().out.lower() or True
+        out = capsys.readouterr().out
+        for command in ("ingest", "gen-synthetic", "simulate", "plot", "check"):
+            assert command in out
 
 
 class TestGenSynthetic:
+    def test_defaults_match_run_config(self):
+        args = _build_parser().parse_args(["gen-synthetic", "--out", "data"])
+        run = RunConfig()
+        assert args.sentences == run.synthetic_sentences
+        assert args.p_pref == run.synthetic_p_pref
+
     def test_writes_corpus_and_gold(self, tmp_path, capsys):
         out = tmp_path / "data"
         assert cli(["gen-synthetic", "--out", str(out), "--sentences", "200", "--seed", "5"]) == 0
@@ -111,6 +119,13 @@ class TestSimulate:
         cli(["simulate", "--config", str(cfg), "--out", str(out)])
         meta, _ = read_csv(out / "random.csv")
         assert meta["seed"] == "123"
+
+    def test_bad_env_seed_fails_validation(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        monkeypatch.setenv("SETINFO_SEED", "abc")
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "SETINFO_SEED" in capsys.readouterr().err
 
     def test_missing_config_fails_validation(self, tmp_path):
         assert cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1

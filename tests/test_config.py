@@ -109,6 +109,20 @@ class TestShippedConfigs:
     def test_config_hash_pinned(self, name, digest):
         assert RunConfig.from_dict(_load(name)).config_hash() == digest
 
+    def test_p_pref_not_hashed_under_grammar_file(self):
+        # The grammar file supplies p_pref, so synthetic.p_pref changes nothing.
+        grammar = str(REPO_CONFIGS / "grammar_example.cfg")
+        hashes = {
+            RunConfig.from_dict(
+                {"synthetic.grammar": grammar, "synthetic.p_pref": p_pref}
+            ).config_hash()
+            for p_pref in ("0.3", "0.9")
+        }
+        assert len(hashes) == 1
+        assert RunConfig.from_dict({"synthetic.p_pref": "0.3"}).config_hash() != (
+            RunConfig.from_dict({"synthetic.p_pref": "0.9"}).config_hash()
+        )
+
 
 def test_readme_config_table_lists_exactly_the_schema_keys():
     readme = (REPO / "README.md").read_text(encoding="utf-8")

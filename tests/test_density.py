@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from setinfo import (
+    AgentSpec,
     DegenerateDenominator,
     EmptySample,
     EstimatorConfig,
     LingSet,
+    Triplet,
     capacity,
     compute_mi_record,
     conditional_entropy,
@@ -17,16 +21,18 @@ from setinfo import (
     hamming,
     join,
     joint_entropy,
-    joint_marginal_mi,
     joint_mass_monitor,
     kernel,
     make_triplet,
     mutual_information,
     ngram_set,
+    synth_corpus,
     triplet_likelihood,
 )
+from setinfo.agents import build_step_samples
+from setinfo.density import _distance_matrix
 
-from conftest import random_lingset
+from conftest import lingsets, random_lingset
 
 UNION = EstimatorConfig()
 RAW = EstimatorConfig(entropy_mode="raw")
@@ -44,6 +50,34 @@ def synthetic_set(tag: str, size: int) -> LingSet:
 
 
 PEAK = gauss(0.0)  # 0.07978845608028654 at bandwidth 5
+EMPTY = LingSet(grams=frozenset(), source="")
+
+
+def joined(firsts, seconds, cfg: EstimatorConfig) -> list[LingSet]:
+    return [
+        join(a, b, cfg.joint_mode, cfg.n_min, cfg.n_max, cfg.include_space)
+        for a, b in zip(firsts, seconds)
+    ]
+
+
+def oracle_entropy(sets, cfg: EstimatorConfig) -> float:
+    # Entropy from per-pair scalar kernels, independent of the matrix path.
+    masses = [math.fsum(kernel(a, b, cfg.bandwidth) for b in sets) / len(sets) for a in sets]
+    if cfg.entropy_mode == "normalized":
+        total = math.fsum(masses)
+        masses = [p / total for p in masses]
+    return -math.fsum(p * math.log(p) for p in masses)
+
+
+def random_triplets(rng, n: int) -> list[Triplet]:
+    return [
+        make_triplet(
+            random_lingset(rng, 15).source,
+            random_lingset(rng, 8).source,
+            random_lingset(rng, 15).source,
+        )
+        for _ in range(n)
+    ]
 
 
 class TestEstimatorConfig:
@@ -104,6 +138,17 @@ class TestKernel:
         s = ngram_set("x", 1, 1)
         with pytest.raises(ValueError):
             kernel(s, s, 0.0)
+
+
+class TestDistanceMatrix:
+    @settings(deadline=None)
+    @given(st.lists(st.one_of(lingsets, st.just(EMPTY)), min_size=1, max_size=12))
+    @example([EMPTY])
+    @example([EMPTY, EMPTY])
+    def test_equals_pairwise_hamming(self, sets):
+        sets = sets + sets[:3]  # repeated members
+        expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
+        assert np.array_equal(_distance_matrix(sets), expected)
 
 
 class TestCapacity:
@@ -248,37 +293,6 @@ class TestMutualInformation:
             mutual_information([], UNION)
 
 
-class TestJointMarginalMI:
-    def test_constant_z_with_disjoint_grams(self, rng):
-        # With z constant and its grams disjoint from every x/y gram, the
-        # joined collection has exactly the x+y geometry, so the MI equals
-        # the multiset entropy of the constant column.
-        alphabet_x = "abcdef"
-        alphabet_y = "ghijkl"
-        triples = []
-        for _ in range(7):
-            x = ngram_set("".join(rng.choice(list(alphabet_x), size=8)), 1, 3)
-            y = ngram_set("".join(rng.choice(list(alphabet_y), size=8)), 1, 3)
-            z = ngram_set("zzzz", 1, 3)
-            triples.append((x, y, z))
-        mi = joint_marginal_mi(triples, "XY_vs_Z", UNION)
-        h_z = entropy([z for _, _, z in triples], UNION)
-        assert h_z == pytest.approx(math.log(len(triples)), abs=1e-12)
-        assert mi == pytest.approx(h_z, abs=1e-12)
-
-    def test_identical_components_reduce_to_self_mi(self, rng):
-        values = [random_lingset(rng) for _ in range(8)]
-        triples = [(v, v, v) for v in values]
-        assert joint_marginal_mi(triples, "XY_vs_Z", UNION) == pytest.approx(
-            entropy(values, UNION), abs=1e-12
-        )
-
-    def test_unknown_kind_rejected(self):
-        s = ngram_set("x", 1, 1)
-        with pytest.raises(ValueError):
-            joint_marginal_mi([(s, s, s)], "YZ_vs_X", UNION)
-
-
 class TestTripletLikelihood:
     def test_identical_triplets_reach_peak(self):
         t = make_triplet("the cat", "sat", "on the mat")
@@ -329,32 +343,92 @@ class TestTripletLikelihood:
 
 class TestComputeMiRecord:
     def test_components_recompute_identically(self, rng):
-        triplets = [
-            make_triplet(
-                random_lingset(rng, 15).source,
-                random_lingset(rng, 8).source,
-                random_lingset(rng, 15).source,
-            )
-            for _ in range(9)
-        ]
-        rec = compute_mi_record(3, triplets, UNION)
+        triplets = random_triplets(rng, 9)
         xs = [t.x for t in triplets]
         ys = [t.y for t in triplets]
         zs = [t.z for t in triplets]
-        assert rec.k == 3
-        assert rec.sample_size == 9
-        assert rec.i_xy == mutual_information(list(zip(xs, ys)), UNION)
-        assert rec.i_yz == mutual_information(list(zip(ys, zs)), UNION)
-        assert rec.i_xz == mutual_information(list(zip(xs, zs)), UNION)
-        assert rec.i_xy_z == joint_marginal_mi(list(zip(xs, ys, zs)), "XY_vs_Z", UNION)
-        assert rec.i_xz_y == joint_marginal_mi(list(zip(xs, ys, zs)), "XZ_vs_Y", UNION)
-        assert rec.h_x == entropy(xs, UNION)
-        assert rec.h_y == entropy(ys, UNION)
-        assert rec.h_z == entropy(zs, UNION)
+        for cfg in (UNION, CONCAT, RAW):
+            rec = compute_mi_record(3, triplets, cfg)
+            assert rec.k == 3
+            assert rec.sample_size == 9
+            assert rec.i_xy == mutual_information(list(zip(xs, ys)), cfg)
+            assert rec.i_yz == mutual_information(list(zip(ys, zs)), cfg)
+            assert rec.i_xz == mutual_information(list(zip(xs, zs)), cfg)
+            assert rec.i_xy_z == mutual_information(list(zip(joined(xs, ys, cfg), zs)), cfg)
+            assert rec.i_xz_y == mutual_information(list(zip(joined(xs, zs, cfg), ys)), cfg)
+            assert rec.h_x == entropy(xs, cfg)
+            assert rec.h_y == entropy(ys, cfg)
+            assert rec.h_z == entropy(zs, cfg)
+
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT, RAW], ids=["union", "concat", "raw"])
+    def test_matches_scalar_oracle(self, rng, cfg):
+        triplets = random_triplets(rng, 10)
+        triplets += triplets[:3]  # duplicated realizations count separately
+        xs = [t.x for t in triplets]
+        ys = [t.y for t in triplets]
+        zs = [t.z for t in triplets]
+        xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
+        h = {
+            name: oracle_entropy(sets, cfg)
+            for name, sets in [
+                ("x", xs), ("y", ys), ("z", zs), ("xy", xy), ("yz", yz), ("xz", xz),
+                ("xy_z", joined(xy, zs, cfg)), ("xz_y", joined(xz, ys, cfg)),
+            ]
+        }
+        expected = {
+            "i_xy": h["x"] + h["y"] - h["xy"],
+            "i_yz": h["y"] + h["z"] - h["yz"],
+            "i_xz": h["x"] + h["z"] - h["xz"],
+            "i_xy_z": h["xy"] + h["z"] - h["xy_z"],
+            "i_xz_y": h["xz"] + h["y"] - h["xz_y"],
+            "h_x": h["x"],
+            "h_y": h["y"],
+            "h_z": h["z"],
+        }
+        rec = compute_mi_record(1, triplets, cfg)
+        for name, want in expected.items():
+            assert getattr(rec, name) == pytest.approx(want, rel=1e-12), name
+
+    def test_constant_z_with_disjoint_grams(self, rng):
+        # With z constant and its grams disjoint from every x/y gram, the
+        # joined collection has exactly the x+y geometry, so the MI equals
+        # the multiset entropy of the constant column.
+        alphabet_x = "abcdef"
+        alphabet_y = "ghijkl"
+        triplets = [
+            make_triplet(
+                "".join(rng.choice(list(alphabet_x), size=8)),
+                "".join(rng.choice(list(alphabet_y), size=8)),
+                "zzzz",
+            )
+            for _ in range(7)
+        ]
+        rec = compute_mi_record(1, triplets, UNION)
+        assert rec.h_z == pytest.approx(math.log(len(triplets)), abs=1e-12)
+        assert rec.i_xy_z == pytest.approx(rec.h_z, abs=1e-12)
+
+    def test_identical_components_reduce_to_self_mi(self, rng):
+        values = [random_lingset(rng) for _ in range(8)]
+        triplets = [Triplet(x=v, y=v, z=v) for v in values]
+        assert compute_mi_record(1, triplets, UNION).i_xy_z == pytest.approx(
+            entropy(values, UNION), abs=1e-12
+        )
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             compute_mi_record(1, [], UNION)
+
+
+def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
+    """One random-agent step and one pool step of 30 triplets each."""
+    docs, gold = synth_corpus(400, np.random.default_rng(5))
+    pool = AgentSpec(kind="gold_file", name="structured", pool=tuple(gold))
+    return {
+        label: build_step_samples(
+            source, corpus, k_max=1, per_step=30, rng=np.random.default_rng(9)
+        )[0].triplets
+        for label, source, corpus in [("random", "random", docs), ("pool", pool, None)]
+    }
 
 
 class TestJointMassMonitor:
@@ -371,3 +445,17 @@ class TestJointMassMonitor:
             violations, comparisons = joint_mass_monitor(triplets, cfg)
             assert comparisons == 2 * 3 * len(triplets)
             assert 0 <= violations <= comparisons
+
+    # Pinned (violations, comparisons): the monitor's counts must not move
+    # when the way its capacity vectors are computed changes.
+    @pytest.mark.parametrize(
+        "cfg,expected",
+        [
+            (UNION, {"random": (3, 180), "pool": (2, 180)}),
+            (CONCAT, {"random": (2, 180), "pool": (0, 180)}),
+        ],
+        ids=["union", "concat"],
+    )
+    def test_counts_pinned(self, cfg, expected):
+        steps = pinned_steps()
+        assert {label: joint_mass_monitor(t, cfg) for label, t in steps.items()} == expected
