@@ -1,132 +1,193 @@
-"""Quick self-checks over small random instances, used by the check subcommand.
+"""The estimator's invariants, one function per invariant family.
 
-These mirror the core invariants the test suite verifies at full scale;
-here they run in a couple of seconds with a fixed seed so a deployment can
-sanity-check itself without pytest.
+Each function draws its own random instances from the generator it is
+handed and returns one ``Check`` per sub-check.  ``run_checks`` runs them
+small for ``setinfo check``; the acceptance suite runs the same functions
+at full size (criteria 1-4 and 9).  Tolerances are written only here.
 """
 
 from __future__ import annotations
 
 import math
 import string
+from dataclasses import dataclass
 
 import numpy as np
 
+from .agents import Triplet, make_triplet
 from .density import (
     EstimatorConfig,
     MiRecord,
+    _join_pair,
     capacity,
+    conditional_entropy,
     entropy,
     joint_entropy,
     kernel,
     mutual_information,
     triplet_likelihood,
 )
-from .agents import make_triplet
-from .ngrams import LingSet, hamming, join, ngram_set
+from .ngrams import LingSet, hamming, ngram_set
 from .reward import demarcken_check, reward
 
-_ALPHABET = string.ascii_lowercase + " "
+ALPHABET = string.ascii_lowercase + " "
+CFG = EstimatorConfig()  # bandwidth 5.0, normalized entropy, union joins
+IDENTITY_TOL = 1e-12
+KERNEL_PEAK = 1.0 / math.sqrt(2.0 * math.pi * CFG.bandwidth**2)
 
 
-def _random_set(rng: np.random.Generator, max_len: int = 30) -> LingSet:
+@dataclass(frozen=True)
+class Check:
+    """One sub-check's outcome over a batch of random instances.
+
+    ``worst`` is the largest deviation seen, for checks held to a tolerance;
+    ``seen`` says what the batch covered, where that is not just its size.
+    """
+
+    name: str
+    rule: str
+    instances: int
+    violations: int
+    worst: float | None = None
+    seen: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.violations == 0
+
+    def line(self) -> str:
+        facts = [f"{self.instances} instances", f"{self.violations} violations"]
+        if self.worst is not None:
+            facts.append(f"worst {self.worst:.2e}")
+        if self.seen:
+            facts.append(self.seen)
+        return f"{'PASS' if self.passed else 'FAIL'}  {self.name}: {self.rule} ({', '.join(facts)})"
+
+
+def random_lingset(rng: np.random.Generator, max_len: int = 40) -> LingSet:
+    """1-3 gram set of a random lowercase text of 1..max_len characters."""
     length = int(rng.integers(1, max_len + 1))
-    chars = "".join(_ALPHABET[int(i)] for i in rng.integers(len(_ALPHABET), size=length))
-    text = chars.strip() or "a"
-    return ngram_set(text, 1, 3)
+    text = "".join(ALPHABET[int(i)] for i in rng.integers(len(ALPHABET), size=length))
+    return ngram_set(text.strip() or "a", 1, 3)
 
 
-def run_checks(seed: int = 20240915) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(seed)
-    cfg = EstimatorConfig()
-    report: list[tuple[str, bool, str]] = []
+def _random_sample(rng: np.random.Generator) -> list[LingSet]:
+    return [random_lingset(rng, 30) for _ in range(int(rng.integers(1, 21)))]
 
-    sets = [_random_set(rng) for _ in range(120)]
-    sym_ok = all(
-        hamming(a, b) == hamming(b, a)
-        for a, b in zip(sets, sets[1:])
-    )
-    tri_ok = True
-    for _ in range(400):
-        a, b, c = (sets[int(i)] for i in rng.integers(len(sets), size=3))
-        if hamming(a, c) > hamming(a, b) + hamming(b, c):
-            tri_ok = False
-            break
-    report.append(("metric symmetry", sym_ok, "h(a,b) == h(b,a)"))
-    report.append(("triangle inequality", tri_ok, "h(a,c) <= h(a,b) + h(b,c)"))
 
-    peak = 1.0 / math.sqrt(2.0 * math.pi * cfg.bandwidth**2)
-    kernel_ok = True
-    for _ in range(300):
-        a, b = (sets[int(i)] for i in rng.integers(len(sets), size=2))
-        value = kernel(a, b, cfg.bandwidth)
-        if not (0.0 < value <= peak + 1e-12):
-            kernel_ok = False
-            break
-    report.append(("kernel bounds", kernel_ok, f"0 < f <= {peak:.6g}"))
+def _xyz(t: Triplet) -> LingSet:
+    return _join_pair(_join_pair(t.x, t.y, CFG), t.z, CFG)
 
-    mi_ok = True
-    chain_ok = True
-    range_ok = True
-    for _ in range(30):
-        n = int(rng.integers(2, 13))
-        pairs = [
-            (sets[int(i)], sets[int(j)])
-            for i, j in zip(rng.integers(len(sets), size=n), rng.integers(len(sets), size=n))
-        ]
-        i_ab = mutual_information(pairs, cfg)
-        i_ba = mutual_information([(b, a) for a, b in pairs], cfg)
-        if abs(i_ab - i_ba) > 1e-12:
-            mi_ok = False
-        h_joint = joint_entropy(pairs, cfg)
-        h_cond = h_joint - entropy([a for a, _ in pairs], cfg)
-        if abs(entropy([a for a, _ in pairs], cfg) + h_cond - h_joint) > 1e-12:
-            chain_ok = False
-        for values in ([a for a, _ in pairs], [b for _, b in pairs]):
-            h = entropy(values, cfg)
-            if not (-1e-12 <= h <= math.log(len(values)) + 1e-12):
-                range_ok = False
-    report.append(("MI symmetry (union mode)", mi_ok, "|I(a,b) - I(b,a)| <= 1e-12"))
-    report.append(("entropy chain rule", chain_ok, "H(cond) + H(target|cond) == H(joint)"))
-    report.append(("normalized entropy range", range_ok, "0 <= H <= ln(n)"))
 
-    like_ok = True
-    for _ in range(10):
-        n = int(rng.integers(2, 8))
+def _tolerance_check(name: str, rule: str, deviations: list[float]) -> Check:
+    violations = sum(d > IDENTITY_TOL for d in deviations)
+    return Check(name, rule, len(deviations), violations, max(deviations))
+
+
+def metric_axioms(rng: np.random.Generator, n: int) -> list[Check]:
+    """Symmetry, triangle inequality and h(a,a)=0, exactly, over n set triples."""
+    triples = [
+        (random_lingset(rng), random_lingset(rng), random_lingset(rng)) for _ in range(n)
+    ]
+    return [
+        Check("metric symmetry", "h(a,b) == h(b,a)", n,
+              sum(hamming(a, b) != hamming(b, a) for a, b, _ in triples)),
+        Check("triangle inequality", "h(a,c) <= h(a,b) + h(b,c)", n,
+              sum(hamming(a, c) > hamming(a, b) + hamming(b, c) for a, b, c in triples)),
+        Check("self-distance", "h(a,a) == 0", n,
+              sum(hamming(a, a) != 0 for a, _, _ in triples)),
+    ]
+
+
+def kernel_shape(rng: np.random.Generator, n: int) -> list[Check]:
+    """Kernel bounds, dependence on the distance alone and strict decrease, over n pairs."""
+    out_of_bounds = 0
+    mismatched = 0
+    by_distance: dict[int, float] = {}
+    for _ in range(n):
+        a, b = random_lingset(rng), random_lingset(rng)
+        value = kernel(a, b, CFG.bandwidth)
+        at_zero = kernel(a, a, CFG.bandwidth)  # random pairs never reach h = 0
+        out_of_bounds += not 0.0 < value <= at_zero <= KERNEL_PEAK + IDENTITY_TOL
+        mismatched += by_distance.setdefault(hamming(a, b), value) != value
+    distances = sorted(by_distance)
+    values = [by_distance[h] for h in distances]
+    increases = sum(earlier <= later for earlier, later in zip(values, values[1:]))
+    seen = f"h in [{distances[0]}, {distances[-1]}]"
+    return [
+        Check("kernel bounds", f"0 < f(a,b) <= f(a,a) <= {KERNEL_PEAK:.10g} + {IDENTITY_TOL:g}",
+              n, out_of_bounds),
+        Check("kernel depends only on distance", "h(a,b) == h(c,d) => f(a,b) == f(c,d)",
+              n, mismatched),
+        Check("kernel strictly decreasing", "h < h' => f(h) > f(h')",
+              len(distances), increases, seen=seen),
+    ]
+
+
+def estimator_identities(rng: np.random.Generator, n: int) -> list[Check]:
+    """MI symmetry, self-MI, chain rule and likelihood telescoping, over n samples."""
+    deviations: dict[str, list[float]] = {"sym": [], "self": [], "chain": [], "like": []}
+    for _ in range(n):
+        firsts = _random_sample(rng)
+        pairs = [(a, random_lingset(rng, 30)) for a in firsts]
         triplets = [
-            make_triplet(
-                _random_set(rng, 12).source,
-                _random_set(rng, 8).source,
-                _random_set(rng, 12).source,
-            )
-            for _ in range(n)
+            make_triplet(a.source, random_lingset(rng, 10).source, b.source) for a, b in pairs
         ]
-        target = triplets[int(rng.integers(n))]
-        factored = triplet_likelihood(target, triplets, cfg)
-        direct_sets = [
-            join(join(t.x, t.y, cfg.joint_mode, cfg.n_min, cfg.n_max),
-                 t.z, cfg.joint_mode, cfg.n_min, cfg.n_max)
-            for t in triplets
-        ]
-        direct_target = join(
-            join(target.x, target.y, cfg.joint_mode, cfg.n_min, cfg.n_max),
-            target.z, cfg.joint_mode, cfg.n_min, cfg.n_max,
-        )
-        direct = capacity(direct_target, direct_sets, cfg)
-        if abs(factored - direct) > 1e-12 * max(abs(direct), 1e-300):
-            like_ok = False
-    report.append(("likelihood telescoping", like_ok, "factorized == direct joint capacity"))
+        target = triplets[int(rng.integers(len(triplets)))]
 
-    reward_ok = True
-    for _ in range(300):
+        i_ab = mutual_information(pairs, CFG)
+        deviations["sym"].append(abs(i_ab - mutual_information([(b, a) for a, b in pairs], CFG)))
+        h_first = entropy(firsts, CFG)
+        deviations["self"].append(abs(mutual_information([(v, v) for v in firsts], CFG) - h_first))
+        deviations["chain"].append(
+            abs(h_first + conditional_entropy(pairs, CFG) - joint_entropy(pairs, CFG))
+        )
+        direct = capacity(_xyz(target), [_xyz(t) for t in triplets], CFG)
+        factored = triplet_likelihood(target, triplets, CFG)
+        deviations["like"].append(abs(factored - direct) / abs(direct))
+    tol = f"{IDENTITY_TOL:g}"
+    return [
+        _tolerance_check("MI symmetry", f"|I(a,b) - I(b,a)| <= {tol}", deviations["sym"]),
+        _tolerance_check("self-MI equals entropy", f"|I(a,a) - H(a)| <= {tol}", deviations["self"]),
+        _tolerance_check(
+            "entropy chain rule", f"|H(a) + H(b|a) - H(a,b)| <= {tol}", deviations["chain"]
+        ),
+        _tolerance_check(
+            "likelihood telescoping", f"|factorized - direct| / direct <= {tol}", deviations["like"]
+        ),
+    ]
+
+
+def entropy_range(rng: np.random.Generator, n: int) -> list[Check]:
+    """Normalized entropy within [0, ln n] over n samples of 1-20 sets."""
+    violations = 0
+    for _ in range(n):
+        values = _random_sample(rng)
+        violations += not 0.0 <= entropy(values, CFG) <= math.log(len(values)) + IDENTITY_TOL
+    return [Check("normalized entropy range", f"0 <= H <= ln(n) + {IDENTITY_TOL:g}", n, violations)]
+
+
+def reward_consistency(rng: np.random.Generator, n: int) -> list[Check]:
+    """The margin reward is positive exactly when the MI ordering holds, over n records."""
+    violations = 0
+    for _ in range(n):
         vals = rng.normal(size=3)
         rec = MiRecord(
             k=1, i_xy=float(vals[0]), i_yz=float(vals[1]), i_xz=float(vals[2]),
             i_xy_z=0.0, i_xz_y=0.0, h_x=0.0, h_y=0.0, h_z=0.0, sample_size=1,
         )
-        ok, _ = demarcken_check(rec)
-        if (reward(rec, "margin").value > 0) != ok:
-            reward_ok = False
-            break
-    report.append(("reward/ordering consistency", reward_ok, "margin > 0 iff ordering holds"))
-    return report
+        satisfied, _ = demarcken_check(rec)
+        violations += (reward(rec, "margin").value > 0) != satisfied
+    return [Check("reward/ordering consistency", "margin > 0 iff ordering holds", n, violations)]
+
+
+def run_checks(seed: int = 20240915) -> list[Check]:
+    """Every invariant at small size, in a few seconds, for ``setinfo check``."""
+    rng = np.random.default_rng(seed)
+    return [
+        *metric_axioms(rng, 200),
+        *kernel_shape(rng, 300),
+        *estimator_identities(rng, 20),
+        *entropy_range(rng, 30),
+        *reward_consistency(rng, 300),
+    ]

@@ -93,6 +93,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
+    if args.sentences < 1:
+        print(f"gen-synthetic: --sentences must be >= 1, got {args.sentences}", file=sys.stderr)
+        return 1
     out = Path(args.out_dir)
     grammar = (
         grammar_from_file(args.grammar)
@@ -167,11 +170,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .checks import run_checks
 
     report = run_checks()
-    for name, passed, detail in report:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
-    failed = [name for name, passed, _ in report if not passed]
-    print(f"check: {len(report) - len(failed)}/{len(report)} invariants hold")
-    return 1 if failed else 0
+    for check in report:
+        print(check.line())
+    held = sum(check.passed for check in report)
+    print(f"check: {held}/{len(report)} invariants hold")
+    return 0 if held == len(report) else 1
 
 
 _HANDLERS = {

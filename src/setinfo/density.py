@@ -62,8 +62,8 @@ class EstimatorConfig:
     include_space: bool = True
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.entropy_mode not in ENTROPY_MODES:
             raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
         if self.joint_mode not in JOINT_MODES:
@@ -92,8 +92,8 @@ def kernel(a: LingSet, b: LingSet, bandwidth: float = 5.0) -> float:
     Maximal, 1/sqrt(2 pi bandwidth^2), exactly when the gram sets coincide;
     strictly decreasing in the distance.
     """
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
     h = hamming(a, b)
     return math.exp(-(h * h) / (2.0 * bandwidth * bandwidth)) / math.sqrt(
         2.0 * math.pi * bandwidth * bandwidth

@@ -92,8 +92,14 @@ class RunConfig:
             raise ConfigInvalid(
                 f"context.length must be >= 3 so contexts can be split, got {self.context_length}"
             )
+        if self.synthetic_sentences < 1:
+            raise ConfigInvalid(f"synthetic.sentences must be >= 1, got {self.synthetic_sentences}")
+        if self.synthetic_sentences_per_doc < 1:
+            raise ConfigInvalid(
+                f"synthetic.sentences_per_doc must be >= 1, got {self.synthetic_sentences_per_doc}"
+            )
         if not self.agents:
-            raise ConfigInvalid("at least one agent must be configured")
+            raise ConfigInvalid("agents: at least one agent must be configured")
         names = [spec.name for spec in self.agents]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"agent names must be unique, got {names}")

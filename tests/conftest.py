@@ -1,30 +1,15 @@
 from __future__ import annotations
 
-import string
-
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from setinfo import LingSet, ngram_set
-
-ALPHABET = string.ascii_lowercase + " "
-
-
-def random_text(rng: np.random.Generator, max_len: int = 40, min_len: int = 1) -> str:
-    length = int(rng.integers(min_len, max_len + 1))
-    text = "".join(ALPHABET[int(i)] for i in rng.integers(len(ALPHABET), size=length))
-    text = text.strip()
-    return text or "a"
-
-
-def random_lingset(rng: np.random.Generator, max_len: int = 40) -> LingSet:
-    return ngram_set(random_text(rng, max_len), 1, 3)
-
+from setinfo import ngram_set
+from setinfo.checks import ALPHABET, random_lingset  # noqa: F401 - shared by the test modules
 
 # Hypothesis strategy: short lowercase texts (non-empty after stripping).
 texts = st.text(
-    alphabet=string.ascii_lowercase + " ",
+    alphabet=ALPHABET,
     min_size=1,
     max_size=40,
 ).map(lambda s: s.strip() or "a")

@@ -9,7 +9,6 @@ most of the suite's runtime.
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
@@ -19,30 +18,20 @@ from scipy import stats
 from setinfo import (
     AgentSpec,
     EstimatorConfig,
-    MiRecord,
     RunConfig,
-    capacity,
-    demarcken_check,
-    entropy,
-    hamming,
-    join,
-    joint_entropy,
-    kernel,
-    make_triplet,
-    mutual_information,
     random_split_agent,
-    reward,
     run_simulation,
-    triplet_likelihood,
     write_all_csv,
+)
+from setinfo.checks import (
+    entropy_range,
+    estimator_identities,
+    kernel_shape,
+    metric_axioms,
+    reward_consistency,
 )
 from setinfo.corpus import Context
 from setinfo.trajectory import read_csv
-
-from conftest import random_lingset
-
-UNION = EstimatorConfig()  # bandwidth 5.0, normalized entropy, union joints
-KERNEL_PEAK = 0.0797885
 
 
 def report(num: int, name: str, detail: str = "") -> None:
@@ -70,100 +59,40 @@ def full_scale_config(joint_mode: str) -> RunConfig:
     )
 
 
+def assert_all_pass(checks) -> None:
+    failed = [check.line() for check in checks if not check.passed]
+    assert not failed, "\n".join(failed)
+
+
 def test_criterion_1_metric_axioms():
-    rng = np.random.default_rng(101)
     started = time.perf_counter()
-    triples = [
-        (random_lingset(rng, 40), random_lingset(rng, 40), random_lingset(rng, 40))
-        for _ in range(1000)
-    ]
-    for a, b, c in triples:
-        assert hamming(a, b) == hamming(b, a)
-        assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-        assert hamming(a, a) == 0
+    checks = metric_axioms(np.random.default_rng(101), 1000)
     elapsed = time.perf_counter() - started
+    assert_all_pass(checks)
     assert elapsed < 5.0
     report(1, "metric axioms", f"1000 triples, exact, {elapsed:.2f}s")
 
 
 def test_criterion_2_kernel_bounds_and_monotonicity():
-    rng = np.random.default_rng(202)
-    by_distance: dict[int, float] = {}
-    for _ in range(1000):
-        a, b = random_lingset(rng, 40), random_lingset(rng, 40)
-        h = hamming(a, b)
-        value = kernel(a, b, 5.0)
-        assert 0.0 < value <= KERNEL_PEAK + 1e-9
-        if h in by_distance:
-            assert value == by_distance[h]
-        else:
-            by_distance[h] = value
-    distances = sorted(by_distance)
-    values = [by_distance[h] for h in distances]
-    assert all(earlier > later for earlier, later in zip(values, values[1:]))
-    report(
-        2,
-        "kernel bounds",
-        f"1000 pairs, h in [{distances[0]}, {distances[-1]}], zero violations",
-    )
-
-
-def _random_sample(rng: np.random.Generator, max_size: int = 20) -> list:
-    return [random_lingset(rng, 30) for _ in range(int(rng.integers(1, max_size + 1)))]
+    checks = kernel_shape(np.random.default_rng(202), 1000)
+    assert_all_pass(checks)
+    report(2, "kernel bounds", f"1000 pairs, {checks[-1].seen}, zero violations")
 
 
 def test_criterion_3_estimator_identities():
-    rng = np.random.default_rng(303)
-    worst = {"symmetry": 0.0, "self_mi": 0.0, "chain": 0.0, "likelihood": 0.0}
-    for _ in range(200):
-        firsts = _random_sample(rng)
-        seconds = [random_lingset(rng, 30) for _ in firsts]
-        pairs = list(zip(firsts, seconds))
-
-        delta = abs(
-            mutual_information(pairs, UNION)
-            - mutual_information([(b, a) for a, b in pairs], UNION)
-        )
-        worst["symmetry"] = max(worst["symmetry"], delta)
-        assert delta <= 1e-12
-
-        self_pairs = [(v, v) for v in firsts]
-        delta = abs(mutual_information(self_pairs, UNION) - entropy(firsts, UNION))
-        worst["self_mi"] = max(worst["self_mi"], delta)
-        assert delta <= 1e-12
-
-        h_cond = joint_entropy(pairs, UNION) - entropy(firsts, UNION)
-        delta = abs(entropy(firsts, UNION) + h_cond - joint_entropy(pairs, UNION))
-        worst["chain"] = max(worst["chain"], delta)
-        assert delta <= 1e-12
-
-        triplets = [
-            make_triplet(a.source, random_lingset(rng, 10).source, b.source)
-            for a, b in pairs
-        ]
-        target = triplets[int(rng.integers(len(triplets)))]
-        factored = triplet_likelihood(target, triplets, UNION)
-        joined = [join(join(t.x, t.y, "union"), t.z, "union") for t in triplets]
-        direct = capacity(
-            join(join(target.x, target.y, "union"), target.z, "union"), joined, UNION
-        )
-        rel = abs(factored - direct) / abs(direct)
-        worst["likelihood"] = max(worst["likelihood"], rel)
-        assert rel <= 1e-12
+    checks = estimator_identities(np.random.default_rng(303), 200)
+    assert_all_pass(checks)
+    names = ("symmetry", "self_mi", "chain", "likelihood")
     report(
         3,
         "estimator identities",
         "200 samples; worst "
-        + ", ".join(f"{k}={v:.2e}" for k, v in worst.items()),
+        + ", ".join(f"{k}={check.worst:.2e}" for k, check in zip(names, checks)),
     )
 
 
 def test_criterion_4_entropy_range():
-    rng = np.random.default_rng(404)
-    for _ in range(200):
-        values = _random_sample(rng)
-        h = entropy(values, UNION)
-        assert 0.0 <= h <= math.log(len(values)) + 1e-12
+    assert_all_pass(entropy_range(np.random.default_rng(404), 200))
     report(4, "normalized entropy range", "200 samples, 0 <= H <= ln(n)")
 
 
@@ -289,14 +218,5 @@ def test_criterion_8_determinism(tmp_path):
 
 
 def test_criterion_9_reward_consistency():
-    rng = np.random.default_rng(909)
-    for _ in range(1000):
-        vals = rng.normal(size=3)
-        rec = MiRecord(
-            k=1,
-            i_xy=float(vals[0]), i_yz=float(vals[1]), i_xz=float(vals[2]),
-            i_xy_z=0.0, i_xz_y=0.0, h_x=0.0, h_y=0.0, h_z=0.0, sample_size=1,
-        )
-        satisfied, _ = demarcken_check(rec)
-        assert (reward(rec, "margin").value > 0) == satisfied
+    assert_all_pass(reward_consistency(np.random.default_rng(909), 1000))
     report(9, "reward consistency", "1000 records, margin > 0 iff ordering holds")

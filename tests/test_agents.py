@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from setinfo import (
     AgentSpec,
@@ -60,25 +59,6 @@ class TestRandomSplitAgent:
         a = [random_split_agent(ctx, np.random.default_rng(9)) for _ in range(20)]
         b = [random_split_agent(ctx, np.random.default_rng(9)) for _ in range(20)]
         assert a == b
-
-    def test_split_pairs_uniform_chi_square(self):
-        # 36 cells at L=10; 36000 draws; significance 0.001.
-        length = 10
-        draws = 36000
-        ctx = context(*[f"t{i}" for i in range(length)])
-        rng = np.random.default_rng(2024)
-        counts: dict[tuple[int, int], int] = {}
-        for _ in range(draws):
-            t = random_split_agent(ctx, rng)
-            i = len(t.x.source.split())
-            j = i + len(t.y.source.split())
-            counts[(i, j)] = counts.get((i, j), 0) + 1
-        cells = [(i, j) for i in range(1, length) for j in range(i + 1, length)]
-        assert len(cells) == 36
-        expected = draws / len(cells)
-        chi2 = sum((counts.get(c, 0) - expected) ** 2 / expected for c in cells)
-        critical = stats.chi2.ppf(1 - 0.001, df=len(cells) - 1)
-        assert chi2 < critical
 
 
 class TestHeuristicExtract:

@@ -60,6 +60,13 @@ class TestGenSynthetic:
         record = json.loads(gold_lines[0])
         assert set(record) == {"x", "y", "z"}
 
+    @pytest.mark.parametrize("sentences", ["0", "-3"])
+    def test_no_sentences_fails_validation(self, tmp_path, capsys, sentences):
+        out = tmp_path / "data"
+        assert cli(["gen-synthetic", "--out", str(out), "--sentences", sentences]) == 1
+        assert "--sentences" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_bytes_for_same_seed(self, tmp_path):
         for tag in ("a", "b"):
             cli(["gen-synthetic", "--out", str(tmp_path / tag), "--sentences", "500", "--seed", "42"])
@@ -138,6 +145,13 @@ class TestSimulate:
         assert extra.split(" =")[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_bandwidth_fails_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, extra="estimator.bandwidth = nan")
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "bandwidth must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_gold_file_agent_from_disk(self, tmp_path):
         data = tmp_path / "data"
         cli(["gen-synthetic", "--out", str(data), "--sentences", "300", "--seed", "3"])
@@ -192,5 +206,13 @@ class TestCheck:
     def test_check_passes_and_reports(self, capsys):
         assert cli(["check"]) == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
         assert "FAIL" not in out
+        assert "check: 12/12 invariants hold" in out
+
+    def test_violated_invariant_fails(self, capsys, monkeypatch):
+        import setinfo.checks
+
+        monkeypatch.setattr(setinfo.checks, "demarcken_check", lambda rec: (False, "forced"))
+        assert cli(["check"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(fails) == 1 and "reward/ordering consistency" in fails[0]

@@ -94,6 +94,8 @@ class TestEstimatorConfig:
             {"bandwidth": -1.0},
             {"entropy_mode": "literal"},
             {"joint_mode": "zip"},
+            {"bandwidth": float("nan")},
+            {"bandwidth": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -136,8 +138,9 @@ class TestKernel:
 
     def test_bad_bandwidth(self):
         s = ngram_set("x", 1, 1)
-        with pytest.raises(ValueError):
-            kernel(s, s, 0.0)
+        for bandwidth in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                kernel(s, s, bandwidth)
 
 
 class TestDistanceMatrix:

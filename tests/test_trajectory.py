@@ -18,6 +18,7 @@ from setinfo import (
     write_csv,
 )
 from setinfo.agents import build_step_samples
+from setinfo.trajectory import CONFIG_SCHEMA
 
 
 def small_config(**overrides) -> RunConfig:
@@ -91,11 +92,15 @@ class TestRunConfig:
             {"window": 0},
             {"workers": 0},
             {"agents": ()},
+            {"synthetic_sentences": 0},
+            {"synthetic_sentences_per_doc": 0},
         ],
     )
     def test_invalid_rejected(self, overrides):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ConfigInvalid) as info:
             small_config(**overrides).validate()
+        (attr,) = overrides
+        assert {attr: key for key, attr, *_ in CONFIG_SCHEMA}[attr] in str(info.value)
 
     def test_from_dict_round_trip(self):
         values = {
