@@ -45,6 +45,7 @@ class SourceExhausted(RuntimeError):
 
 
 AGENT_KINDS = ("random", "extractor", "gold_file")
+SENTENCES_PER_DOC = 50  # synthetic corpus: sentences packed into one document
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_LEXICON_PATH = _DATA_DIR / "verb_lexicon.txt"
@@ -312,7 +313,7 @@ def synth_corpus(
     n_sentences: int,
     rng: np.random.Generator,
     grammar: SynthGrammar | None = None,
-    sentences_per_doc: int = 50,
+    sentences_per_doc: int = SENTENCES_PER_DOC,
     n_min: int = 1,
     n_max: int = 3,
     include_space: bool = True,
@@ -320,10 +321,14 @@ def synth_corpus(
     """Generate subject-verb-object sentences plus their gold triplets.
 
     The raw sentences, packed into documents, feed the random agent; the
-    gold triplets feed the structured agent.  Deterministic for a fixed
-    generator state.
+    gold triplets feed the structured agent.  Each distinct phrase of the
+    grammar is turned into a gram set once, and the triplets share those
+    sets.  Deterministic for a fixed generator state.
     """
     grammar = grammar if grammar is not None else default_grammar()
+    phrases = {*grammar.subjects, *grammar.verbs, *grammar.objects}
+    phrases.update(p for pool in grammar.preferred.values() for p in pool)
+    sets = {p: ngram_set(p, n_min, n_max, include_space) for p in phrases}
     sentences: list[str] = []
     gold: list[Triplet] = []
     for idx in range(n_sentences):
@@ -335,13 +340,7 @@ def synth_corpus(
             pool = grammar.objects
         obj = pool[int(rng.integers(len(pool)))]
         sentences.append(f"{subject} {verb} {obj}")
-        gold.append(
-            make_triplet(
-                subject, verb, obj,
-                origin=f"synthetic:{idx}",
-                n_min=n_min, n_max=n_max, include_space=include_space,
-            )
-        )
+        gold.append(Triplet(sets[subject], sets[verb], sets[obj], origin=f"synthetic:{idx}"))
     documents = []
     for d_start in range(0, len(sentences), sentences_per_doc):
         chunk = sentences[d_start : d_start + sentences_per_doc]

@@ -13,21 +13,25 @@ negative, which is reported, never clamped.
 A family's pairwise distances come from one indicator-matrix product: its n
 sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
 2 (M M^T)_AB, exact because every count is an integer below 2^53.  With
-n = ``per_step`` a family costs O(n*V + n^2) memory.  The scalar
-``kernel``/``hamming``/``capacity`` functions are the oracle it is tested against.
+n = ``per_step`` a family costs O(n*V + n^2) memory.  A step indexes its
+marginals once, into one vocabulary, and builds every joined family's rows
+from theirs (see ``_step_capacities``).  The scalar
+``kernel``/``hamming``/``capacity`` functions and ``join`` are the oracle it
+is tested against.
 
 All logarithms are natural; every quantity is in nats.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .ngrams import LingSet, hamming, join
+from .ngrams import LingSet, hamming, join, seam_grams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import StepSample, Triplet
@@ -68,6 +72,10 @@ class EstimatorConfig:
             raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
         if self.joint_mode not in JOINT_MODES:
             raise ValueError(f"joint_mode must be one of {JOINT_MODES}")
+        if self.n_min < 1:
+            raise ValueError(f"ngram.n_min must be >= 1, got {self.n_min}")
+        if self.n_max < self.n_min:
+            raise ValueError(f"ngram.n_max must be >= ngram.n_min ({self.n_min}), got {self.n_max}")
 
 
 @dataclass(frozen=True)
@@ -106,26 +114,39 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
     )
 
 
-def _distance_matrix(sets: Sequence[LingSet]) -> np.ndarray:
-    """Pairwise symmetric-difference counts, |A| + |B| - 2 |A & B|.
-
-    The intersections come from one product of 0/1 gram-indicator rows.
-    Every count is an integer below 2^53, so the float64 distances agree
-    with per-pair ``hamming`` calls to the last bit.
-    """
+def _indicator_rows(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
+    """One 0/1 float64 row per gram set, over the grams in first-seen order."""
     vocab: dict[str, int] = {}
-    cols = [vocab.setdefault(gram, len(vocab)) for s in sets for gram in s.grams]
-    counts = [len(s.grams) for s in sets]
-    m = np.zeros((len(sets), len(vocab)))
-    m[np.repeat(np.arange(len(sets)), counts), cols] = 1.0
-    sizes = np.array(counts, dtype=np.float64)
+    gram_sets = list(gram_sets)
+    cols = [vocab.setdefault(gram, len(vocab)) for grams in gram_sets for gram in grams]
+    m = np.zeros((len(gram_sets), len(vocab)))
+    m[np.repeat(np.arange(len(gram_sets)), [len(g) for g in gram_sets]), cols] = 1.0
+    return m
+
+
+def _row_distances(m: np.ndarray) -> np.ndarray:
+    """Pairwise symmetric-difference counts of 0/1 rows, |A| + |B| - 2 |A & B|.
+
+    Every count is an integer below 2^53, so the float64 distances agree
+    with per-pair ``hamming`` calls to the last bit, whatever the columns.
+    """
+    sizes = m.sum(axis=1)
     return sizes[:, None] + sizes[None, :] - 2.0 * (m @ m.T)
+
+
+def _distance_matrix(sets: Sequence[LingSet]) -> np.ndarray:
+    """Pairwise ``hamming`` distances of ``sets``, from one indicator-matrix product."""
+    return _row_distances(_indicator_rows(s.grams for s in sets))
+
+
+def _row_capacities(m: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Resubstitution capacity of every row within the rows of ``m``."""
+    return _kernel_from_distances(_row_distances(m), bandwidth).mean(axis=1)
 
 
 def _capacity_vector(sets: Sequence[LingSet], bandwidth: float) -> np.ndarray:
     """Resubstitution capacity of every member within its own sample."""
-    k = _kernel_from_distances(_distance_matrix(sets), bandwidth)
-    return k.mean(axis=1)
+    return _row_capacities(_indicator_rows(s.grams for s in sets), bandwidth)
 
 
 def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -> float:
@@ -227,17 +248,64 @@ def triplet_likelihood(
     return p_y_given_xz * p_z_given_x * p_x
 
 
-def _pair_families(
-    triplets: Sequence["Triplet"], cfg: EstimatorConfig
-) -> tuple[list[LingSet], ...]:
-    """The step's x, y, z columns and their pairwise joins xy, yz, xz."""
-    xs = [t.x for t in triplets]
-    ys = [t.y for t in triplets]
-    zs = [t.z for t in triplets]
-    xy = [_join_pair(a, b, cfg) for a, b in zip(xs, ys)]
-    yz = [_join_pair(a, b, cfg) for a, b in zip(ys, zs)]
-    xz = [_join_pair(a, b, cfg) for a, b in zip(xs, zs)]
-    return xs, ys, zs, xy, yz, xz
+@functools.lru_cache(maxsize=1)
+def _step_capacities(
+    triplets: tuple["Triplet", ...], cfg: EstimatorConfig
+) -> tuple[np.ndarray, ...]:
+    """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step.
+
+    The gram sets of the step's distinct marginals (and, in concat mode, its
+    seam grams) are indexed once into one step vocabulary; every family's
+    rows are then the elementwise maximum of its parts' rows.  A union join
+    is the maximum of its components.  A concat join adds the seam grams of
+    its sources, ``seam_grams(a.source, b.source)``; for xy+z and xz+y the
+    tail comes from the joined source.  That concat identity holds only when
+    every gram set was built by ``ngram_set`` from its source with ``cfg``'s
+    ``n_min``, ``n_max`` and ``include_space``, as every set ``simulate``
+    builds is; ``join`` makes no such assumption and is the oracle.  Union
+    mode has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
+
+    The distances equal those of ``_distance_matrix`` over ``join``-built
+    families exactly, so the vectors are bit-identical to the per-family
+    path.  Memory is O(n * V_step + n^2), where V_step counts the step's
+    distinct grams, seam grams included.  The one-entry cache lets
+    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
+    for the same step; they are returned read-only.
+    """
+    rows: dict[frozenset[str], int] = {}
+
+    def index(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
+        return np.array([rows.setdefault(grams, len(rows)) for grams in gram_sets])
+
+    ix, iy, iz = (index(getattr(t, c).grams for t in triplets) for c in "xyz")
+    seams: list[np.ndarray] = []
+    if cfg.joint_mode == "concat" and cfg.include_space:
+        sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
+        for heads, tails in (
+            (sx, sy),
+            (sy, sz),
+            (sx, sz),
+            ([a + " " + b for a, b in zip(sx, sy)], sz),
+            ([a + " " + b for a, b in zip(sx, sz)], sy),
+        ):
+            seams.append(
+                index(seam_grams(a, b, cfg.n_min, cfg.n_max) for a, b in zip(heads, tails))
+            )
+    u = _indicator_rows(rows)
+    x, y, z = u[ix], u[iy], u[iz]
+    xy, yz, xz = np.maximum(x, y), np.maximum(y, z), np.maximum(x, z)
+    if seams:
+        s_xy, s_yz, s_xz, s_xy_z, s_xz_y = (u[i] for i in seams)
+        xy, yz, xz = np.maximum(xy, s_xy), np.maximum(yz, s_yz), np.maximum(xz, s_xz)
+        xy_z = np.maximum(np.maximum(xy, z), s_xy_z)
+        xz_y = np.maximum(np.maximum(xz, y), s_xz_y)
+    else:
+        xy_z = xz_y = np.maximum(xy, z)
+    caps = [_row_capacities(m, cfg.bandwidth) for m in (x, y, z, xy, yz, xz, xy_z)]
+    caps.append(caps[-1] if xz_y is xy_z else _row_capacities(xz_y, cfg.bandwidth))
+    for p in caps:
+        p.flags.writeable = False
+    return tuple(caps)
 
 
 def compute_mi_record(
@@ -245,17 +313,16 @@ def compute_mi_record(
 ) -> MiRecord:
     """All five MI quantities plus marginal entropies for one step sample.
 
-    Each joined family is built once.  Every MI is H(a) + H(b) - H(a+b) in
-    ``mutual_information``'s order, so the two agree bit for bit.
+    The capacities come from one ``_step_capacities`` pass.  Every MI is
+    H(a) + H(b) - H(a+b) in ``mutual_information``'s order, so the two agree
+    bit for bit.
     """
-    triplets = list(triplets)
+    triplets = tuple(triplets)
     if not triplets:
         raise EmptySample("a step sample must contain at least one triplet")
-    xs, ys, zs, xy, yz, xz = _pair_families(triplets, cfg)
-    h_x, h_y, h_z = entropy(xs, cfg), entropy(ys, cfg), entropy(zs, cfg)
-    h_xy, h_yz, h_xz = entropy(xy, cfg), entropy(yz, cfg), entropy(xz, cfg)
-    h_xy_z = entropy([_join_pair(a, b, cfg) for a, b in zip(xy, zs)], cfg)
-    h_xz_y = entropy([_join_pair(a, b, cfg) for a, b in zip(xz, ys)], cfg)
+    h_x, h_y, h_z, h_xy, h_yz, h_xz, h_xy_z, h_xz_y = (
+        _entropy_from_masses(p, cfg.entropy_mode) for p in _step_capacities(triplets, cfg)
+    )
     return MiRecord(
         k=k,
         i_xy=h_x + h_y - h_xy,
@@ -279,14 +346,13 @@ def joint_mass_monitor(
     P(joint) is compared against both component marginals.  Joint mass
     exceeding marginal mass would contradict the monotonicity expected of
     a probability on sets; the violation fraction is reported per run, not
-    asserted.
+    asserted.  Called on the step ``compute_mi_record`` just measured, it
+    reuses that call's capacity vectors.
     """
-    triplets = list(triplets)
+    triplets = tuple(triplets)
     if not triplets:
         raise EmptySample("joint_mass_monitor needs a non-empty sample")
-    p_x, p_y, p_z, p_xy, p_yz, p_xz = (
-        _capacity_vector(sets, cfg.bandwidth) for sets in _pair_families(triplets, cfg)
-    )
+    p_x, p_y, p_z, p_xy, p_yz, p_xz, *_ = _step_capacities(triplets, cfg)
     violations = 0
     for pj, pa, pb in ((p_xy, p_x, p_y), (p_yz, p_y, p_z), (p_xz, p_x, p_z)):
         violations += int((pj > pa).sum()) + int((pj > pb).sum())

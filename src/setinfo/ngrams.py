@@ -82,3 +82,16 @@ def join(
     if mode == "concat":
         return ngram_set(merged, n_min, n_max, include_space)
     raise ValueError(f"unknown join mode: {mode!r}")
+
+
+def seam_grams(a: str, b: str, n_min: int = 1, n_max: int = 3) -> frozenset[str]:
+    """The grams of ``a + " " + b`` that cross the joining space (plus a few that do not).
+
+    With ``include_space``, ``ngram_set(a + " " + b)`` is exactly
+    ``ngram_set(a) | ngram_set(b) | seam_grams(a, b)``: a gram of at most
+    ``n_max`` characters that covers the space lies inside the window of
+    ``n_max - 1`` characters on each side.  Without ``include_space`` no gram
+    crosses a space, and a concat join equals the union.
+    """
+    reach = n_max - 1  # a[-0:] would be all of a, so the tail is cut explicitly
+    return ngram_set(a[max(len(a) - reach, 0) :] + " " + b[:reach], n_min, n_max).grams

@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .agents import (
+    SENTENCES_PER_DOC,
     AgentSpec,
     StepSample,
     SynthGrammar,
@@ -76,7 +77,7 @@ class RunConfig:
     )
     synthetic_sentences: int = 12000
     synthetic_p_pref: float = SynthGrammar.p_pref
-    synthetic_sentences_per_doc: int = 50
+    synthetic_sentences_per_doc: int = SENTENCES_PER_DOC
     grammar_path: str | None = None
 
     def validate(self) -> None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from setinfo import (
     Document,
     DocumentCollection,
     MalformedLine,
+    RunConfig,
     SourceExhausted,
     build_step_samples,
     default_grammar,
@@ -157,6 +159,18 @@ class TestSynthCorpus:
             f"{t.x.source} {t.y.source} {t.z.source}" for t in gold
         )
         assert reconstructed == joined_docs
+
+    def test_gold_shares_one_gram_set_per_phrase(self):
+        _, gold = synth_corpus(200, np.random.default_rng(8), n_max=4, include_space=False)
+        by_text = {}
+        for t in gold:
+            for s in (t.x, t.y, t.z):
+                assert by_text.setdefault(s.source, s) is s
+                assert s == ngram_set(s.source, 1, 4, False)
+
+    def test_sentences_per_doc_default_matches_run_config(self):
+        default = inspect.signature(synth_corpus).parameters["sentences_per_doc"].default
+        assert default == RunConfig().synthetic_sentences_per_doc
 
     def test_pool_sizes_meet_minimums(self):
         g = default_grammar()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -151,6 +152,87 @@ class TestSimulate:
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "bandwidth must be positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_bad_ngram_lengths_fail_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, extra="ngram.n_min = 3\nngram.n_max = 1")
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "ngram.n_max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # SHA-256 of (random.csv, structured.csv), recorded before the per-step
+    # estimator was rewritten as one pass: any change to a result shows here.
+    @pytest.mark.parametrize(
+        "extra,digests",
+        [
+            (
+                "estimator.joint_mode = union\nestimator.entropy_mode = normalized",
+                ("4f139efc95b2f925af1ff4f307dcd6466931a013a7beb269cf2eacd06457a3ea",
+                 "0eab59930c30c7d7918e3f8c5711abe81023268db860eb1e6e04be08717850d0"),
+            ),
+            (
+                "estimator.joint_mode = union\nestimator.entropy_mode = raw",
+                ("39c9536518e3faf096d4b4c8cf714c79095ae469efa5bde69cfe446607999f3e",
+                 "b40e67289cc8985d0d192e4b32f259cb9c28ad24ab29b6a4709948fff21891b6"),
+            ),
+            (
+                "estimator.joint_mode = concat\nestimator.entropy_mode = normalized",
+                ("5e0cb6a1f78d1e5010e4bc586be4921eb70f50f6d8f1430a1e62a8b8cd86a09d",
+                 "53b0deb3f45e61fef21725d384f668311558fa1bf5ff78a737e5c6e7347cbc57"),
+            ),
+            (
+                "estimator.joint_mode = concat\nestimator.entropy_mode = raw",
+                ("4fba2768671f94f9185c138b977bcb1fa374f273dc6e42e7be97d7e219084848",
+                 "88a29a210481062199d5a48620acfc4f2a2c2a0b4b15155509cc60b009f3bf5f"),
+            ),
+            (
+                "estimator.joint_mode = concat\nestimator.entropy_mode = normalized\n"
+                "ngram.include_space = false",
+                ("26e25e49cb0fbeefbd2319fce545203c1e42091a6bd9aaff32bc20c2113e99a4",
+                 "4143b15ea93d0bb109576deacc045a63ac05eec93469c42fcb5bf9c24a590821"),
+            ),
+            (
+                "estimator.joint_mode = concat\nestimator.entropy_mode = raw\n"
+                "ngram.include_space = false",
+                ("a0c98b453e5e684839612826cebccdcc9abc58fdab5ea88aad57f67361ee28b6",
+                 "7cbc857254796a18ae33d09ecbf22034f0689eff72f4cccad6f257263236ed8e"),
+            ),
+            (
+                "estimator.joint_mode = concat\nngram.n_min = 2\nngram.n_max = 4",
+                ("ba5eb636ea75e9e2425addbd065c766238df51bfd81d3e4c108e5374f4068f90",
+                 "19bada26f5fd1233aa0bf04cc19872019b1b39aaee1fa59aab2ac3e4f8cc7597"),
+            ),
+            (
+                "estimator.joint_mode = concat\nestimator.entropy_mode = raw\n"
+                "ngram.n_min = 1\nngram.n_max = 1",
+                ("83681cad81cc9f048c0d54c84e72bee1588c9a371008fb582f184ccbb729a39b",
+                 "57c0abb4323bf110ad87c57ef23aa016bb5d1e2d136891aaeaa30e5346651cc7"),
+            ),
+            (
+                "ngram.include_space = false\nngram.n_min = 2\nngram.n_max = 4",
+                ("00ded24b9623c746b0bf2c5fcd7a736ee5f80550793e63c726421f48a12304ef",
+                 "9e684b28fc455addf4f354726406a3a0e4ed8e4faab292dc473287f4d8d6bfcb"),
+            ),
+        ],
+        ids=[
+            "union-normalized", "union-raw", "concat-normalized", "concat-raw",
+            "concat-nospace-normalized", "concat-nospace-raw", "concat-n2to4", "concat-raw-n1",
+            "union-nospace-n2to4",
+        ],
+    )
+    def test_csv_digests_pinned(self, tmp_path, extra, digests):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "synthetic.sentences = 600\ncontext.per_step = 12\nrun.k_max = 3\n"
+            f"run.window = 2\nrun.seed = 5\n{extra}\n"
+        )
+        out = tmp_path / "out"
+        assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        got = tuple(
+            hashlib.sha256((out / f"{name}.csv").read_bytes()).hexdigest()
+            for name in ("random", "structured")
+        )
+        assert got == digests
 
     def test_gold_file_agent_from_disk(self, tmp_path):
         data = tmp_path / "data"

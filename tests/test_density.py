@@ -29,8 +29,9 @@ from setinfo import (
     synth_corpus,
     triplet_likelihood,
 )
+from setinfo import density
 from setinfo.agents import build_step_samples
-from setinfo.density import _distance_matrix
+from setinfo.density import _capacity_vector, _distance_matrix, _step_capacities
 
 from conftest import lingsets, random_lingset
 
@@ -96,6 +97,8 @@ class TestEstimatorConfig:
             {"joint_mode": "zip"},
             {"bandwidth": float("nan")},
             {"bandwidth": float("inf")},
+            {"n_min": 0},
+            {"n_min": 3, "n_max": 1},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -420,6 +423,69 @@ class TestComputeMiRecord:
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             compute_mi_record(1, [], UNION)
+
+
+# Segments of 1-6 letters from a small alphabet, so that members repeat and
+# some segments are shorter than the seam window's n_max - 1 characters.
+segments = st.text(alphabet="ab c", min_size=1, max_size=6).map(lambda s: s.strip() or "a")
+
+
+class TestStepCapacities:
+    """The one-pass step vectors against per-family ``join`` + ``_distance_matrix``."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=8),
+        st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 3)]),
+        st.sampled_from(["union", "concat"]),
+        st.booleans(),
+    )
+    @example([("a", "b", "c")], (1, 1), "concat", True)
+    @example([("ab", "a", "ab"), ("ab", "a", "ab")], (2, 4), "concat", True)
+    def test_equals_join_built_families(self, texts, lengths, mode, include_space):
+        n_min, n_max = lengths
+        cfg = EstimatorConfig(
+            joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
+        )
+        triplets = [
+            make_triplet(*t, n_min=n_min, n_max=n_max, include_space=include_space) for t in texts
+        ]
+        triplets += triplets[:2]  # repeated members
+        xs = [t.x for t in triplets]
+        ys = [t.y for t in triplets]
+        zs = [t.z for t in triplets]
+        xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
+        families = [xs, ys, zs, xy, yz, xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
+        got = _step_capacities(tuple(triplets), cfg)
+        assert len(got) == len(families)
+        for vector, family in zip(got, families):
+            assert np.array_equal(vector, _capacity_vector(family, cfg.bandwidth))
+            assert not vector.flags.writeable
+
+    @pytest.mark.parametrize("cfg,products", [(UNION, 7), (CONCAT, 8)], ids=["union", "concat"])
+    def test_record_then_monitor_runs_one_pass(self, rng, monkeypatch, cfg, products):
+        calls = []
+        row_distances = density._row_distances
+        monkeypatch.setattr(
+            density, "_row_distances", lambda m: calls.append(m.shape) or row_distances(m)
+        )
+        _step_capacities.cache_clear()
+        triplets = tuple(random_triplets(rng, 12))
+        compute_mi_record(1, triplets, cfg)
+        joint_mass_monitor(triplets, cfg)
+        info = _step_capacities.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert len(calls) == products  # one Gram product per distinct family
+
+    def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
+        a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
+        _step_capacities.cache_clear()
+        expected = _step_capacities(b, UNION)
+        compute_mi_record(1, a, UNION)
+        joint_mass_monitor(b, UNION)
+        assert _step_capacities.cache_info().misses == 3
+        for got, want in zip(_step_capacities(b, UNION), expected):
+            assert np.array_equal(got, want)
 
 
 def pinned_steps() -> dict[str, tuple[Triplet, ...]]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setinfo import EmptyText, hamming, join, ngram_set
+from setinfo.ngrams import seam_grams
 
 from conftest import lingsets, texts
 
@@ -142,3 +143,19 @@ class TestJoin:
     @given(lingsets, lingsets)
     def test_concat_superset_of_union(self, a, b):
         assert join(a, b, "concat").grams >= join(a, b, "union").grams
+
+    @settings(deadline=None)
+    @given(texts, texts, st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 5)]), st.booleans())
+    def test_concat_is_union_plus_seam_grams(self, ta, tb, lengths, include_space):
+        n_min, n_max = lengths
+        a = ngram_set(ta, n_min, n_max, include_space)
+        b = ngram_set(tb, n_min, n_max, include_space)
+        concat = join(a, b, "concat", n_min, n_max, include_space).grams
+        seams = seam_grams(ta, tb, n_min, n_max) if include_space else frozenset()
+        assert concat == a.grams | b.grams | seams
+
+    def test_seam_window_for_unigrams_is_the_space(self):
+        assert seam_grams("abc", "def", 1, 1) == frozenset({" "})
+
+    def test_seam_window_short_segments(self):
+        assert seam_grams("a", "b", 1, 4) == ngram_set("a b", 1, 4).grams

@@ -94,13 +94,19 @@ class TestRunConfig:
             {"agents": ()},
             {"synthetic_sentences": 0},
             {"synthetic_sentences_per_doc": 0},
+            {"estimator.n_min": 0},
+            {"estimator.n_max": 0},
         ],
     )
     def test_invalid_rejected(self, overrides):
+        ((attr, value),) = overrides.items()
+        key = {attr: key for key, attr, *_ in CONFIG_SCHEMA}[attr]
         with pytest.raises(ConfigInvalid) as info:
-            small_config(**overrides).validate()
-        (attr,) = overrides
-        assert {attr: key for key, attr, *_ in CONFIG_SCHEMA}[attr] in str(info.value)
+            if attr.startswith("estimator."):  # checked when the config is read
+                RunConfig.from_dict({key: str(value)})
+            else:
+                small_config(**overrides).validate()
+        assert key in str(info.value)
 
     def test_from_dict_round_trip(self):
         values = {
