@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -97,25 +97,16 @@ def make_triplet(
     y_text: str,
     z_text: str,
     origin: str = "",
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    gram_set: Callable[[str], LingSet] = ngram_set,
 ) -> Triplet:
-    """Build a triplet whose gram sets are exactly those of its surfaces."""
-    return Triplet(
-        x=ngram_set(x_text, n_min, n_max, include_space),
-        y=ngram_set(y_text, n_min, n_max, include_space),
-        z=ngram_set(z_text, n_min, n_max, include_space),
-        origin=origin,
-    )
+    """Build a triplet whose gram sets are ``gram_set`` of its surfaces."""
+    return Triplet(gram_set(x_text), gram_set(y_text), gram_set(z_text), origin)
 
 
 def random_split_agent(
     ctx: Context,
     rng: np.random.Generator,
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    gram_set: Callable[[str], LingSet] = ngram_set,
 ) -> Triplet:
     """Cut a context at a uniformly chosen pair of indices 1 <= i < j <= L-1.
 
@@ -132,10 +123,8 @@ def random_split_agent(
         " ".join(tokens[:i]),
         " ".join(tokens[i:j]),
         " ".join(tokens[j:]),
-        origin=f"{ctx.doc_id}@{ctx.offset}",
-        n_min=n_min,
-        n_max=n_max,
-        include_space=include_space,
+        f"{ctx.doc_id}@{ctx.offset}",
+        gram_set,
     )
 
 
@@ -154,9 +143,7 @@ def heuristic_extract(
     sentence: str,
     verb_lexicon: frozenset[str],
     origin: str = "",
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    gram_set: Callable[[str], LingSet] = ngram_set,
 ) -> Triplet | None:
     """Split a sentence around its first run of lexicon tokens.
 
@@ -178,18 +165,13 @@ def heuristic_extract(
         " ".join(tokens[:first]),
         " ".join(tokens[first : last + 1]),
         " ".join(tokens[last + 1 :]),
-        origin=origin,
-        n_min=n_min,
-        n_max=n_max,
-        include_space=include_space,
+        origin,
+        gram_set,
     )
 
 
 def load_triplets(
-    path: str | Path,
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    path: str | Path, gram_set: Callable[[str], LingSet] = ngram_set
 ) -> list[Triplet]:
     """Read gold triples from JSONL ({"x","y","z"} strings per line).
 
@@ -218,15 +200,7 @@ def load_triplets(
                 if not text:
                     raise MalformedLine(f"empty {fieldname!r} field", line_no)
                 surfaces.append(text)
-            triplets.append(
-                make_triplet(
-                    *surfaces,
-                    origin=f"{p.name}:{line_no}",
-                    n_min=n_min,
-                    n_max=n_max,
-                    include_space=include_space,
-                )
-            )
+            triplets.append(make_triplet(*surfaces, f"{p.name}:{line_no}", gram_set))
     return triplets
 
 
@@ -314,21 +288,19 @@ def synth_corpus(
     rng: np.random.Generator,
     grammar: SynthGrammar | None = None,
     sentences_per_doc: int = SENTENCES_PER_DOC,
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    gram_set: Callable[[str], LingSet] = ngram_set,
 ) -> tuple[DocumentCollection, list[Triplet]]:
     """Generate subject-verb-object sentences plus their gold triplets.
 
     The raw sentences, packed into documents, feed the random agent; the
     gold triplets feed the structured agent.  Each distinct phrase of the
-    grammar is turned into a gram set once, and the triplets share those
-    sets.  Deterministic for a fixed generator state.
+    grammar is turned into a gram set once, by ``gram_set``, and the
+    triplets share those sets.  Deterministic for a fixed generator state.
     """
     grammar = grammar if grammar is not None else default_grammar()
     phrases = {*grammar.subjects, *grammar.verbs, *grammar.objects}
     phrases.update(p for pool in grammar.preferred.values() for p in pool)
-    sets = {p: ngram_set(p, n_min, n_max, include_space) for p in phrases}
+    sets = {p: gram_set(p) for p in phrases}
     sentences: list[str] = []
     gold: list[Triplet] = []
     for idx in range(n_sentences):
@@ -357,26 +329,21 @@ def synth_corpus(
 def _resolve_pool(
     spec: AgentSpec,
     corpus: DocumentCollection | None,
-    n_min: int,
-    n_max: int,
-    include_space: bool,
+    gram_set: Callable[[str], LingSet],
 ) -> list[Triplet]:
     if spec.pool is not None:
         return list(spec.pool)
     if spec.kind == "gold_file":
         if spec.path is None:
             raise SourceExhausted(f"agent {spec.name!r} has neither a pool nor a path")
-        return load_triplets(spec.path, n_min, n_max, include_space)
+        return load_triplets(spec.path, gram_set)
     if spec.kind == "extractor":
         if corpus is None:
             raise SourceExhausted(f"agent {spec.name!r} needs a corpus to extract from")
         lexicon = load_verb_lexicon(spec.lexicon_path)
         pool = []
         for doc_id, sentence in iter_sentences(corpus):
-            triplet = heuristic_extract(
-                sentence, lexicon, origin=doc_id,
-                n_min=n_min, n_max=n_max, include_space=include_space,
-            )
+            triplet = heuristic_extract(sentence, lexicon, doc_id, gram_set)
             if triplet is not None:
                 pool.append(triplet)
         return pool
@@ -386,23 +353,20 @@ def _resolve_pool(
 def build_step_samples(
     source: AgentSpec | str,
     corpus: DocumentCollection | None,
-    k_max: int = 120,
-    per_step: int = 100,
-    rng: np.random.Generator | None = None,
+    k_max: int,
+    per_step: int,
+    rng: np.random.Generator,
     context_length: int = 10,
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    gram_set: Callable[[str], LingSet] = ngram_set,
 ) -> list[StepSample]:
     """Produce k_max step samples of exactly per_step triplets each.
 
     Every step draws from its own generator spawned off ``rng``, so the
     sequence is reproducible regardless of how steps are later scheduled.
-    Pool-backed sources (extractor, gold) sample with replacement.
+    Pool-backed sources (extractor, gold) sample with replacement; triplets
+    the agent builds itself get their gram sets from ``gram_set``.
     """
     spec = AgentSpec(kind=source) if isinstance(source, str) else source
-    if rng is None:
-        rng = np.random.default_rng()
     step_rngs = rng.spawn(k_max)
     samples: list[StepSample] = []
     if spec.kind == "random":
@@ -410,13 +374,10 @@ def build_step_samples(
             raise SourceExhausted("the random agent needs a corpus")
         for k, step_rng in enumerate(step_rngs, start=1):
             contexts = sample_contexts(corpus, context_length, per_step, step_rng)
-            triplets = tuple(
-                random_split_agent(ctx, step_rng, n_min, n_max, include_space)
-                for ctx in contexts
-            )
+            triplets = tuple(random_split_agent(ctx, step_rng, gram_set) for ctx in contexts)
             samples.append(StepSample(k=k, triplets=triplets, agent_label=spec.kind))
     else:
-        pool = _resolve_pool(spec, corpus, n_min, n_max, include_space)
+        pool = _resolve_pool(spec, corpus, gram_set)
         if not pool:
             raise SourceExhausted(f"agent {spec.name!r} has an empty triple pool")
         for k, step_rng in enumerate(step_rngs, start=1):

@@ -30,8 +30,8 @@ from .svgplot import EmptySelection, write_svg
 from .trajectory import (
     MI_SERIES,
     RunConfig,
-    grammar_from_file,
     read_csv,
+    resolve_grammar,
     rolling_mean,
     run_simulation,
     write_all_csv,
@@ -66,13 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="run config file (flat key = value)")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--out", dest="out_dir", default=None, help="override the output directory")
-    p_sim.add_argument("--workers", type=int, default=None, help="override run.workers")
 
     p_plot = sub.add_parser("plot", help="render rolling-mean curves from trajectory CSVs")
     p_plot.add_argument("--in", dest="in_path", required=True, help="CSV file or directory of CSVs")
     p_plot.add_argument("--series", default="i_xy,i_yz,i_xz", help="comma-separated series names")
     p_plot.add_argument("--out", dest="out_path", required=True, help="SVG file to write")
-    p_plot.add_argument("--window", type=int, default=50, help="rolling-mean window")
+    p_plot.add_argument("--window", type=int, default=RunConfig.window, help="rolling-mean window")
     p_plot.add_argument("--title", default="", help="figure title")
 
     sub.add_parser("check", help="run the quick invariant suite and report pass/fail")
@@ -96,15 +95,15 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     if args.sentences < 1:
         print(f"gen-synthetic: --sentences must be >= 1, got {args.sentences}", file=sys.stderr)
         return 1
+    if not 0.0 <= args.p_pref <= 1.0:
+        print(f"gen-synthetic: --p-pref must be in [0, 1], got {args.p_pref}", file=sys.stderr)
+        return 1
     out = Path(args.out_dir)
-    grammar = (
-        grammar_from_file(args.grammar)
-        if args.grammar
-        else agents_mod.default_grammar(p_pref=args.p_pref)
-    )
-    rng = np.random.default_rng(args.seed)
     docs, gold = agents_mod.synth_corpus(
-        args.sentences, rng, grammar, sentences_per_doc=RunConfig.synthetic_sentences_per_doc
+        args.sentences,
+        np.random.default_rng(args.seed),
+        resolve_grammar(args.grammar, args.p_pref),
+        sentences_per_doc=RunConfig.synthetic_sentences_per_doc,
     )
     write_manifest(docs, out / "corpus.jsonl")
     agents_mod.write_triplets(gold, out / "gold.jsonl")
@@ -120,8 +119,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
     results = run_simulation(cfg)
     paths = write_all_csv(results, out_dir)

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .ngrams import LingSet, hamming, join, seam_grams
+from .ngrams import LingSet, hamming, join, ngram_set, seam_grams
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import StepSample, Triplet
@@ -55,7 +55,8 @@ class EstimatorConfig:
 
     ``bandwidth`` controls how strictly two realizations must match before
     they lend each other probability mass.  ``n_min``/``n_max``/``include_space``
-    are only consulted when concat-mode joins must re-extract grams.
+    decide how a text becomes a gram set: ``gram_set`` builds every set a run
+    uses, and concat-mode joins re-extract grams the same way.
     """
 
     bandwidth: float = 5.0
@@ -77,6 +78,10 @@ class EstimatorConfig:
         if self.n_max < self.n_min:
             raise ValueError(f"ngram.n_max must be >= ngram.n_min ({self.n_min}), got {self.n_max}")
 
+    def gram_set(self, text: str) -> LingSet:
+        """The gram set of ``text`` under this run's n-gram settings."""
+        return ngram_set(text, self.n_min, self.n_max, self.include_space)
+
 
 @dataclass(frozen=True)
 class MiRecord:
@@ -94,7 +99,7 @@ class MiRecord:
     sample_size: int
 
 
-def kernel(a: LingSet, b: LingSet, bandwidth: float = 5.0) -> float:
+def kernel(a: LingSet, b: LingSet, bandwidth: float) -> float:
     """Gaussian kernel of the set distance.
 
     Maximal, 1/sqrt(2 pi bandwidth^2), exactly when the gram sets coincide;
@@ -260,10 +265,10 @@ def _step_capacities(
     is the maximum of its components.  A concat join adds the seam grams of
     its sources, ``seam_grams(a.source, b.source)``; for xy+z and xz+y the
     tail comes from the joined source.  That concat identity holds only when
-    every gram set was built by ``ngram_set`` from its source with ``cfg``'s
-    ``n_min``, ``n_max`` and ``include_space``, as every set ``simulate``
-    builds is; ``join`` makes no such assumption and is the oracle.  Union
-    mode has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
+    every gram set was built by ``cfg.gram_set`` from its source, as every
+    set ``simulate`` builds is; ``join`` makes no such assumption and is the
+    oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
+    mode 8.
 
     The distances equal those of ``_distance_matrix`` over ``join``-built
     families exactly, so the vectors are bit-identical to the per-family

@@ -26,7 +26,6 @@ from .agents import (
     AgentSpec,
     StepSample,
     SynthGrammar,
-    Triplet,
     build_step_samples,
     default_grammar,
     synth_corpus,
@@ -40,7 +39,7 @@ from .config import (
     as_phrases,
     load_config,
 )
-from .corpus import DocumentCollection, load_documents
+from .corpus import load_documents
 from .density import EstimatorConfig, MiRecord, compute_mi_record, joint_mass_monitor
 from .reward import RewardSignal, demarcken_check, reward
 
@@ -99,11 +98,13 @@ class RunConfig:
             raise ConfigInvalid(
                 f"synthetic.sentences_per_doc must be >= 1, got {self.synthetic_sentences_per_doc}"
             )
+        if not 0.0 <= self.synthetic_p_pref <= 1.0:
+            raise ConfigInvalid(f"synthetic.p_pref must be in [0, 1], got {self.synthetic_p_pref}")
         if not self.agents:
             raise ConfigInvalid("agents: at least one agent must be configured")
         names = [spec.name for spec in self.agents]
         if len(set(names)) != len(names):
-            raise ConfigInvalid(f"agent names must be unique, got {names}")
+            raise ConfigInvalid(f"agents: names must be unique, got {names}")
 
     def to_flat_dict(self) -> dict[str, str]:
         """Every key that can change a result, as ``from_dict`` reads it back.
@@ -284,6 +285,8 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
     optional = {}
     if "grammar.p_pref" in values:
         optional["p_pref"] = as_float(values["grammar.p_pref"], "grammar.p_pref")
+        if not 0.0 <= optional["p_pref"] <= 1.0:
+            raise ConfigInvalid(f"grammar.p_pref must be in [0, 1], got {optional['p_pref']}")
     try:
         return SynthGrammar(
             subjects=tuple(as_phrases(values["grammar.subjects"])),
@@ -296,6 +299,11 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
         raise ConfigInvalid(str(exc)) from exc
 
 
+def resolve_grammar(path: str | Path | None, p_pref: float) -> SynthGrammar:
+    """The grammar file at ``path`` if one is given, else the built-in pools with ``p_pref``."""
+    return grammar_from_file(path) if path else default_grammar(p_pref=p_pref)
+
+
 def _step_series(records: Sequence[MiRecord], name: str) -> list[float]:
     return [getattr(rec, name) for rec in records]
 
@@ -306,44 +314,30 @@ def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, i
     return rec, violations, comparisons
 
 
-def run_simulation(
-    cfg: RunConfig,
-    docs: DocumentCollection | None = None,
-    gold_pool: Sequence[Triplet] | None = None,
-    grammar: SynthGrammar | None = None,
-) -> dict[str, TrajectoryResult]:
+def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     """Simulate every configured agent and return one trajectory per agent.
 
-    ``docs``/``gold_pool`` bypass corpus loading for programmatic use; when
-    the config names the synthetic corpus, both are generated here from the
-    master seed.  Results are keyed by agent name in configuration order.
+    The synthetic corpus and its gold pool are generated here from the
+    master seed; a ``gold_file`` agent without a path draws from that pool.
+    Every gram set of the run is built by ``cfg.estimator.gram_set``.
+    Results are keyed by agent name in configuration order.
     """
     cfg.validate()
     est = cfg.estimator
     master = np.random.default_rng(cfg.seed)
     corpus_rng, *agent_rngs = master.spawn(1 + len(cfg.agents))
 
-    if docs is None:
-        if cfg.corpus_path == "synthetic":
-            if grammar is None:
-                grammar = (
-                    grammar_from_file(cfg.grammar_path)
-                    if cfg.grammar_path
-                    else default_grammar(p_pref=cfg.synthetic_p_pref)
-                )
-            docs, synth_gold = synth_corpus(
-                cfg.synthetic_sentences,
-                corpus_rng,
-                grammar,
-                sentences_per_doc=cfg.synthetic_sentences_per_doc,
-                n_min=est.n_min,
-                n_max=est.n_max,
-                include_space=est.include_space,
-            )
-            if gold_pool is None:
-                gold_pool = synth_gold
-        else:
-            docs = load_documents(cfg.corpus_path, cfg.strip_headers, cfg.groups)
+    gold_pool = None
+    if cfg.corpus_path == "synthetic":
+        docs, gold_pool = synth_corpus(
+            cfg.synthetic_sentences,
+            corpus_rng,
+            resolve_grammar(cfg.grammar_path, cfg.synthetic_p_pref),
+            sentences_per_doc=cfg.synthetic_sentences_per_doc,
+            gram_set=est.gram_set,
+        )
+    else:
+        docs = load_documents(cfg.corpus_path, cfg.strip_headers, cfg.groups)
 
     results: dict[str, TrajectoryResult] = {}
     for spec, agent_rng in zip(cfg.agents, agent_rngs):
@@ -357,9 +351,7 @@ def run_simulation(
             per_step=cfg.per_step,
             rng=agent_rng,
             context_length=cfg.context_length,
-            n_min=est.n_min,
-            n_max=est.n_max,
-            include_space=est.include_space,
+            gram_set=est.gram_set,
         )
         if cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

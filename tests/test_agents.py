@@ -12,6 +12,7 @@ from setinfo import (
     ContextTooShort,
     Document,
     DocumentCollection,
+    EstimatorConfig,
     MalformedLine,
     RunConfig,
     SourceExhausted,
@@ -161,7 +162,8 @@ class TestSynthCorpus:
         assert reconstructed == joined_docs
 
     def test_gold_shares_one_gram_set_per_phrase(self):
-        _, gold = synth_corpus(200, np.random.default_rng(8), n_max=4, include_space=False)
+        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
+        _, gold = synth_corpus(200, np.random.default_rng(8), gram_set=gram_set)
         by_text = {}
         for t in gold:
             for s in (t.x, t.y, t.z):
@@ -224,12 +226,13 @@ class TestBuildStepSamples:
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
         spec = AgentSpec(kind="gold_file", path=path)
         samples = build_step_samples(
-            spec, None, k_max=4, per_step=100, rng=np.random.default_rng(8)
+            spec, None, k_max=4, per_step=30, rng=np.random.default_rng(8)
         )
-        assert all(len(s.triplets) == 100 for s in samples)
-        # 100 draws from a 50-triple pool must repeat something.
-        texts = {t.x.source for t in samples[0].triplets}
-        assert len(texts) <= 50
+        assert all(len(s.triplets) == 30 for s in samples)
+        # 30 draws from 50 distinct triples repeat one only when drawn with
+        # replacement; without, every step would hold 30 distinct triples.
+        for s in samples:
+            assert len({t.x.source for t in s.triplets}) < 30
 
     def test_gold_determinism(self, tmp_path):
         path = tmp_path / "gold.jsonl"

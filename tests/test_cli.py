@@ -68,6 +68,13 @@ class TestGenSynthetic:
         assert "--sentences" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_pref", ["2", "-0.5", "nan"])
+    def test_p_pref_out_of_range_fails_validation(self, tmp_path, capsys, p_pref):
+        out = tmp_path / "data"
+        assert cli(["gen-synthetic", "--out", str(out), "--p-pref", p_pref]) == 1
+        assert "--p-pref" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_bytes_for_same_seed(self, tmp_path):
         for tag in ("a", "b"):
             cli(["gen-synthetic", "--out", str(tmp_path / tag), "--sentences", "500", "--seed", "42"])

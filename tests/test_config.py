@@ -77,6 +77,14 @@ class TestShippedConfigs:
         with pytest.raises(ConfigInvalid, match=named):
             grammar_from_file(path)
 
+    @pytest.mark.parametrize("p_pref", ["2", "-0.5", "nan"])
+    def test_grammar_p_pref_out_of_range_rejected(self, tmp_path, p_pref):
+        path = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        path.write_text(text.replace("grammar.p_pref = 0.8", f"grammar.p_pref = {p_pref}"))
+        with pytest.raises(ConfigInvalid, match=r"^grammar\.p_pref"):
+            grammar_from_file(path)
+
     @pytest.mark.parametrize(
         "name,n_groups",
         [("newsgroups_similar.cfg", 4), ("newsgroups_unrelated.cfg", 7)],

@@ -447,9 +447,7 @@ class TestStepCapacities:
         cfg = EstimatorConfig(
             joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
         )
-        triplets = [
-            make_triplet(*t, n_min=n_min, n_max=n_max, include_space=include_space) for t in texts
-        ]
+        triplets = [make_triplet(*t, gram_set=cfg.gram_set) for t in texts]
         triplets += triplets[:2]  # repeated members
         xs = [t.x for t in triplets]
         ys = [t.y for t in triplets]

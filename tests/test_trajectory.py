@@ -9,6 +9,7 @@ from setinfo import (
     CSV_HEADER,
     AgentSpec,
     ConfigInvalid,
+    EstimatorConfig,
     RunConfig,
     compute_mi_record,
     read_csv,
@@ -96,6 +97,10 @@ class TestRunConfig:
             {"synthetic_sentences_per_doc": 0},
             {"estimator.n_min": 0},
             {"estimator.n_max": 0},
+            {"agents": (AgentSpec(kind="random"), AgentSpec(kind="random"))},
+            {"synthetic_p_pref": 1.5},
+            {"synthetic_p_pref": -0.1},
+            {"synthetic_p_pref": float("nan")},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -106,7 +111,7 @@ class TestRunConfig:
                 RunConfig.from_dict({key: str(value)})
             else:
                 small_config(**overrides).validate()
-        assert key in str(info.value)
+        assert str(info.value).startswith(key)
 
     def test_from_dict_round_trip(self):
         values = {
@@ -214,6 +219,18 @@ class TestRunSimulation:
                 for field in ("i_xy", "i_yz", "i_xz", "i_xy_z", "i_xz_y"):
                     va, vb = getattr(rec_a, field), getattr(rec_b, field)
                     assert va == pytest.approx(vb, rel=1e-9)
+
+    def test_gram_sets_come_from_the_estimator_config(self, monkeypatch):
+        texts = []
+        gram_set = EstimatorConfig.gram_set
+        monkeypatch.setattr(
+            EstimatorConfig, "gram_set", lambda cfg, text: texts.append(text) or gram_set(cfg, text)
+        )
+        cfg = small_config(k_max=2, window=2)
+        run_simulation(cfg)
+        # One set per distinct phrase of the built-in grammar (24 subjects,
+        # 12 verbs, 24 objects), then x, y and z of every random-agent action.
+        assert len(texts) == 60 + 3 * cfg.k_max * cfg.per_step
 
     def test_window_clamped_for_single_step(self):
         with pytest.warns(UserWarning):
