@@ -21,7 +21,6 @@ from .agents import (
     heuristic_extract,
     load_triplets,
     load_verb_lexicon,
-    make_triplet,
     random_split_agent,
     synth_corpus,
     write_triplets,

@@ -1,11 +1,13 @@
-"""Triplet-producing agents and the synthetic structured corpus.
+"""Segmentation agents, the synthetic structured corpus, and step samples.
 
-Three triplet sources are supported: a random splitter that cuts a fixed
-length context at two uniform indices, a heuristic subject/predicate/object
-extractor driven by a verb lexicon, and a loader for externally produced
-gold triples (JSONL).  A small subject-verb-object sentence generator with
-verb-conditioned object preferences provides a self-contained corpus whose
-structured triples are known exactly.
+An agent's action is a segmentation of text into a surface triple
+(x, y, z) of strings.  Three sources are supported: a random splitter that
+cuts a fixed length context at two uniform indices, a heuristic
+subject/predicate/object extractor driven by a verb lexicon, and a loader
+for externally produced gold triples (JSONL).  A small subject-verb-object
+sentence generator with verb-conditioned object preferences provides a
+self-contained corpus whose structured triples are known exactly.
+``build_step_samples`` turns the surfaces into gram-set triplets.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .corpus import (
     normalize_text,
     sample_contexts,
 )
-from .ngrams import LingSet, ngram_set
+from .ngrams import LingSet
 
 
 class ContextTooShort(ValueError):
@@ -51,14 +53,16 @@ _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_LEXICON_PATH = _DATA_DIR / "verb_lexicon.txt"
 
 
+Surfaces = tuple[str, str, str]  # one action's (x, y, z) segment texts
+
+
 @dataclass(frozen=True)
 class Triplet:
-    """One agent action: an ordered (x, y, z) segmentation of a text span."""
+    """One agent action as the gram sets of its (x, y, z) segments."""
 
     x: LingSet
     y: LingSet
     z: LingSet
-    origin: str = ""
 
 
 @dataclass(frozen=True)
@@ -67,14 +71,13 @@ class StepSample:
 
     k: int
     triplets: tuple[Triplet, ...]
-    agent_label: str
 
 
 @dataclass(frozen=True)
 class AgentSpec:
     """How to obtain triplets for one simulated agent.
 
-    ``pool`` lets callers hand a prebuilt triple list straight to a
+    ``pool`` lets callers hand a list of surface triples straight to a
     gold-style agent (the synthetic pipeline does this); otherwise
     ``gold_file`` reads ``path`` and ``extractor`` mines the corpus.
     """
@@ -82,7 +85,7 @@ class AgentSpec:
     kind: str
     name: str = ""
     path: str | Path | None = None
-    pool: tuple[Triplet, ...] | None = None
+    pool: tuple[Surfaces, ...] | None = None
     lexicon_path: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -92,22 +95,7 @@ class AgentSpec:
             object.__setattr__(self, "name", self.kind)
 
 
-def make_triplet(
-    x_text: str,
-    y_text: str,
-    z_text: str,
-    origin: str = "",
-    gram_set: Callable[[str], LingSet] = ngram_set,
-) -> Triplet:
-    """Build a triplet whose gram sets are ``gram_set`` of its surfaces."""
-    return Triplet(gram_set(x_text), gram_set(y_text), gram_set(z_text), origin)
-
-
-def random_split_agent(
-    ctx: Context,
-    rng: np.random.Generator,
-    gram_set: Callable[[str], LingSet] = ngram_set,
-) -> Triplet:
+def random_split_agent(ctx: Context, rng: np.random.Generator) -> Surfaces:
     """Cut a context at a uniformly chosen pair of indices 1 <= i < j <= L-1.
 
     All C(L-1, 2) index pairs are equally likely, and each of the three
@@ -119,13 +107,7 @@ def random_split_agent(
         raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
     cuts = rng.choice(length - 1, size=2, replace=False) + 1
     i, j = int(cuts.min()), int(cuts.max())
-    return make_triplet(
-        " ".join(tokens[:i]),
-        " ".join(tokens[i:j]),
-        " ".join(tokens[j:]),
-        f"{ctx.doc_id}@{ctx.offset}",
-        gram_set,
-    )
+    return " ".join(tokens[:i]), " ".join(tokens[i:j]), " ".join(tokens[j:])
 
 
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
@@ -139,12 +121,7 @@ def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(tokens)
 
 
-def heuristic_extract(
-    sentence: str,
-    verb_lexicon: frozenset[str],
-    origin: str = "",
-    gram_set: Callable[[str], LingSet] = ngram_set,
-) -> Triplet | None:
+def heuristic_extract(sentence: str, verb_lexicon: frozenset[str]) -> Surfaces | None:
     """Split a sentence around its first run of lexicon tokens.
 
     The predicate is the maximal contiguous run of lexicon tokens starting
@@ -161,27 +138,21 @@ def heuristic_extract(
         last += 1
     if first == 0 or last == len(tokens) - 1:
         return None
-    return make_triplet(
+    return (
         " ".join(tokens[:first]),
         " ".join(tokens[first : last + 1]),
         " ".join(tokens[last + 1 :]),
-        origin,
-        gram_set,
     )
 
 
-def load_triplets(
-    path: str | Path, gram_set: Callable[[str], LingSet] = ngram_set
-) -> list[Triplet]:
+def load_triplets(path: str | Path) -> list[Surfaces]:
     """Read gold triples from JSONL ({"x","y","z"} strings per line).
 
-    Surfaces are normalized before the gram sets are built; a line whose
-    fields are missing, non-string, or empty after normalization is
-    rejected with its line number.
+    Surfaces are normalized; a line whose fields are missing, non-string,
+    or empty after normalization is rejected with its line number.
     """
-    p = Path(path)
-    triplets: list[Triplet] = []
-    with open(p, encoding="utf-8") as fh:
+    triplets: list[Surfaces] = []
+    with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -200,19 +171,17 @@ def load_triplets(
                 if not text:
                     raise MalformedLine(f"empty {fieldname!r} field", line_no)
                 surfaces.append(text)
-            triplets.append(make_triplet(*surfaces, f"{p.name}:{line_no}", gram_set))
+            triplets.append(tuple(surfaces))
     return triplets
 
 
-def write_triplets(triplets: Iterable[Triplet], path: str | Path) -> None:
-    """Write triples as JSONL, the same shape load_triplets reads."""
+def write_triplets(triplets: Iterable[Surfaces], path: str | Path) -> None:
+    """Write surface triples as JSONL, the same shape load_triplets reads."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps({"x": t.x.source, "y": t.y.source, "z": t.z.source}, sort_keys=True) + "\n"
-            )
+        for x, y, z in triplets:
+            fh.write(json.dumps({"x": x, "y": y, "z": z}, sort_keys=True) + "\n")
 
 
 @dataclass(frozen=True)
@@ -288,22 +257,17 @@ def synth_corpus(
     rng: np.random.Generator,
     grammar: SynthGrammar | None = None,
     sentences_per_doc: int = SENTENCES_PER_DOC,
-    gram_set: Callable[[str], LingSet] = ngram_set,
-) -> tuple[DocumentCollection, list[Triplet]]:
-    """Generate subject-verb-object sentences plus their gold triplets.
+) -> tuple[DocumentCollection, list[Surfaces]]:
+    """Generate subject-verb-object sentences plus their gold surface triples.
 
     The raw sentences, packed into documents, feed the random agent; the
-    gold triplets feed the structured agent.  Each distinct phrase of the
-    grammar is turned into a gram set once, by ``gram_set``, and the
-    triplets share those sets.  Deterministic for a fixed generator state.
+    gold triples feed the structured agent.  Deterministic for a fixed
+    generator state.
     """
     grammar = grammar if grammar is not None else default_grammar()
-    phrases = {*grammar.subjects, *grammar.verbs, *grammar.objects}
-    phrases.update(p for pool in grammar.preferred.values() for p in pool)
-    sets = {p: gram_set(p) for p in phrases}
     sentences: list[str] = []
-    gold: list[Triplet] = []
-    for idx in range(n_sentences):
+    gold: list[Surfaces] = []
+    for _ in range(n_sentences):
         subject = grammar.subjects[int(rng.integers(len(grammar.subjects)))]
         verb = grammar.verbs[int(rng.integers(len(grammar.verbs)))]
         if rng.random() < grammar.p_pref:
@@ -312,7 +276,7 @@ def synth_corpus(
             pool = grammar.objects
         obj = pool[int(rng.integers(len(pool)))]
         sentences.append(f"{subject} {verb} {obj}")
-        gold.append(Triplet(sets[subject], sets[verb], sets[obj], origin=f"synthetic:{idx}"))
+        gold.append((subject, verb, obj))
     documents = []
     for d_start in range(0, len(sentences), sentences_per_doc):
         chunk = sentences[d_start : d_start + sentences_per_doc]
@@ -326,27 +290,19 @@ def synth_corpus(
     return DocumentCollection(documents), gold
 
 
-def _resolve_pool(
-    spec: AgentSpec,
-    corpus: DocumentCollection | None,
-    gram_set: Callable[[str], LingSet],
-) -> list[Triplet]:
+def _resolve_pool(spec: AgentSpec, corpus: DocumentCollection | None) -> list[Surfaces]:
     if spec.pool is not None:
         return list(spec.pool)
     if spec.kind == "gold_file":
         if spec.path is None:
             raise SourceExhausted(f"agent {spec.name!r} has neither a pool nor a path")
-        return load_triplets(spec.path, gram_set)
+        return load_triplets(spec.path)
     if spec.kind == "extractor":
         if corpus is None:
             raise SourceExhausted(f"agent {spec.name!r} needs a corpus to extract from")
         lexicon = load_verb_lexicon(spec.lexicon_path)
-        pool = []
-        for doc_id, sentence in iter_sentences(corpus):
-            triplet = heuristic_extract(sentence, lexicon, doc_id, gram_set)
-            if triplet is not None:
-                pool.append(triplet)
-        return pool
+        extracted = (heuristic_extract(sentence, lexicon) for sentence in iter_sentences(corpus))
+        return [surfaces for surfaces in extracted if surfaces is not None]
     raise ValueError(f"agent kind {spec.kind!r} has no triple pool")
 
 
@@ -356,32 +312,40 @@ def build_step_samples(
     k_max: int,
     per_step: int,
     rng: np.random.Generator,
-    context_length: int = 10,
-    gram_set: Callable[[str], LingSet] = ngram_set,
+    context_length: int,
+    gram_set: Callable[[str], LingSet],
 ) -> list[StepSample]:
     """Produce k_max step samples of exactly per_step triplets each.
 
     Every step draws from its own generator spawned off ``rng``, so the
     sequence is reproducible regardless of how steps are later scheduled.
-    Pool-backed sources (extractor, gold) sample with replacement; triplets
-    the agent builds itself get their gram sets from ``gram_set``.
+    Pool-backed sources (extractor, gold) sample surfaces with replacement.
+    This is the one place text becomes gram sets: each distinct segment text
+    of the returned samples is turned into a ``LingSet`` once, by
+    ``gram_set``, and every triplet holding that text shares it.
     """
     spec = AgentSpec(kind=source) if isinstance(source, str) else source
     step_rngs = rng.spawn(k_max)
+    sets: dict[str, LingSet] = {}
+
+    def lingset(text: str) -> LingSet:
+        if text not in sets:
+            sets[text] = gram_set(text)
+        return sets[text]
+
     samples: list[StepSample] = []
     if spec.kind == "random":
         if corpus is None:
             raise SourceExhausted("the random agent needs a corpus")
         for k, step_rng in enumerate(step_rngs, start=1):
             contexts = sample_contexts(corpus, context_length, per_step, step_rng)
-            triplets = tuple(random_split_agent(ctx, step_rng, gram_set) for ctx in contexts)
-            samples.append(StepSample(k=k, triplets=triplets, agent_label=spec.kind))
+            actions = [random_split_agent(ctx, step_rng) for ctx in contexts]
+            samples.append(StepSample(k, tuple(Triplet(*map(lingset, a)) for a in actions)))
     else:
-        pool = _resolve_pool(spec, corpus, gram_set)
+        pool = _resolve_pool(spec, corpus)
         if not pool:
             raise SourceExhausted(f"agent {spec.name!r} has an empty triple pool")
         for k, step_rng in enumerate(step_rngs, start=1):
             idx = step_rng.integers(len(pool), size=per_step)
-            triplets = tuple(pool[int(i)] for i in idx)
-            samples.append(StepSample(k=k, triplets=triplets, agent_label=spec.kind))
+            samples.append(StepSample(k, tuple(Triplet(*map(lingset, pool[int(i)])) for i in idx)))
     return samples

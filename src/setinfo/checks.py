@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .agents import Triplet, make_triplet
+from .agents import Triplet
 from .density import (
     EstimatorConfig,
     MiRecord,
@@ -27,7 +27,7 @@ from .density import (
     mutual_information,
     triplet_likelihood,
 )
-from .ngrams import LingSet, hamming, ngram_set
+from .ngrams import LingSet, hamming
 from .reward import demarcken_check, reward
 
 ALPHABET = string.ascii_lowercase + " "
@@ -65,10 +65,10 @@ class Check:
 
 
 def random_lingset(rng: np.random.Generator, max_len: int = 40) -> LingSet:
-    """1-3 gram set of a random lowercase text of 1..max_len characters."""
+    """``CFG``'s gram set of a random lowercase text of 1..max_len characters."""
     length = int(rng.integers(1, max_len + 1))
     text = "".join(ALPHABET[int(i)] for i in rng.integers(len(ALPHABET), size=length))
-    return ngram_set(text.strip() or "a", 1, 3)
+    return CFG.gram_set(text.strip() or "a")
 
 
 def _random_sample(rng: np.random.Generator) -> list[LingSet]:
@@ -130,9 +130,7 @@ def estimator_identities(rng: np.random.Generator, n: int) -> list[Check]:
     for _ in range(n):
         firsts = _random_sample(rng)
         pairs = [(a, random_lingset(rng, 30)) for a in firsts]
-        triplets = [
-            make_triplet(a.source, random_lingset(rng, 10).source, b.source) for a, b in pairs
-        ]
+        triplets = [Triplet(a, random_lingset(rng, 10), b) for a, b in pairs]
         target = triplets[int(rng.integers(len(triplets)))]
 
         i_ab = mutual_information(pairs, CFG)

@@ -19,14 +19,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import agents as agents_mod
-from .config import ConfigInvalid, as_int
-from .corpus import (
-    CorpusTooSmall,
-    MalformedManifest,
-    load_documents,
-    write_manifest,
-)
-from .svgplot import EmptySelection, write_svg
+from .config import as_int
+from .corpus import load_documents, write_manifest
+from .svgplot import write_svg
 from .trajectory import (
     MI_SERIES,
     RunConfig,
@@ -38,6 +33,14 @@ from .trajectory import (
 )
 
 SEED_ENV_VAR = "SETINFO_SEED"
+
+
+class _StoreGiven(argparse.Action):
+    """Store the value and set ``<dest>_given``, so a given flag can be told from its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,9 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--sentences", type=int, default=RunConfig.synthetic_sentences)
     p_gen.add_argument("--seed", type=int, default=42)
     p_gen.add_argument(
-        "--p-pref", type=float, default=agents_mod.SynthGrammar.p_pref, help="preferred-object probability"
+        "--p-pref",
+        type=float,
+        action=_StoreGiven,
+        default=agents_mod.SynthGrammar.p_pref,
+        help="preferred-object probability of the built-in pools (a --grammar file sets its own)",
     )
     p_gen.add_argument("--grammar", default=None, help="grammar config file (defaults to built-in pools)")
+    p_gen.set_defaults(p_pref_given=False)
 
     p_sim = sub.add_parser("simulate", help="run the configured agents and write one CSV per agent")
     p_sim.add_argument("--config", required=True, help="run config file (flat key = value)")
@@ -97,6 +105,13 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
         return 1
     if not 0.0 <= args.p_pref <= 1.0:
         print(f"gen-synthetic: --p-pref must be in [0, 1], got {args.p_pref}", file=sys.stderr)
+        return 1
+    if args.grammar and args.p_pref_given:
+        print(
+            "gen-synthetic: --p-pref applies only to the built-in pools; "
+            "with --grammar, set grammar.p_pref in the grammar file",
+            file=sys.stderr,
+        )
         return 1
     out = Path(args.out_dir)
     docs, gold = agents_mod.synth_corpus(
@@ -182,16 +197,9 @@ _HANDLERS = {
     "check": cmd_check,
 }
 
-_VALIDATION_ERRORS = (
-    ConfigInvalid,
-    MalformedManifest,
-    agents_mod.MalformedLine,
-    CorpusTooSmall,
-    agents_mod.SourceExhausted,
-    EmptySelection,
-    FileNotFoundError,
-    ValueError,
-)
+# ValueError covers ConfigInvalid, MalformedManifest, MalformedLine,
+# CorpusTooSmall and EmptySelection.
+_VALIDATION_ERRORS = (ValueError, agents_mod.SourceExhausted, FileNotFoundError)
 
 
 def cli(argv: list[str] | None = None) -> int:

@@ -220,8 +220,7 @@ def write_manifest(docs: DocumentCollection, path: str | Path) -> None:
             )
 
 
-def iter_sentences(docs: DocumentCollection) -> Iterator[tuple[str, str]]:
-    """Yield (doc_id, sentence) pairs across the whole collection."""
+def iter_sentences(docs: DocumentCollection) -> Iterator[str]:
+    """Yield every sentence of the collection, document by document."""
     for doc in docs:
-        for sentence in split_sentences(doc.text):
-            yield doc.id, sentence
+        yield from split_sentences(doc.text)

@@ -34,7 +34,7 @@ import numpy as np
 from .ngrams import LingSet, hamming, join, ngram_set, seam_grams
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .agents import StepSample, Triplet
+    from .agents import Triplet
 
 
 class EmptySample(ValueError):
@@ -55,8 +55,9 @@ class EstimatorConfig:
 
     ``bandwidth`` controls how strictly two realizations must match before
     they lend each other probability mass.  ``n_min``/``n_max``/``include_space``
-    decide how a text becomes a gram set: ``gram_set`` builds every set a run
-    uses, and concat-mode joins re-extract grams the same way.
+    decide how a text becomes a gram set: ``build_step_samples`` builds every
+    set of a run with ``gram_set``, and concat-mode joins re-extract grams the
+    same way.
     """
 
     bandwidth: float = 5.0
@@ -139,11 +140,6 @@ def _row_distances(m: np.ndarray) -> np.ndarray:
     return sizes[:, None] + sizes[None, :] - 2.0 * (m @ m.T)
 
 
-def _distance_matrix(sets: Sequence[LingSet]) -> np.ndarray:
-    """Pairwise ``hamming`` distances of ``sets``, from one indicator-matrix product."""
-    return _row_distances(_indicator_rows(s.grams for s in sets))
-
-
 def _row_capacities(m: np.ndarray, bandwidth: float) -> np.ndarray:
     """Resubstitution capacity of every row within the rows of ``m``."""
     return _kernel_from_distances(_row_distances(m), bandwidth).mean(axis=1)
@@ -218,20 +214,14 @@ def mutual_information(
     return entropy(firsts, cfg) + entropy(seconds, cfg) - joint_entropy(pairs, cfg)
 
 
-def _triplet_list(sample: "StepSample | Sequence[Triplet]") -> list["Triplet"]:
-    return list(getattr(sample, "triplets", sample))
-
-
-def triplet_likelihood(
-    t: "Triplet", sample: "StepSample | Sequence[Triplet]", cfg: EstimatorConfig
-) -> float:
+def triplet_likelihood(t: "Triplet", sample: Sequence["Triplet"], cfg: EstimatorConfig) -> float:
     """Factorized action likelihood P(Y|X,Z) * P(Z|X) * P(X).
 
     The conditionals are capacity ratios, so the product telescopes to the
     direct three-way joint capacity; the factorized form is kept because it
     is the shape a structure learner would optimize factor by factor.
     """
-    triplets = _triplet_list(sample)
+    triplets = list(sample)
     if not triplets:
         raise EmptySample("triplet_likelihood needs a non-empty sample")
 
@@ -265,12 +255,12 @@ def _step_capacities(
     is the maximum of its components.  A concat join adds the seam grams of
     its sources, ``seam_grams(a.source, b.source)``; for xy+z and xz+y the
     tail comes from the joined source.  That concat identity holds only when
-    every gram set was built by ``cfg.gram_set`` from its source, as every
-    set ``simulate`` builds is; ``join`` makes no such assumption and is the
-    oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
-    mode 8.
+    every gram set was built by ``cfg.gram_set`` from its source, as
+    ``build_step_samples`` builds every set of a run; ``join`` makes no such
+    assumption and is the oracle.  Union mode has 7 distinct families
+    (xy+z = xz+y = xyz), concat mode 8.
 
-    The distances equal those of ``_distance_matrix`` over ``join``-built
+    The distances equal those of ``_row_distances`` over ``join``-built
     families exactly, so the vectors are bit-identical to the per-family
     path.  Memory is O(n * V_step + n^2), where V_step counts the step's
     distinct grams, seam grams included.  The one-entry cache lets

@@ -22,24 +22,11 @@ class LingSet:
     grams: frozenset[str]
     source: str
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.grams)
 
-    def sorted_grams(self) -> list[str]:
-        """Stable listing, used for debug dumps and JSON serialization."""
-        return sorted(self.grams)
-
-
-def ngram_set(
-    text: str,
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
-) -> LingSet:
+def ngram_set(text: str, n_min: int, n_max: int, include_space: bool) -> LingSet:
     """Collect every distinct contiguous substring of length n_min..n_max.
 
-    With ``include_space`` (the default) grams run across word boundaries
+    With ``include_space`` grams run across word boundaries
     and may contain space characters; otherwise each space-separated token
     is scanned on its own and no gram contains a space.
     """
@@ -62,12 +49,7 @@ def hamming(a: LingSet, b: LingSet) -> int:
 
 
 def join(
-    a: LingSet,
-    b: LingSet,
-    mode: str = "union",
-    n_min: int = 1,
-    n_max: int = 3,
-    include_space: bool = True,
+    a: LingSet, b: LingSet, mode: str, n_min: int, n_max: int, include_space: bool
 ) -> LingSet:
     """Combine two realizations into one joint realization.
 
@@ -84,7 +66,7 @@ def join(
     raise ValueError(f"unknown join mode: {mode!r}")
 
 
-def seam_grams(a: str, b: str, n_min: int = 1, n_max: int = 3) -> frozenset[str]:
+def seam_grams(a: str, b: str, n_min: int, n_max: int) -> frozenset[str]:
     """The grams of ``a + " " + b`` that cross the joining space (plus a few that do not).
 
     With ``include_space``, ``ngram_set(a + " " + b)`` is exactly
@@ -94,4 +76,4 @@ def seam_grams(a: str, b: str, n_min: int = 1, n_max: int = 3) -> frozenset[str]
     crosses a space, and a concat join equals the union.
     """
     reach = n_max - 1  # a[-0:] would be all of a, so the tail is cut explicitly
-    return ngram_set(a[max(len(a) - reach, 0) :] + " " + b[:reach], n_min, n_max).grams
+    return ngram_set(a[max(len(a) - reach, 0) :] + " " + b[:reach], n_min, n_max, True).grams

@@ -319,7 +319,8 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
 
     The synthetic corpus and its gold pool are generated here from the
     master seed; a ``gold_file`` agent without a path draws from that pool.
-    Every gram set of the run is built by ``cfg.estimator.gram_set``.
+    Every gram set of the run is built by ``build_step_samples`` with
+    ``cfg.estimator.gram_set``.
     Results are keyed by agent name in configuration order.
     """
     cfg.validate()
@@ -334,7 +335,6 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             corpus_rng,
             resolve_grammar(cfg.grammar_path, cfg.synthetic_p_pref),
             sentences_per_doc=cfg.synthetic_sentences_per_doc,
-            gram_set=est.gram_set,
         )
     else:
         docs = load_documents(cfg.corpus_path, cfg.strip_headers, cfg.groups)

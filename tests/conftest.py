@@ -14,7 +14,7 @@ texts = st.text(
     max_size=40,
 ).map(lambda s: s.strip() or "a")
 
-lingsets = texts.map(lambda t: ngram_set(t, 1, 3))
+lingsets = texts.map(lambda t: ngram_set(t, 1, 3, True))
 
 
 @pytest.fixture

@@ -103,9 +103,9 @@ def test_criterion_5_splitter_uniformity():
     rng = np.random.default_rng(2024)
     counts: dict[tuple[int, int], int] = {}
     for _ in range(draws):
-        t = random_split_agent(ctx, rng)
-        i = len(t.x.source.split())
-        j = i + len(t.y.source.split())
+        x, y, _ = random_split_agent(ctx, rng)
+        i = len(x.split())
+        j = i + len(y.split())
         counts[(i, j)] = counts.get((i, j), 0) + 1
     cells = [(i, j) for i in range(1, length) for j in range(i + 1, length)]
     assert len(cells) == 36

@@ -21,11 +21,13 @@ from setinfo import (
     heuristic_extract,
     load_triplets,
     load_verb_lexicon,
-    make_triplet,
-    ngram_set,
     random_split_agent,
     synth_corpus,
 )
+from setinfo import agents, ngrams
+
+
+GRAM_SET = EstimatorConfig().gram_set
 
 
 def context(*tokens: str) -> Context:
@@ -35,8 +37,7 @@ def context(*tokens: str) -> Context:
 class TestRandomSplitAgent:
     def test_three_tokens_has_unique_split(self):
         ctx = context("a", "b", "c")
-        t = random_split_agent(ctx, np.random.default_rng(0))
-        assert (t.x.source, t.y.source, t.z.source) == ("a", "b", "c")
+        assert random_split_agent(ctx, np.random.default_rng(0)) == ("a", "b", "c")
 
     def test_too_short(self):
         with pytest.raises(ContextTooShort):
@@ -46,16 +47,9 @@ class TestRandomSplitAgent:
         ctx = context(*[f"t{i}" for i in range(10)])
         rng = np.random.default_rng(5)
         for _ in range(200):
-            t = random_split_agent(ctx, rng)
-            assert t.x.source and t.y.source and t.z.source
-            assert f"{t.x.source} {t.y.source} {t.z.source}" == ctx.text
-
-    def test_gram_sets_match_surfaces(self):
-        ctx = context(*[f"t{i}" for i in range(6)])
-        t = random_split_agent(ctx, np.random.default_rng(1))
-        assert t.x.grams == ngram_set(t.x.source, 1, 3).grams
-        assert t.y.grams == ngram_set(t.y.source, 1, 3).grams
-        assert t.z.grams == ngram_set(t.z.source, 1, 3).grams
+            x, y, z = random_split_agent(ctx, rng)
+            assert x and y and z
+            assert f"{x} {y} {z}" == ctx.text
 
     def test_determinism(self):
         ctx = context(*[f"t{i}" for i in range(10)])
@@ -69,8 +63,7 @@ class TestHeuristicExtract:
 
     def test_basic_split(self):
         t = heuristic_extract("the cat is on the mat", self.LEX)
-        assert t is not None
-        assert (t.x.source, t.y.source, t.z.source) == ("the cat", "is", "on the mat")
+        assert t == ("the cat", "is", "on the mat")
 
     def test_leading_verb_rejected(self):
         assert heuristic_extract("is running fast", self.LEX) is None
@@ -84,7 +77,7 @@ class TestHeuristicExtract:
     def test_maximal_verb_run(self):
         t = heuristic_extract("the door was is stuck badly", self.LEX)
         assert t is not None
-        assert t.y.source == "was is"
+        assert t[1] == "was is"
 
     def test_reconstruction_invariant(self):
         sentences = [
@@ -95,7 +88,7 @@ class TestHeuristicExtract:
         for sentence in sentences:
             t = heuristic_extract(sentence, self.LEX)
             assert t is not None
-            assert f"{t.x.source} {t.y.source} {t.z.source}" == sentence
+            assert " ".join(t) == sentence
 
     def test_default_lexicon_loads(self):
         lexicon = load_verb_lexicon()
@@ -107,9 +100,7 @@ class TestLoadTriplets:
     def test_valid_line(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"x": "the cat", "y": "sat on", "z": "the mat"}) + "\n")
-        (triplet,) = load_triplets(path)
-        assert triplet.x.source == "the cat"
-        assert triplet.y.grams == ngram_set("sat on", 1, 3).grams
+        assert load_triplets(path) == [("the cat", "sat on", "the mat")]
 
     def test_empty_field_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "gold.jsonl"
@@ -137,8 +128,7 @@ class TestLoadTriplets:
     def test_surfaces_normalized(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"x": "The  CAT", "y": "Sat", "z": "Down"}) + "\n")
-        (triplet,) = load_triplets(path)
-        assert triplet.x.source == "the cat"
+        assert load_triplets(path) == [("the cat", "sat", "down")]
 
 
 class TestSynthCorpus:
@@ -156,19 +146,8 @@ class TestSynthCorpus:
             # gold order matches generation order.
             sentences.append(doc.text)
         joined_docs = " ".join(sentences)
-        reconstructed = " ".join(
-            f"{t.x.source} {t.y.source} {t.z.source}" for t in gold
-        )
+        reconstructed = " ".join(" ".join(t) for t in gold)
         assert reconstructed == joined_docs
-
-    def test_gold_shares_one_gram_set_per_phrase(self):
-        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
-        _, gold = synth_corpus(200, np.random.default_rng(8), gram_set=gram_set)
-        by_text = {}
-        for t in gold:
-            for s in (t.x, t.y, t.z):
-                assert by_text.setdefault(s.source, s) is s
-                assert s == ngram_set(s.source, 1, 4, False)
 
     def test_sentences_per_doc_default_matches_run_config(self):
         default = inspect.signature(synth_corpus).parameters["sentences_per_doc"].default
@@ -184,15 +163,15 @@ class TestSynthCorpus:
     def test_full_preference_forces_preferred_objects(self):
         grammar = default_grammar(p_pref=1.0)
         _, gold = synth_corpus(400, np.random.default_rng(3), grammar)
-        for t in gold:
-            assert t.z.source in grammar.preferred[t.y.source]
+        for _, verb, obj in gold:
+            assert obj in grammar.preferred[verb]
 
     def test_marginal_object_distribution_roughly_uniform(self):
         grammar = default_grammar(p_pref=0.8)
         _, gold = synth_corpus(8000, np.random.default_rng(4), grammar)
         counts = {}
-        for t in gold:
-            counts[t.z.source] = counts.get(t.z.source, 0) + 1
+        for _, _, obj in gold:
+            counts[obj] = counts.get(obj, 0) + 1
         expected = len(gold) / len(grammar.objects)
         assert all(abs(c - expected) < 6 * np.sqrt(expected) for c in counts.values())
 
@@ -205,17 +184,16 @@ class TestBuildStepSamples:
     def test_random_agent_counts(self):
         samples = build_step_samples(
             "random", self.make_corpus(), k_max=5, per_step=7,
-            rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0), context_length=10, gram_set=GRAM_SET,
         )
         assert len(samples) == 5
         assert all(len(s.triplets) == 7 for s in samples)
-        assert all(s.agent_label == "random" for s in samples)
         assert [s.k for s in samples] == [1, 2, 3, 4, 5]
 
     def test_singleton_steps(self):
         samples = build_step_samples(
             "random", self.make_corpus(), k_max=3, per_step=1,
-            rng=np.random.default_rng(0),
+            rng=np.random.default_rng(0), context_length=10, gram_set=GRAM_SET,
         )
         assert all(len(s.triplets) == 1 for s in samples)
 
@@ -225,9 +203,7 @@ class TestBuildStepSamples:
             for i in range(50):
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
         spec = AgentSpec(kind="gold_file", path=path)
-        samples = build_step_samples(
-            spec, None, k_max=4, per_step=30, rng=np.random.default_rng(8)
-        )
+        samples = build_step_samples(spec, None, 4, 30, np.random.default_rng(8), 10, GRAM_SET)
         assert all(len(s.triplets) == 30 for s in samples)
         # 30 draws from 50 distinct triples repeat one only when drawn with
         # replacement; without, every step would hold 30 distinct triples.
@@ -240,8 +216,8 @@ class TestBuildStepSamples:
             for i in range(10):
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
         spec = AgentSpec(kind="gold_file", path=path)
-        a = build_step_samples(spec, None, k_max=3, per_step=20, rng=np.random.default_rng(5))
-        b = build_step_samples(spec, None, k_max=3, per_step=20, rng=np.random.default_rng(5))
+        a = build_step_samples(spec, None, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
+        b = build_step_samples(spec, None, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
         assert a == b
 
     def test_empty_pool_exhausted(self, tmp_path):
@@ -249,7 +225,7 @@ class TestBuildStepSamples:
         path.write_text("")
         spec = AgentSpec(kind="gold_file", path=path)
         with pytest.raises(SourceExhausted):
-            build_step_samples(spec, None, k_max=1, per_step=1, rng=np.random.default_rng(0))
+            build_step_samples(spec, None, 1, 1, np.random.default_rng(0), 10, GRAM_SET)
 
     def test_extractor_mines_corpus_sentences(self):
         docs = DocumentCollection(
@@ -259,20 +235,51 @@ class TestBuildStepSamples:
             ]
         )
         spec = AgentSpec(kind="extractor")
-        samples = build_step_samples(
-            spec, docs, k_max=2, per_step=10, rng=np.random.default_rng(0)
-        )
+        samples = build_step_samples(spec, docs, 2, 10, np.random.default_rng(0), 10, GRAM_SET)
         surfaces = {(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets}
         assert ("the cat", "is", "on the mat.") in surfaces
 
     def test_injected_pool_wins_over_path(self):
-        pool = tuple(
-            make_triplet(f"s{i}", f"v{i}", f"o{i}") for i in range(5)
-        )
+        pool = tuple((f"s{i}", f"v{i}", f"o{i}") for i in range(5))
         spec = AgentSpec(kind="gold_file", name="structured", pool=pool)
-        samples = build_step_samples(spec, None, k_max=2, per_step=8, rng=np.random.default_rng(2))
-        assert all(t in pool for s in samples for t in s.triplets)
+        samples = build_step_samples(spec, None, 2, 8, np.random.default_rng(2), 10, GRAM_SET)
+        drawn = {(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets}
+        assert drawn <= set(pool)
+
+    def test_one_gram_set_per_distinct_text(self):
+        # Each distinct segment text of the returned samples is built once per
+        # call, by the given builder, and every triplet holding it shares it.
+        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
+        docs, gold = synth_corpus(400, np.random.default_rng(11))
+        for source in ("random", "extractor", AgentSpec(kind="gold_file", pool=tuple(gold))):
+            calls = []
+            samples = build_step_samples(
+                source, docs, 3, 40, np.random.default_rng(6), 10,
+                lambda text: calls.append(text) or gram_set(text),
+            )
+            sets = [s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)]
+            assert len(calls) == len(set(calls))
+            assert set(calls) == {s.source for s in sets}
+            shared = {}
+            for s in sets:
+                assert s == gram_set(s.source)
+                assert shared.setdefault(s.source, s) is s
 
     def test_bad_agent_kind_rejected(self):
         with pytest.raises(ValueError):
             AgentSpec(kind="oracle")
+
+
+@pytest.mark.parametrize("module", [ngrams, agents], ids=lambda m: m.__name__)
+def test_gram_settings_have_no_defaults(module):
+    # EstimatorConfig and RunConfig hold the only copy of these defaults; a
+    # default here could build gram sets that disagree with the run's.
+    settings = {"n_min", "n_max", "include_space", "gram_set", "context_length"}
+    defaulted = [
+        f"{name}({param.name})"
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and not name.startswith("_")
+        for param in inspect.signature(fn).parameters.values()
+        if param.name in settings and param.default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 from setinfo import RunConfig, read_csv
 from setinfo.cli import _build_parser, cli
+
+GRAMMAR_EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "grammar_example.cfg"
 
 
 def write_run_config(path, corpus="synthetic", extra=""):
@@ -74,6 +77,18 @@ class TestGenSynthetic:
         assert cli(["gen-synthetic", "--out", str(out), "--p-pref", p_pref]) == 1
         assert "--p-pref" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("p_pref", ["0.3", "0.8"])
+    def test_p_pref_with_grammar_fails_validation(self, tmp_path, capsys, p_pref):
+        # A grammar file sets its own p_pref, so --p-pref would be ignored;
+        # given explicitly, even at its default value, it is an error.
+        out = tmp_path / "data"
+        argv = ["gen-synthetic", "--out", str(out), "--grammar", str(GRAMMAR_EXAMPLE)]
+        assert cli(argv + ["--p-pref", p_pref]) == 1
+        err = capsys.readouterr().err
+        assert "--p-pref" in err and "--grammar" in err
+        assert not out.exists()
+        assert cli(argv) == 0
 
     def test_identical_bytes_for_same_seed(self, tmp_path):
         for tag in ("a", "b"):

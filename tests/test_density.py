@@ -23,7 +23,6 @@ from setinfo import (
     joint_entropy,
     joint_mass_monitor,
     kernel,
-    make_triplet,
     mutual_information,
     ngram_set,
     synth_corpus,
@@ -31,7 +30,7 @@ from setinfo import (
 )
 from setinfo import density
 from setinfo.agents import build_step_samples
-from setinfo.density import _capacity_vector, _distance_matrix, _step_capacities
+from setinfo.density import _capacity_vector, _indicator_rows, _row_distances, _step_capacities
 
 from conftest import lingsets, random_lingset
 
@@ -70,13 +69,13 @@ def oracle_entropy(sets, cfg: EstimatorConfig) -> float:
     return -math.fsum(p * math.log(p) for p in masses)
 
 
+def triplet(x: str, y: str, z: str, cfg: EstimatorConfig = UNION) -> Triplet:
+    return Triplet(cfg.gram_set(x), cfg.gram_set(y), cfg.gram_set(z))
+
+
 def random_triplets(rng, n: int) -> list[Triplet]:
     return [
-        make_triplet(
-            random_lingset(rng, 15).source,
-            random_lingset(rng, 8).source,
-            random_lingset(rng, 15).source,
-        )
+        Triplet(random_lingset(rng, 15), random_lingset(rng, 8), random_lingset(rng, 15))
         for _ in range(n)
     ]
 
@@ -108,13 +107,13 @@ class TestEstimatorConfig:
 
 class TestKernel:
     def test_peak_at_zero_distance(self):
-        s = ngram_set("hello", 1, 3)
+        s = ngram_set("hello", 1, 3, True)
         assert kernel(s, s, 5.0) == pytest.approx(PEAK, abs=1e-15)
         assert PEAK == pytest.approx(0.0797885, abs=1e-7)
 
     def test_distance_five(self):
-        a = ngram_set("a", 1, 1)
-        b = ngram_set("abcdef", 1, 1)
+        a = ngram_set("a", 1, 1, True)
+        b = ngram_set("abcdef", 1, 1, True)
         assert hamming(a, b) == 5
         assert kernel(a, b, 5.0) == pytest.approx(gauss(5), abs=1e-15)
         assert gauss(5) == pytest.approx(0.0483941, abs=1e-7)
@@ -140,7 +139,7 @@ class TestKernel:
         assert kernel(origin, far, 5.0) == 0.0
 
     def test_bad_bandwidth(self):
-        s = ngram_set("x", 1, 1)
+        s = ngram_set("x", 1, 1, True)
         for bandwidth in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 kernel(s, s, bandwidth)
@@ -154,28 +153,28 @@ class TestDistanceMatrix:
     def test_equals_pairwise_hamming(self, sets):
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
-        assert np.array_equal(_distance_matrix(sets), expected)
+        assert np.array_equal(_row_distances(_indicator_rows(s.grams for s in sets)), expected)
 
 
 class TestCapacity:
     def test_single_member(self):
-        s = ngram_set("abc", 1, 3)
+        s = ngram_set("abc", 1, 3, True)
         assert capacity(s, [s], UNION) == pytest.approx(PEAK, abs=1e-15)
 
     def test_two_member_mean(self):
-        a = ngram_set("a", 1, 1)
-        b = ngram_set("abcdef", 1, 1)
+        a = ngram_set("a", 1, 1, True)
+        b = ngram_set("abcdef", 1, 1, True)
         expected = (gauss(0) + gauss(5)) / 2
         assert capacity(a, [a, b], UNION) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.0640913, abs=1e-7)
 
     def test_copies_keep_peak(self):
-        s = ngram_set("abc", 1, 3)
+        s = ngram_set("abc", 1, 3, True)
         for n in (1, 3, 10):
             assert capacity(s, [s] * n, UNION) == pytest.approx(PEAK, abs=1e-15)
 
     def test_empty_sample(self):
-        s = ngram_set("x", 1, 1)
+        s = ngram_set("x", 1, 1, True)
         with pytest.raises(EmptySample):
             capacity(s, [], UNION)
 
@@ -195,22 +194,22 @@ class TestCapacity:
 
 class TestEntropy:
     def test_two_identical_normalized(self):
-        a = ngram_set("abc", 1, 3)
-        a_prime = ngram_set("abc", 1, 3)
+        a = ngram_set("abc", 1, 3, True)
+        a_prime = ngram_set("abc", 1, 3, True)
         assert entropy([a, a_prime], UNION) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_singleton_raw(self):
-        s = ngram_set("abc", 1, 3)
+        s = ngram_set("abc", 1, 3, True)
         expected = -PEAK * math.log(PEAK)
         assert entropy([s], RAW) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(0.201740, abs=1e-5)
 
     def test_singleton_normalized_is_zero(self):
-        s = ngram_set("abc", 1, 3)
+        s = ngram_set("abc", 1, 3, True)
         assert entropy([s], UNION) == pytest.approx(0.0, abs=1e-15)
 
     def test_n_copies_normalized_is_log_n(self):
-        s = ngram_set("xyz", 1, 3)
+        s = ngram_set("xyz", 1, 3, True)
         for n in (2, 5, 9):
             assert entropy([s] * n, UNION) == pytest.approx(math.log(n), abs=1e-12)
 
@@ -228,23 +227,23 @@ class TestEntropy:
 
 class TestJointEntropy:
     def test_identical_pair_normalized(self):
-        s = ngram_set("word", 1, 3)
+        s = ngram_set("word", 1, 3, True)
         assert joint_entropy([(s, s)], UNION) == pytest.approx(0.0, abs=1e-15)
 
     def test_definitional_equality(self, rng):
         pairs = [(random_lingset(rng), random_lingset(rng)) for _ in range(8)]
-        joined = [join(a, b, "union") for a, b in pairs]
+        joined = [join(a, b, "union", 1, 3, True) for a, b in pairs]
         assert joint_entropy(pairs, UNION) == entropy(joined, UNION)
 
     def test_concat_joint_sets_superset_of_union(self, rng):
         for _ in range(25):
             a, b = random_lingset(rng), random_lingset(rng)
-            assert join(a, b, "concat").grams >= join(a, b, "union").grams
+            assert join(a, b, "concat", 1, 3, True).grams >= join(a, b, "union", 1, 3, True).grams
 
 
 class TestConditionalEntropy:
     def test_self_conditioning_is_zero(self):
-        s = ngram_set("home", 1, 3)
+        s = ngram_set("home", 1, 3, True)
         pairs = [(s, s)] * 4
         assert conditional_entropy(pairs, UNION) == pytest.approx(0.0, abs=1e-12)
 
@@ -259,8 +258,8 @@ class TestConditionalEntropy:
     def test_raw_mode_can_go_negative(self):
         # Identical conditions concentrate raw mass; far-apart targets spread
         # the joint mass, and raw "entropy" grows with concentration.
-        cond = ngram_set("aaaa", 1, 3)
-        targets = [ngram_set(t, 1, 3) for t in ("bcdefghi", "jklmnopq", "rstuvwxy")]
+        cond = ngram_set("aaaa", 1, 3, True)
+        targets = [ngram_set(t, 1, 3, True) for t in ("bcdefghi", "jklmnopq", "rstuvwxy")]
         pairs = [(cond, t) for t in targets]
         assert conditional_entropy(pairs, RAW) < 0.0
 
@@ -301,7 +300,7 @@ class TestMutualInformation:
 
 class TestTripletLikelihood:
     def test_identical_triplets_reach_peak(self):
-        t = make_triplet("the cat", "sat", "on the mat")
+        t = triplet("the cat", "sat", "on the mat")
         for cfg in (UNION, CONCAT, RAW):
             assert triplet_likelihood(t, [t] * 5, cfg) == pytest.approx(PEAK, abs=1e-13)
 
@@ -309,32 +308,19 @@ class TestTripletLikelihood:
         for cfg in (UNION, CONCAT):
             for _ in range(10):
                 n = int(rng.integers(2, 9))
-                triplets = [
-                    make_triplet(
-                        random_lingset(rng, 15).source,
-                        random_lingset(rng, 8).source,
-                        random_lingset(rng, 15).source,
-                    )
-                    for _ in range(n)
-                ]
-                target = triplets[int(rng.integers(n))]
-                factored = triplet_likelihood(target, triplets, cfg)
-                joined = [
-                    join(join(t.x, t.y, cfg.joint_mode), t.z, cfg.joint_mode)
-                    for t in triplets
-                ]
-                direct = capacity(
-                    join(join(target.x, target.y, cfg.joint_mode), target.z, cfg.joint_mode),
-                    joined,
-                    cfg,
-                )
+                triplets = random_triplets(rng, n)
+                i = int(rng.integers(n))
+                factored = triplet_likelihood(triplets[i], triplets, cfg)
+                xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
+                xyz = joined(joined(xs, ys, cfg), zs, cfg)
+                direct = capacity(xyz[i], xyz, cfg)
                 assert factored == pytest.approx(direct, rel=1e-12)
 
     def test_degenerate_denominator_reported(self):
         # A target far from the whole sample underflows P(X) once the
         # bandwidth is small enough; the error must surface, not hide.
-        sample = [make_triplet("aaaa aaaa", "aaa", "aaaa aaaa")] * 3
-        target = make_triplet(
+        sample = [triplet("aaaa aaaa", "aaa", "aaaa aaaa")] * 3
+        target = triplet(
             "bcdefghijklmnopqrstuvwxyz bcdefghijklm", "bcd", "bcdefghijklmnop"
         )
         tiny = EstimatorConfig(bandwidth=0.25)
@@ -342,7 +328,7 @@ class TestTripletLikelihood:
             triplet_likelihood(target, sample, tiny)
 
     def test_empty_sample(self):
-        t = make_triplet("a", "b", "c")
+        t = triplet("a", "b", "c")
         with pytest.raises(EmptySample):
             triplet_likelihood(t, [], UNION)
 
@@ -402,7 +388,7 @@ class TestComputeMiRecord:
         alphabet_x = "abcdef"
         alphabet_y = "ghijkl"
         triplets = [
-            make_triplet(
+            triplet(
                 "".join(rng.choice(list(alphabet_x), size=8)),
                 "".join(rng.choice(list(alphabet_y), size=8)),
                 "zzzz",
@@ -431,7 +417,7 @@ segments = st.text(alphabet="ab c", min_size=1, max_size=6).map(lambda s: s.stri
 
 
 class TestStepCapacities:
-    """The one-pass step vectors against per-family ``join`` + ``_distance_matrix``."""
+    """The one-pass step vectors against per-family ``join`` + ``_capacity_vector``."""
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -447,7 +433,7 @@ class TestStepCapacities:
         cfg = EstimatorConfig(
             joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
         )
-        triplets = [make_triplet(*t, gram_set=cfg.gram_set) for t in texts]
+        triplets = [triplet(*t, cfg) for t in texts]
         triplets += triplets[:2]  # repeated members
         xs = [t.x for t in triplets]
         ys = [t.y for t in triplets]
@@ -492,7 +478,8 @@ def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
     pool = AgentSpec(kind="gold_file", name="structured", pool=tuple(gold))
     return {
         label: build_step_samples(
-            source, corpus, k_max=1, per_step=30, rng=np.random.default_rng(9)
+            source, corpus, k_max=1, per_step=30, rng=np.random.default_rng(9),
+            context_length=10, gram_set=UNION.gram_set,
         )[0].triplets
         for label, source, corpus in [("random", "random", docs), ("pool", pool, None)]
     }
@@ -501,11 +488,7 @@ def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
 class TestJointMassMonitor:
     def test_counts_and_bounds(self, rng):
         triplets = [
-            make_triplet(
-                random_lingset(rng, 12).source,
-                random_lingset(rng, 6).source,
-                random_lingset(rng, 12).source,
-            )
+            Triplet(random_lingset(rng, 12), random_lingset(rng, 6), random_lingset(rng, 12))
             for _ in range(10)
         ]
         for cfg in (UNION, CONCAT):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,25 @@ from setinfo import (
 )
 from setinfo.agents import build_step_samples
 from setinfo.trajectory import CONFIG_SCHEMA
+
+
+def rebuilt_samples(cfg: RunConfig, gram_set) -> dict:
+    """Each agent's step samples of a synthetic run, rebuilt from its master seed.
+
+    Like ``run_simulation``, a gold_file agent without a path replays the
+    synthetic gold triples.
+    """
+    corpus_rng, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
+    docs, gold = synth_corpus(
+        cfg.synthetic_sentences, corpus_rng, sentences_per_doc=cfg.synthetic_sentences_per_doc
+    )
+    return {
+        spec.name: build_step_samples(
+            replace(spec, pool=tuple(gold)) if spec.kind == "gold_file" else spec,
+            docs, cfg.k_max, cfg.per_step, agent_rng, cfg.context_length, gram_set,
+        )
+        for spec, agent_rng in zip(cfg.agents, agent_rngs)
+    }
 
 
 def small_config(**overrides) -> RunConfig:
@@ -228,9 +250,14 @@ class TestRunSimulation:
         )
         cfg = small_config(k_max=2, window=2)
         run_simulation(cfg)
-        # One set per distinct phrase of the built-in grammar (24 subjects,
-        # 12 verbs, 24 objects), then x, y and z of every random-agent action.
-        assert len(texts) == 60 + 3 * cfg.k_max * cfg.per_step
+        # One set per distinct segment text of each agent's samples; the
+        # synthetic corpus and its gold triples build none.
+        distinct = [
+            {s.source for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)}
+            for samples in rebuilt_samples(cfg, lambda text: gram_set(cfg.estimator, text)).values()
+        ]
+        assert len(texts) == sum(map(len, distinct))
+        assert Counter(texts) == Counter(text for agent_texts in distinct for text in agent_texts)
 
     def test_window_clamped_for_single_step(self):
         with pytest.warns(UserWarning):
@@ -242,19 +269,11 @@ class TestRunSimulation:
         # the estimator on one step reproduces the stored record exactly.
         cfg = small_config()
         results = run_simulation(cfg)
-        master = np.random.default_rng(cfg.seed)
-        corpus_rng, random_rng, gold_rng = master.spawn(3)
-        docs, gold = synth_corpus(
-            cfg.synthetic_sentences, corpus_rng,
-            sentences_per_doc=cfg.synthetic_sentences_per_doc,
-        )
-        samples = build_step_samples(
-            "random", docs, k_max=cfg.k_max, per_step=cfg.per_step,
-            rng=random_rng, context_length=cfg.context_length,
-        )
-        for sample, stored in zip(samples, results["random"].records):
-            rec = compute_mi_record(sample.k, sample.triplets, cfg.estimator)
-            assert rec == stored
+        samples = rebuilt_samples(cfg, cfg.estimator.gram_set)
+        for name in ("random", "structured"):
+            for sample, stored in zip(samples[name], results[name].records, strict=True):
+                rec = compute_mi_record(sample.k, sample.triplets, cfg.estimator)
+                assert rec == stored
 
 
 class TestCsv:
