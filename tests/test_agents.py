@@ -25,6 +25,7 @@ from setinfo import (
     synth_corpus,
 )
 from setinfo import agents, ngrams
+from setinfo.ngrams import ngram_set
 
 
 GRAM_SET = EstimatorConfig().gram_set
@@ -50,6 +51,17 @@ class TestRandomSplitAgent:
             x, y, z = random_split_agent(ctx, rng)
             assert x and y and z
             assert f"{x} {y} {z}" == ctx.text
+
+    def test_gram_sets_match_surfaces(self):
+        # The agent's cuts reach the step samples as the gram sets of exactly
+        # those surfaces, each a split of one context of the corpus.
+        docs = DocumentCollection([Document(id="d", text=" ".join(f"t{i}" for i in range(6)))])
+        samples = build_step_samples("random", docs, 2, 10, np.random.default_rng(1), 6, GRAM_SET)
+        for t in (t for s in samples for t in s.triplets):
+            assert f"{t.x.source} {t.y.source} {t.z.source}" == docs.documents[0].text
+            assert t.x.grams == ngram_set(t.x.source, 1, 3, True).grams
+            assert t.y.grams == ngram_set(t.y.source, 1, 3, True).grams
+            assert t.z.grams == ngram_set(t.z.source, 1, 3, True).grams
 
     def test_determinism(self):
         ctx = context(*[f"t{i}" for i in range(10)])
@@ -148,6 +160,20 @@ class TestSynthCorpus:
         joined_docs = " ".join(sentences)
         reconstructed = " ".join(" ".join(t) for t in gold)
         assert reconstructed == joined_docs
+
+    def test_gold_shares_one_gram_set_per_phrase(self):
+        # Gold phrases repeat across sentences; the step samples drawn from the
+        # gold pool hold one gram set per phrase, built with the given settings.
+        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
+        _, gold = synth_corpus(200, np.random.default_rng(8))
+        spec = AgentSpec(kind="gold_file", pool=tuple(gold))
+        samples = build_step_samples(spec, None, 2, 200, np.random.default_rng(8), 10, gram_set)
+        by_text = {}
+        for t in (t for s in samples for t in s.triplets):
+            for s in (t.x, t.y, t.z):
+                assert by_text.setdefault(s.source, s) is s
+                assert s == ngram_set(s.source, 1, 4, False)
+        assert len(by_text) < 3 * 2 * 200
 
     def test_sentences_per_doc_default_matches_run_config(self):
         default = inspect.signature(synth_corpus).parameters["sentences_per_doc"].default
