@@ -55,7 +55,7 @@ from .density import (
     triplet_likelihood,
 )
 from .ngrams import EmptyText, LingSet, hamming, join, ngram_set
-from .reward import RewardSignal, UnknownScheme, demarcken_check, reward
+from .reward import UnknownScheme, demarcken_check, reward
 from .svgplot import EmptySelection, write_svg
 from .trajectory import (
     CSV_HEADER,

@@ -175,7 +175,7 @@ def reward_consistency(rng: np.random.Generator, n: int) -> list[Check]:
             i_xy_z=0.0, i_xz_y=0.0, h_x=0.0, h_y=0.0, h_z=0.0, sample_size=1,
         )
         satisfied, _ = demarcken_check(rec)
-        violations += (reward(rec, "margin").value > 0) != satisfied
+        violations += (reward(rec, "margin") > 0) != satisfied
     return [Check("reward/ordering consistency", "margin > 0 iff ordering holds", n, violations)]
 
 

@@ -14,13 +14,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 from statistics import fmean
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import agents as agents_mod
-from .config import as_int
+from .config import ConfigInvalid, as_int
 from .corpus import load_documents, write_manifest
+from .reward import reward
 from .svgplot import write_svg
 from .trajectory import (
     MI_SERIES,
@@ -103,6 +103,9 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
     if args.sentences < 1:
         print(f"gen-synthetic: --sentences must be >= 1, got {args.sentences}", file=sys.stderr)
         return 1
+    if args.seed < 0:
+        print(f"gen-synthetic: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return 1
     if not 0.0 <= args.p_pref <= 1.0:
         print(f"gen-synthetic: --p-pref must be in [0, 1], got {args.p_pref}", file=sys.stderr)
         return 1
@@ -129,30 +132,31 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config)
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if seed is None and SEED_ENV_VAR in os.environ:
-        seed = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR)
+        seed, source = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR), SEED_ENV_VAR
     if seed is not None:
+        if seed < 0:
+            raise ConfigInvalid(f"{source} must be >= 0, got {seed}")
         cfg = replace(cfg, seed=seed)
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
     results = run_simulation(cfg)
     paths = write_all_csv(results, out_dir)
     for (name, result), path in zip(results.items(), paths):
-        meta = result.metadata
-        ok = sum(1 for r in result.rewards["margin"] if r.satisfied)
+        records = result.records
+        ok = sum(1 for rec in records if reward(rec, "margin") > 0)
         rolling = result.rolling
         dominant = sum(
             1 for a, b, c in zip(rolling["i_xy"], rolling["i_yz"], rolling["i_xz"]) if a > b and a > c
         )
         print(
-            f"simulate: {name} ({result.label}) -> {path} | "
-            f"steps={len(result.records)} ordering_ok={ok}/{len(result.records)} | "
-            f"mean i_xy={fmean(r.i_xy for r in result.records):.4f} "
+            f"simulate: {name} ({result.spec.kind}) -> {path} | "
+            f"steps={len(records)} ordering_ok={ok}/{len(records)} | "
+            f"mean i_xy={fmean(r.i_xy for r in records):.4f} "
             f"rolling i_xy dominant={dominant}/{len(rolling['i_xy'])} | "
-            f"joint mass monitor: fraction="
-            f"{meta['joint_mass_violation_fraction']:.6g} "
-            f"({meta['joint_mass_violations']}/{meta['joint_mass_comparisons']} pairs) | "
-            f"{meta['wall_time_s']:.1f}s"
+            f"joint mass monitor: fraction={result.violation_fraction:.6g} "
+            f"({result.violations}/{result.comparisons} pairs) | "
+            f"{result.wall_time_s:.1f}s"
         )
     return 0
 
@@ -163,16 +167,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if not files:
         print(f"plot: no CSV files under {src}", file=sys.stderr)
         return 1
-    bundles = []
+    bundles: dict[str, dict[str, list[float]]] = {}
     for file in files:
         meta, columns = read_csv(file)
         agent = meta.get("agent", file.stem)
-        rolling = {
+        if agent in bundles:
+            raise ValueError(f"{file}: agent {agent!r} is already plotted from another CSV")
+        bundles[agent] = {
             name: rolling_mean(columns[name], args.window)
             for name in MI_SERIES
             if name in columns
         }
-        bundles.append(SimpleNamespace(agent=agent, rolling=rolling))
     write_svg(bundles, args.series, args.out_path, title=args.title)
     print(f"plot: wrote {args.out_path} ({len(bundles)} agents)")
     return 0

@@ -9,8 +9,6 @@ actually exhibit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .density import MiRecord
 
 
@@ -21,37 +19,20 @@ class UnknownScheme(ValueError):
 SCHEMES = ("margin", "xy_dominance")
 
 
-@dataclass(frozen=True)
-class RewardSignal:
-    k: int
-    scheme: str
-    value: float
-    satisfied: bool
-    components: tuple[float, float, float]  # (i_xy, i_yz, i_xz)
-
-
 def demarcken_check(rec: MiRecord) -> tuple[bool, tuple[float, float]]:
     """Whether i_xy > i_yz > i_xz holds strictly, plus the two margins."""
     margins = (rec.i_xy - rec.i_yz, rec.i_yz - rec.i_xz)
     return margins[0] > 0.0 and margins[1] > 0.0, margins
 
 
-def reward(rec: MiRecord, scheme: str = "margin") -> RewardSignal:
-    """Score one MI record under the named scheme.
+def reward(rec: MiRecord, scheme: str = "margin") -> float:
+    """Score one MI record under the named scheme; a positive score means satisfied.
 
     Both schemes depend on MI differences only, so they are invariant under
     shifting all three components by a common constant.
     """
     if scheme == "margin":
-        value = min(rec.i_xy - rec.i_yz, rec.i_yz - rec.i_xz)
-    elif scheme == "xy_dominance":
-        value = rec.i_xy - max(rec.i_yz, rec.i_xz)
-    else:
-        raise UnknownScheme(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    return RewardSignal(
-        k=rec.k,
-        scheme=scheme,
-        value=value,
-        satisfied=value > 0.0,
-        components=(rec.i_xy, rec.i_yz, rec.i_xz),
-    )
+        return min(rec.i_xy - rec.i_yz, rec.i_yz - rec.i_xz)
+    if scheme == "xy_dominance":
+        return rec.i_xy - max(rec.i_yz, rec.i_xz)
+    raise UnknownScheme(f"scheme must be one of {SCHEMES}, got {scheme!r}")

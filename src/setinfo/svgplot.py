@@ -8,16 +8,11 @@ Single-point series degenerate to a marker so they stay visible.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Mapping, Sequence
 
 
 class EmptySelection(ValueError):
     """The series selection resolved to nothing."""
-
-
-class SeriesProvider(Protocol):
-    agent: str
-    rolling: dict[str, list[float]]
 
 
 _PALETTE = (
@@ -43,14 +38,17 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def write_svg(
-    results: Sequence[SeriesProvider],
+    results: Mapping[str, Mapping[str, Sequence[float]]],
     series: Sequence[str] | str,
     path: str | Path,
     width: int = 900,
     height: int = 480,
     title: str = "",
 ) -> None:
-    """Render the selected rolling-mean series of every result into one SVG."""
+    """Render the selected series of every agent into one SVG.
+
+    ``results`` maps each agent to its rolling-mean series by name.
+    """
     if not results:
         raise ValueError("write_svg needs at least one result")
     if isinstance(series, str):
@@ -61,14 +59,13 @@ def write_svg(
         raise EmptySelection("no series selected")
 
     curves: list[tuple[str, list[float]]] = []
-    for result in results:
+    for agent, rolling in results.items():
         for name in names:
-            if name not in result.rolling:
-                known = sorted(result.rolling)
-                raise ValueError(f"unknown series {name!r}; known: {known}")
-            values = list(result.rolling[name])
+            if name not in rolling:
+                raise ValueError(f"unknown series {name!r}; known: {sorted(rolling)}")
+            values = list(rolling[name])
             if values:
-                curves.append((f"{result.agent}: {name}", values))
+                curves.append((f"{agent}: {name}", values))
     if not curves:
         raise EmptySelection("selected series contain no points")
 

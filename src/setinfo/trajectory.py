@@ -41,7 +41,7 @@ from .config import (
 )
 from .corpus import load_documents
 from .density import EstimatorConfig, MiRecord, compute_mi_record, joint_mass_monitor
-from .reward import RewardSignal, demarcken_check, reward
+from .reward import demarcken_check, reward
 
 MI_SERIES = ("i_xy", "i_yz", "i_xz", "i_xy_z", "i_xz_y")
 
@@ -86,6 +86,8 @@ class RunConfig:
             raise ConfigInvalid(f"context.per_step must be >= 1, got {self.per_step}")
         if self.window < 1:
             raise ConfigInvalid(f"run.window must be >= 1, got {self.window}")
+        if self.seed < 0:
+            raise ConfigInvalid(f"run.seed must be >= 0, got {self.seed}")
         if self.workers < 1:
             raise ConfigInvalid(f"run.workers must be >= 1, got {self.workers}")
         if self.context_length < 3:
@@ -105,6 +107,19 @@ class RunConfig:
         names = [spec.name for spec in self.agents]
         if len(set(names)) != len(names):
             raise ConfigInvalid(f"agents: names must be unique, got {names}")
+        for spec in self.agents:
+            key = f"agent.{spec.name}"
+            if spec.path is not None and spec.kind != "gold_file":
+                raise ConfigInvalid(f"{key}.path is read only by a gold_file agent, not {spec.kind}")
+            if spec.lexicon_path is not None and spec.kind != "extractor":
+                raise ConfigInvalid(f"{key}.lexicon is read only by an extractor agent, not {spec.kind}")
+            # Synthetic documents have no sentence punctuation, so an extractor
+            # would take a whole document for one sentence.
+            if spec.kind == "extractor" and self.corpus_path == "synthetic":
+                raise ConfigInvalid(
+                    f"{key}.kind: an extractor agent needs a corpus with sentence punctuation, "
+                    "not corpus.path = synthetic"
+                )
 
     def to_flat_dict(self) -> dict[str, str]:
         """Every key that can change a result, as ``from_dict`` reads it back.
@@ -236,16 +251,32 @@ CONFIG_SCHEMA = (
 AGENT_KEYS = (("kind", "kind"), ("path", "path"), ("lexicon", "lexicon_path"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectoryResult:
-    """Ordered per-step records plus rewards, rolling means, and run metadata."""
+    """What one agent's run measured: its per-step records and monitor counts.
 
-    agent: str
-    label: str
-    records: list[MiRecord]
-    rewards: dict[str, list[RewardSignal]]
-    rolling: dict[str, list[float]]
-    metadata: dict[str, object]
+    ``spec`` is the agent as configured.  Rewards, rolling means and the CSV
+    metadata are derived from these fields where they are read.
+    """
+
+    cfg: RunConfig
+    spec: AgentSpec
+    records: tuple[MiRecord, ...]
+    violations: int
+    comparisons: int
+    wall_time_s: float
+
+    @property
+    def violation_fraction(self) -> float:
+        return self.violations / self.comparisons if self.comparisons else 0.0
+
+    @property
+    def rolling(self) -> dict[str, list[float]]:
+        """Each of the ``MI_SERIES`` averaged over ``cfg.window`` steps."""
+        return {
+            name: rolling_mean([getattr(rec, name) for rec in self.records], self.cfg.window)
+            for name in MI_SERIES
+        }
 
 
 def rolling_mean(series: Sequence[float], window: int) -> list[float]:
@@ -304,10 +335,6 @@ def resolve_grammar(path: str | Path | None, p_pref: float) -> SynthGrammar:
     return grammar_from_file(path) if path else default_grammar(p_pref=p_pref)
 
 
-def _step_series(records: Sequence[MiRecord], name: str) -> list[float]:
-    return [getattr(rec, name) for rec in records]
-
-
 def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, int, int]:
     rec = compute_mi_record(sample.k, sample.triplets, est)
     violations, comparisons = joint_mass_monitor(sample.triplets, est)
@@ -342,10 +369,11 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     results: dict[str, TrajectoryResult] = {}
     for spec, agent_rng in zip(cfg.agents, agent_rngs):
         started = time.perf_counter()
+        source = spec
         if spec.kind == "gold_file" and spec.path is None and gold_pool is not None:
-            spec = replace(spec, pool=tuple(gold_pool))
+            source = replace(spec, pool=tuple(gold_pool))
         samples = build_step_samples(
-            spec,
+            source,
             docs,
             k_max=cfg.k_max,
             per_step=cfg.per_step,
@@ -358,82 +386,42 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
                 stepped = list(pool.map(lambda s: _compute_step(s, est), samples))
         else:
             stepped = [_compute_step(s, est) for s in samples]
-        records = [rec for rec, _, _ in stepped]
-        violations = sum(v for _, v, _ in stepped)
-        comparisons = sum(c for _, _, c in stepped)
-
-        window = cfg.window
-        if window > cfg.k_max:
-            warnings.warn(
-                f"window {window} exceeds k_max {cfg.k_max}; clamping", stacklevel=2
-            )
-            window = cfg.k_max
-        rolling = {
-            name: rolling_mean(_step_series(records, name), window) for name in MI_SERIES
-        }
-        rewards = {
-            scheme: [reward(rec, scheme) for rec in records]
-            for scheme in ("margin", "xy_dominance")
-        }
         results[spec.name] = TrajectoryResult(
-            agent=spec.name,
-            label=spec.kind,
-            records=records,
-            rewards=rewards,
-            rolling=rolling,
-            metadata={
-                "agent": spec.name,
-                "label": spec.kind,
-                "seed": cfg.seed,
-                "config_hash": cfg.config_hash(),
-                "k_max": cfg.k_max,
-                "per_step": cfg.per_step,
-                "bandwidth": est.bandwidth,
-                "entropy_mode": est.entropy_mode,
-                "joint_mode": est.joint_mode,
-                "window": window,
-                "joint_mass_violations": violations,
-                "joint_mass_comparisons": comparisons,
-                "joint_mass_violation_fraction": (
-                    violations / comparisons if comparisons else 0.0
-                ),
-                "wall_time_s": time.perf_counter() - started,
-            },
+            cfg=cfg,
+            spec=spec,
+            records=tuple(rec for rec, _, _ in stepped),
+            violations=sum(v for _, v, _ in stepped),
+            comparisons=sum(c for _, _, c in stepped),
+            wall_time_s=time.perf_counter() - started,
         )
     return results
 
 
-# Metadata keys written as leading comments; wall time is deliberately
-# excluded so identical (config, seed) runs stay byte-identical.
-_CSV_META_KEYS = (
-    "seed",
-    "agent",
-    "label",
-    "config_hash",
-    "k_max",
-    "per_step",
-    "bandwidth",
-    "entropy_mode",
-    "joint_mode",
-    "window",
-    "joint_mass_violation_fraction",
-)
-
-
 def write_csv(result: TrajectoryResult, path: str | Path) -> None:
-    """One data row per step, with run metadata as leading '#' comments."""
+    """One data row per step, with run metadata as leading '#' comments.
+
+    Wall time is left out of the metadata so that identical (config, seed)
+    runs stay byte-identical; ``window`` is the one ``rolling_mean`` uses.
+    """
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for key in _CSV_META_KEYS:
-        value = result.metadata.get(key)
-        if isinstance(value, float):
-            value = _fmt(value)
-        lines.append(f"# {key} = {value}")
+    cfg, est = result.cfg, result.cfg.estimator
+    meta = (
+        ("seed", cfg.seed),
+        ("agent", result.spec.name),
+        ("label", result.spec.kind),
+        ("config_hash", cfg.config_hash()),
+        ("k_max", cfg.k_max),
+        ("per_step", cfg.per_step),
+        ("bandwidth", _fmt(est.bandwidth)),
+        ("entropy_mode", est.entropy_mode),
+        ("joint_mode", est.joint_mode),
+        ("window", min(cfg.window, cfg.k_max)),
+        ("joint_mass_violation_fraction", _fmt(result.violation_fraction)),
+    )
+    lines = [f"# {key} = {value}" for key, value in meta]
     lines.append(CSV_HEADER)
-    for rec, r_margin, r_xy in zip(
-        result.records, result.rewards["margin"], result.rewards["xy_dominance"]
-    ):
+    for rec in result.records:
         ok, _ = demarcken_check(rec)
         lines.append(
             ",".join(
@@ -447,8 +435,8 @@ def write_csv(result: TrajectoryResult, path: str | Path) -> None:
                     _fmt(rec.h_x),
                     _fmt(rec.h_y),
                     _fmt(rec.h_z),
-                    _fmt(r_margin.value),
-                    _fmt(r_xy.value),
+                    _fmt(reward(rec, "margin")),
+                    _fmt(reward(rec, "xy_dominance")),
                     str(int(ok)),
                 ]
             )

@@ -156,11 +156,9 @@ def test_criterion_7_joint_mass_monitor(tmp_path):
     results = run_simulation(full_scale_config("concat"))
     fractions = {}
     for name, result in results.items():
-        meta = result.metadata
-        assert "joint_mass_violation_fraction" in meta
-        fraction = meta["joint_mass_violation_fraction"]
+        fraction = result.violation_fraction
         assert 0.0 <= fraction <= 1.0
-        assert meta["joint_mass_comparisons"] == 120 * 100 * 3 * 2
+        assert result.comparisons == 120 * 100 * 3 * 2
         fractions[name] = fraction
     paths = write_all_csv(results, tmp_path)
     for path in paths:

@@ -90,6 +90,12 @@ class TestGenSynthetic:
         assert not out.exists()
         assert cli(argv) == 0
 
+    def test_negative_seed_fails_validation(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert cli(["gen-synthetic", "--out", str(out), "--seed", "-1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_identical_bytes_for_same_seed(self, tmp_path):
         for tag in ("a", "b"):
             cli(["gen-synthetic", "--out", str(tmp_path / tag), "--sentences", "500", "--seed", "42"])
@@ -157,8 +163,39 @@ class TestSimulate:
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "SETINFO_SEED" in capsys.readouterr().err
 
+    def test_negative_seed_flag_fails_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        assert cli(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_env_seed_fails_validation(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        monkeypatch.setenv("SETINFO_SEED", "-1")
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert "SETINFO_SEED must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_fails_validation(self, tmp_path):
         assert cli(["simulate", "--config", str(tmp_path / "none.cfg")]) == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "run.seed = -1",
+            "agent.random.path = nothing.jsonl",
+            "agent.random.lexicon = verbs.txt",
+            "agent.structured.kind = extractor",
+        ],
+    )
+    def test_key_rejected_naming_it(self, tmp_path, capsys, extra):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, extra=extra)
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"setinfo simulate: {extra.split(' =')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", ["run.kmax = 5", "agent.ghost.kind = random"])
     def test_unknown_key_fails_validation(self, tmp_path, capsys, extra):
@@ -299,6 +336,16 @@ class TestPlot:
             cli(["plot", "--in", str(out), "--series", "", "--out", str(tmp_path / "x.svg")])
             == 1
         )
+
+    def test_agent_in_two_csvs_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        out = tmp_path / "out"
+        cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        (out / "random_copy.csv").write_bytes((out / "random.csv").read_bytes())
+        assert cli(["plot", "--in", str(out), "--out", str(tmp_path / "x.svg"), "--window", "2"]) == 1
+        assert "agent 'random'" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_no_csvs_fails(self, tmp_path):
         empty = tmp_path / "none"

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from setinfo import ConfigInvalid, RunConfig, parse_config_text
+from setinfo import CSV_HEADER, ConfigInvalid, RunConfig, parse_config_text
 from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases
 from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
 
@@ -90,9 +90,8 @@ class TestShippedConfigs:
         [("newsgroups_similar.cfg", 4), ("newsgroups_unrelated.cfg", 7)],
     )
     def test_topic_presets_parse(self, name, n_groups):
-        cfg = RunConfig.from_dict(
-            {**_load(name), "corpus.path": "synthetic"}  # avoid touching disk paths
-        )
+        cfg = RunConfig.from_dict(_load(name))  # reads no file under corpus.path
+        assert cfg.corpus_path == "data/20news"
         assert cfg.groups is not None and len(cfg.groups) == n_groups
         assert cfg.strip_headers is True
         assert cfg.k_max == 120 and cfg.per_step == 100
@@ -142,3 +141,10 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
     schema = {key for key, *_ in CONFIG_SCHEMA}
     schema.update(f"agent.<name>.{suffix}" for suffix, _ in AGENT_KEYS)
     assert documented == schema
+
+
+def test_readme_csv_header_is_the_written_header():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Output formats", 1)[1].split("\n## ", 1)[0]
+    blocks = section.split("```")[1::2]
+    assert [block.strip() for block in blocks] == [CSV_HEADER]

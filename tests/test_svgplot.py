@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from setinfo import EmptySelection, run_simulation, write_svg
@@ -9,13 +7,13 @@ from setinfo import EmptySelection, run_simulation, write_svg
 from test_trajectory import small_config
 
 
-def bundle(agent: str, **series: list[float]) -> SimpleNamespace:
-    return SimpleNamespace(agent=agent, rolling=series)
+def bundle(agent: str, **series: list[float]) -> dict[str, dict[str, list[float]]]:
+    return {agent: series}
 
 
 class TestWriteSvg:
     def test_multi_agent_figure(self, tmp_path):
-        results = list(run_simulation(small_config()).values())
+        results = {name: r.rolling for name, r in run_simulation(small_config()).items()}
         path = tmp_path / "mi.svg"
         write_svg(results, "i_xy,i_yz,i_xz", path, title="pairwise MI")
         body = path.read_text()
@@ -28,24 +26,24 @@ class TestWriteSvg:
 
     def test_empty_selection_rejected(self, tmp_path):
         with pytest.raises(EmptySelection):
-            write_svg([bundle("a", i_xy=[1.0])], "", tmp_path / "x.svg")
+            write_svg(bundle("a", i_xy=[1.0]), "", tmp_path / "x.svg")
 
     def test_unknown_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_svg([bundle("a", i_xy=[1.0])], "i_zz", tmp_path / "x.svg")
+            write_svg(bundle("a", i_xy=[1.0]), "i_zz", tmp_path / "x.svg")
 
     def test_no_results_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            write_svg([], "i_xy", tmp_path / "x.svg")
+            write_svg({}, "i_xy", tmp_path / "x.svg")
 
     def test_single_point_series_renders_marker(self, tmp_path):
         path = tmp_path / "dot.svg"
-        write_svg([bundle("a", i_xy=[0.25])], "i_xy", path)
+        write_svg(bundle("a", i_xy=[0.25]), "i_xy", path)
         body = path.read_text()
         assert "<circle" in body
         assert "<polyline" not in body
 
     def test_flat_series_handled(self, tmp_path):
         path = tmp_path / "flat.svg"
-        write_svg([bundle("a", i_xy=[1.0, 1.0, 1.0])], "i_xy", path)
+        write_svg(bundle("a", i_xy=[1.0, 1.0, 1.0]), "i_xy", path)
         assert "<polyline" in path.read_text()

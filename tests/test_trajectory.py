@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from setinfo import (
     CSV_HEADER,
+    MI_SERIES,
     AgentSpec,
     ConfigInvalid,
     EstimatorConfig,
@@ -22,7 +23,8 @@ from setinfo import (
     write_csv,
 )
 from setinfo.agents import build_step_samples
-from setinfo.trajectory import CONFIG_SCHEMA
+from setinfo.reward import SCHEMES, reward
+from setinfo.trajectory import CONFIG_SCHEMA, _fmt
 
 
 def rebuilt_samples(cfg: RunConfig, gram_set) -> dict:
@@ -123,6 +125,7 @@ class TestRunConfig:
             {"synthetic_p_pref": 1.5},
             {"synthetic_p_pref": -0.1},
             {"synthetic_p_pref": float("nan")},
+            {"seed": -1},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -164,7 +167,8 @@ class TestRunConfig:
         assert RunConfig.from_dict(values) == RunConfig()
 
     def test_flat_dict_round_trip_with_lexicon(self):
-        cfg = small_config(
+        cfg = RunConfig(
+            corpus_path="corpus.jsonl",
             agents=(
                 AgentSpec(kind="random"),
                 AgentSpec(kind="extractor", name="miner", lexicon_path="verbs.txt"),
@@ -185,6 +189,29 @@ class TestRunConfig:
     def test_from_dict_rejects_naming_the_cause(self, values, named):
         with pytest.raises(ConfigInvalid, match=named):
             RunConfig.from_dict(values)
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            (AgentSpec(kind="random", path="nothing.jsonl"), "agent.random.path"),
+            (AgentSpec(kind="extractor", name="miner", path="gold.jsonl"), "agent.miner.path"),
+            (AgentSpec(kind="random", lexicon_path="verbs.txt"), "agent.random.lexicon"),
+            (AgentSpec(kind="gold_file", name="gold", lexicon_path="verbs.txt"), "agent.gold.lexicon"),
+        ],
+    )
+    def test_agent_key_its_kind_never_reads_rejected(self, spec, key):
+        with pytest.raises(ConfigInvalid) as info:
+            small_config(corpus_path="corpus.jsonl", agents=(spec,)).validate()
+        assert str(info.value).startswith(key)
+        flat = {"corpus.path": "corpus.jsonl", "agents": spec.name, f"agent.{spec.name}.kind": spec.kind}
+        flat[key] = "x"
+        with pytest.raises(ConfigInvalid, match=f"^{key}"):
+            RunConfig.from_dict(flat)
+
+    def test_extractor_on_synthetic_corpus_rejected(self):
+        with pytest.raises(ConfigInvalid, match=r"^agent\.miner\.kind"):
+            small_config(agents=(AgentSpec(kind="extractor", name="miner"),)).validate()
+        small_config(corpus_path="corpus.jsonl", agents=(AgentSpec(kind="extractor"),)).validate()
 
     def test_config_hash_stable_and_sensitive(self):
         a = small_config()
@@ -210,22 +237,32 @@ class TestRunSimulation:
             assert all(rec.sample_size == 20 for rec in result.records)
             assert [rec.k for rec in result.records] == [1, 2, 3, 4, 5, 6]
             assert len(result.rolling["i_xy"]) == 6 - 3 + 1
-        assert results["structured"].label == "gold_file"
+        assert results["structured"].spec.kind == "gold_file"
 
-    def test_rewards_cover_both_schemes(self):
+    def test_rewards_cover_both_schemes(self, tmp_path):
+        # Every row's reward columns are the reward of that step's record.
+        header = CSV_HEADER.split(",")
+        columns = [header.index(f"reward_{scheme}") for scheme in SCHEMES]
         results = run_simulation(small_config())
-        for result in results.values():
-            assert set(result.rewards) == {"margin", "xy_dominance"}
-            assert len(result.rewards["margin"]) == len(result.records)
+        for name, result in results.items():
+            write_csv(result, tmp_path / f"{name}.csv")
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()
+            rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+            assert len(rows) == len(result.records)
+            for row, rec in zip(rows, result.records):
+                assert [row[i] for i in columns] == [_fmt(reward(rec, s)) for s in SCHEMES]
 
     def test_metadata_fields(self):
-        results = run_simulation(small_config())
-        meta = results["structured"].metadata
-        assert meta["seed"] == 7
-        assert meta["k_max"] == 6
-        assert 0.0 <= meta["joint_mass_violation_fraction"] <= 1.0
-        assert meta["wall_time_s"] > 0
-        assert meta["config_hash"] == small_config().config_hash()
+        cfg = small_config()
+        results = run_simulation(cfg)
+        result = results["structured"]
+        assert result.cfg == cfg and result.cfg.seed == 7 and result.cfg.k_max == 6
+        assert result.spec == cfg.agents[1]
+        assert result.spec.pool is None  # the configured spec, not the gold pool it drew from
+        assert 0 <= result.violations <= result.comparisons
+        assert result.comparisons == 6 * 20 * 3 * 2
+        assert result.violation_fraction == result.violations / result.comparisons
+        assert result.wall_time_s > 0
 
     def test_deterministic_across_runs(self):
         a = run_simulation(small_config())
@@ -259,10 +296,14 @@ class TestRunSimulation:
         assert len(texts) == sum(map(len, distinct))
         assert Counter(texts) == Counter(text for agent_texts in distinct for text in agent_texts)
 
-    def test_window_clamped_for_single_step(self):
-        with pytest.warns(UserWarning):
-            results = run_simulation(small_config(k_max=1, window=50, per_step=5))
-        assert len(results["random"].rolling["i_xy"]) == 1
+    def test_window_clamped_for_single_step(self, tmp_path):
+        results = run_simulation(small_config(k_max=1, window=50, per_step=5))
+        with pytest.warns(UserWarning, match="window 50 exceeds series length 1"):
+            rolling = results["random"].rolling
+        assert {name: len(values) for name, values in rolling.items()} == dict.fromkeys(MI_SERIES, 1)
+        write_csv(results["random"], tmp_path / "random.csv")
+        meta, _ = read_csv(tmp_path / "random.csv")
+        assert meta["window"] == "1"
 
     def test_records_recompute_from_step_samples(self):
         # No hidden state: rebuilding the same agent stream and re-running
