@@ -12,10 +12,12 @@ negative, which is reported, never clamped.
 
 A family's pairwise distances come from one indicator-matrix product: its n
 sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
-2 (M M^T)_AB, exact because every count is an integer below 2^53.  With
-n = ``per_step`` a family costs O(n*V + n^2) memory.  A step indexes its
-marginals once, into one vocabulary, and builds every joined family's rows
-from theirs (see ``_step_capacities``).  The scalar
+2 (M M^T)_AB, exact because every count is an integer below 2^53.  A step
+indexes its distinct marginals and, in concat mode, its distinct seam
+windows once, as boolean rows over one vocabulary, and builds every joined
+family's rows from theirs with OR (see ``_step_capacities``).  With
+n = ``per_step`` the rows cost O(n*V) bytes, and each family is taken to
+float64 only for its own product: O(n*V + n^2) float64 at a time.  The scalar
 ``kernel``/``hamming``/``capacity`` functions and ``join`` are the oracle it
 is tested against.
 
@@ -121,21 +123,28 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
 
 
 def _indicator_rows(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
-    """One 0/1 float64 row per gram set, over the grams in first-seen order."""
+    """One boolean row per gram set, over the grams in first-seen order.
+
+    Rows stay boolean (one byte per entry) so that a step can gather and
+    join them cheaply; ``_row_distances`` takes them to float64 for the
+    product.
+    """
     vocab: dict[str, int] = {}
     gram_sets = list(gram_sets)
     cols = [vocab.setdefault(gram, len(vocab)) for grams in gram_sets for gram in grams]
-    m = np.zeros((len(gram_sets), len(vocab)))
-    m[np.repeat(np.arange(len(gram_sets)), [len(g) for g in gram_sets]), cols] = 1.0
+    m = np.zeros((len(gram_sets), len(vocab)), dtype=bool)
+    m[np.repeat(np.arange(len(gram_sets)), [len(g) for g in gram_sets]), cols] = True
     return m
 
 
 def _row_distances(m: np.ndarray) -> np.ndarray:
     """Pairwise symmetric-difference counts of 0/1 rows, |A| + |B| - 2 |A & B|.
 
-    Every count is an integer below 2^53, so the float64 distances agree
-    with per-pair ``hamming`` calls to the last bit, whatever the columns.
+    The rows are taken to float64 for one BLAS product.  Every count is an
+    integer below 2^53, so the distances agree with per-pair ``hamming``
+    calls to the last bit, whatever the columns.
     """
+    m = m.astype(np.float64)
     sizes = m.sum(axis=1)
     return sizes[:, None] + sizes[None, :] - 2.0 * (m @ m.T)
 
@@ -249,23 +258,28 @@ def _step_capacities(
 ) -> tuple[np.ndarray, ...]:
     """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step.
 
-    The gram sets of the step's distinct marginals (and, in concat mode, its
-    seam grams) are indexed once into one step vocabulary; every family's
-    rows are then the elementwise maximum of its parts' rows.  A union join
-    is the maximum of its components.  A concat join adds the seam grams of
-    its sources, ``seam_grams(a.source, b.source)``; for xy+z and xz+y the
-    tail comes from the joined source.  That concat identity holds only when
-    every gram set was built by ``cfg.gram_set`` from its source, as
-    ``build_step_samples`` builds every set of a run; ``join`` makes no such
-    assumption and is the oracle.  Union mode has 7 distinct families
-    (xy+z = xz+y = xyz), concat mode 8.
+    The gram sets of the step's distinct marginals and, in concat mode, of
+    its distinct seam windows are indexed once into one table of boolean
+    rows over one step vocabulary; every family's rows are then the
+    elementwise OR of its parts' rows.  A union join is the OR of its
+    components.  A concat join adds the seam grams of its sources, the
+    grams of the window ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and
+    xz+y the tail is cut from ``x[-(n_max-1):] + " " + y`` (or ``z``), the
+    end of the joined source, without building the joined string.  Each
+    distinct window maps to its row through a table local to the call, so
+    ``seam_grams`` runs once per distinct window of the step.  That concat
+    identity holds only when every gram set was built by ``cfg.gram_set``
+    from its source, as ``build_step_samples`` builds every set of a run;
+    ``join`` makes no such assumption and is the oracle.  Union mode has 7
+    distinct families (xy+z = xz+y = xyz), concat mode 8.
 
     The distances equal those of ``_row_distances`` over ``join``-built
     families exactly, so the vectors are bit-identical to the per-family
-    path.  Memory is O(n * V_step + n^2), where V_step counts the step's
-    distinct grams, seam grams included.  The one-entry cache lets
-    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
-    for the same step; they are returned read-only.
+    path.  Memory is O(n * V_step) bytes of boolean rows, where V_step counts
+    the step's distinct grams, seam grams included, plus O(n * V_step + n^2)
+    float64 for the one family being multiplied.  The one-entry cache lets ``joint_mass_monitor`` reuse the
+    vectors ``compute_mi_record`` computed for the same step; they are
+    returned read-only.
     """
     rows: dict[frozenset[str], int] = {}
 
@@ -275,27 +289,43 @@ def _step_capacities(
     ix, iy, iz = (index(getattr(t, c).grams for t in triplets) for c in "xyz")
     seams: list[np.ndarray] = []
     if cfg.joint_mode == "concat" and cfg.include_space:
+        reach = cfg.n_max - 1
+        windows: dict[str, int] = {}
+
+        def tail(text: str) -> str:  # text[-0:] would be all of text
+            return text[max(len(text) - reach, 0) :]
+
+        def seam_rows(tails: Iterable[str], heads: Iterable[str]) -> np.ndarray:
+            ixs = []
+            for a, b in zip(tails, heads):
+                a, b = tail(a), b[:reach]
+                window = a + " " + b
+                row = windows.get(window)
+                if row is None:
+                    grams = seam_grams(a, b, cfg.n_min, cfg.n_max)
+                    row = windows[window] = rows.setdefault(grams, len(rows))
+                ixs.append(row)
+            return np.array(ixs)
+
         sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
-        for heads, tails in (
+        for tails, heads in (
             (sx, sy),
             (sy, sz),
             (sx, sz),
-            ([a + " " + b for a, b in zip(sx, sy)], sz),
-            ([a + " " + b for a, b in zip(sx, sz)], sy),
+            ((tail(a) + " " + b for a, b in zip(sx, sy)), sz),
+            ((tail(a) + " " + b for a, b in zip(sx, sz)), sy),
         ):
-            seams.append(
-                index(seam_grams(a, b, cfg.n_min, cfg.n_max) for a, b in zip(heads, tails))
-            )
+            seams.append(seam_rows(tails, heads))
     u = _indicator_rows(rows)
     x, y, z = u[ix], u[iy], u[iz]
-    xy, yz, xz = np.maximum(x, y), np.maximum(y, z), np.maximum(x, z)
+    xy, yz, xz = x | y, y | z, x | z
     if seams:
         s_xy, s_yz, s_xz, s_xy_z, s_xz_y = (u[i] for i in seams)
-        xy, yz, xz = np.maximum(xy, s_xy), np.maximum(yz, s_yz), np.maximum(xz, s_xz)
-        xy_z = np.maximum(np.maximum(xy, z), s_xy_z)
-        xz_y = np.maximum(np.maximum(xz, y), s_xz_y)
+        xy, yz, xz = xy | s_xy, yz | s_yz, xz | s_xz
+        xy_z = xy | z | s_xy_z
+        xz_y = xz | y | s_xz_y
     else:
-        xy_z = xz_y = np.maximum(xy, z)
+        xy_z = xz_y = xy | z
     caps = [_row_capacities(m, cfg.bandwidth) for m in (x, y, z, xy, yz, xz, xy_z)]
     caps.append(caps[-1] if xz_y is xy_z else _row_capacities(xz_y, cfg.bandwidth))
     for p in caps:

@@ -113,6 +113,17 @@ class RunConfig:
                 raise ConfigInvalid(f"{key}.path is read only by a gold_file agent, not {spec.kind}")
             if spec.lexicon_path is not None and spec.kind != "extractor":
                 raise ConfigInvalid(f"{key}.lexicon is read only by an extractor agent, not {spec.kind}")
+            # Only the synthetic corpus comes with a gold pool to draw from.
+            if (
+                spec.kind == "gold_file"
+                and spec.path is None
+                and spec.pool is None
+                and self.corpus_path != "synthetic"
+            ):
+                raise ConfigInvalid(
+                    f"{key}.path: a gold_file agent needs a triples file unless "
+                    "corpus.path = synthetic"
+                )
             # Synthetic documents have no sentence punctuation, so an extractor
             # would take a whole document for one sentence.
             if spec.kind == "extractor" and self.corpus_path == "synthetic":

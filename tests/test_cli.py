@@ -306,6 +306,16 @@ class TestSimulate:
         assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "structured.csv").exists()
 
+    def test_gold_file_agent_without_path_off_synthetic_corpus_fails(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        cli(["gen-synthetic", "--out", str(data), "--sentences", "300", "--seed", "3"])
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, corpus=str(data / "corpus.jsonl"))
+        out = tmp_path / "out"
+        assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "setinfo simulate: agent.structured.path" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlot:
     def test_renders_svg_from_csv_directory(self, tmp_path, capsys):

@@ -422,12 +422,13 @@ class TestStepCapacities:
     @settings(deadline=None, max_examples=60)
     @given(
         st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=8),
-        st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 3)]),
+        st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 3), (1, 2), (2, 2)]),
         st.sampled_from(["union", "concat"]),
         st.booleans(),
     )
     @example([("a", "b", "c")], (1, 1), "concat", True)
     @example([("ab", "a", "ab"), ("ab", "a", "ab")], (2, 4), "concat", True)
+    @example([("ab", "cd", "ef")], (1, 3), "concat", True)  # the xy+z window is the yz window
     def test_equals_join_built_families(self, texts, lengths, mode, include_space):
         n_min, n_max = lengths
         cfg = EstimatorConfig(
@@ -460,6 +461,44 @@ class TestStepCapacities:
         info = _step_capacities.cache_info()
         assert (info.misses, info.hits) == (1, 1)
         assert len(calls) == products  # one Gram product per distinct family
+
+    @staticmethod
+    def seam_calls(monkeypatch, triplets, cfg) -> list[str]:
+        """The window of every ``seam_grams`` call one concat step makes."""
+        reach = cfg.n_max - 1
+        calls = []
+        seam_grams = density.seam_grams
+        monkeypatch.setattr(
+            density,
+            "seam_grams",
+            lambda a, b, *n: calls.append(a[max(len(a) - reach, 0) :] + " " + b[:reach])
+            or seam_grams(a, b, *n),
+        )
+        _step_capacities.cache_clear()
+        _step_capacities(tuple(triplets), cfg)
+        return calls
+
+    def test_copies_of_one_triplet_extract_each_seam_window_once(self, monkeypatch):
+        triplets = [triplet("the cat", "sat on", "the mat", CONCAT)] * 12
+        assert len(self.seam_calls(monkeypatch, triplets, CONCAT)) <= 5
+
+    def test_seam_grams_run_once_per_distinct_window(self, rng, monkeypatch):
+        triplets = random_triplets(rng, 12)
+        triplets += triplets[:4]  # repeated members repeat their windows
+        reach = CONCAT.n_max - 1
+
+        def window(a: str, b: str) -> str:  # from the joined sources, as ``join`` sees them
+            return a[max(len(a) - reach, 0) :] + " " + b[:reach]
+
+        windows = set()
+        for t in triplets:
+            x, y, z = t.x.source, t.y.source, t.z.source
+            windows |= {
+                window(x, y), window(y, z), window(x, z),
+                window(x + " " + y, z), window(x + " " + z, y),
+            }
+        calls = self.seam_calls(monkeypatch, triplets, CONCAT)
+        assert sorted(calls) == sorted(windows)
 
     def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))

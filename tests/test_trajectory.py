@@ -213,6 +213,15 @@ class TestRunConfig:
             small_config(agents=(AgentSpec(kind="extractor", name="miner"),)).validate()
         small_config(corpus_path="corpus.jsonl", agents=(AgentSpec(kind="extractor"),)).validate()
 
+    def test_gold_file_without_path_off_synthetic_corpus_rejected(self):
+        # Only the synthetic corpus supplies a gold pool to draw from.
+        gold = AgentSpec(kind="gold_file", name="structured")
+        with pytest.raises(ConfigInvalid, match=r"^agent\.structured\.path"):
+            small_config(corpus_path="corpus.jsonl", agents=(gold,)).validate()
+        small_config(agents=(gold,)).validate()
+        small_config(corpus_path="corpus.jsonl", agents=(replace(gold, path="g.jsonl"),)).validate()
+        small_config(corpus_path="corpus.jsonl", agents=(replace(gold, pool=()),)).validate()
+
     def test_config_hash_stable_and_sensitive(self):
         a = small_config()
         b = small_config()
