@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .config import require_file
 from .corpus import (
     Context,
     Document,
@@ -90,7 +91,9 @@ class AgentSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in AGENT_KINDS:
-            raise ValueError(f"agent kind must be one of {AGENT_KINDS}, got {self.kind!r}")
+            raise ValueError(
+                f"agent.{self.name or self.kind}.kind must be one of {AGENT_KINDS}, got {self.kind!r}"
+            )
         if not self.name:
             object.__setattr__(self, "name", self.kind)
 
@@ -296,11 +299,15 @@ def _resolve_pool(spec: AgentSpec, corpus: DocumentCollection | None) -> list[Su
     if spec.kind == "gold_file":
         if spec.path is None:
             raise SourceExhausted(f"agent {spec.name!r} has neither a pool nor a path")
-        return load_triplets(spec.path)
+        return load_triplets(require_file(spec.path, f"agent.{spec.name}.path"))
     if spec.kind == "extractor":
         if corpus is None:
             raise SourceExhausted(f"agent {spec.name!r} needs a corpus to extract from")
-        lexicon = load_verb_lexicon(spec.lexicon_path)
+        lexicon = load_verb_lexicon(
+            None
+            if spec.lexicon_path is None
+            else require_file(spec.lexicon_path, f"agent.{spec.name}.lexicon")
+        )
         extracted = (heuristic_extract(sentence, lexicon) for sentence in iter_sentences(corpus))
         return [surfaces for surfaces in extracted if surfaces is not None]
     raise ValueError(f"agent kind {spec.kind!r} has no triple pool")

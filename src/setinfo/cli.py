@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ingest (corpus directory -> manifest), gen-synthetic (corpus +
-gold triples), simulate (full runs -> CSVs), plot (CSVs -> SVG), check
-(quick invariant report).  Exit codes: 0 success, 1 validation failure,
-2 runtime error, 64 usage.
+Subcommands: ingest (corpus directory -> manifest), gen-synthetic (the
+synthetic corpus + gold triples a run config draws), simulate (full runs ->
+CSVs), plot (CSVs -> SVG), check (quick invariant report).  gen-synthetic
+and simulate read the same run config and seed overrides.  Exit codes:
+0 success, 1 validation failure, 2 runtime error, 64 usage.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import replace
 from pathlib import Path
 from statistics import fmean
 
-import numpy as np
-
 from . import agents as agents_mod
 from .config import ConfigInvalid, as_int
 from .corpus import load_documents, write_manifest
@@ -26,21 +25,13 @@ from .trajectory import (
     MI_SERIES,
     RunConfig,
     read_csv,
-    resolve_grammar,
     rolling_mean,
     run_simulation,
+    synthetic_inputs,
     write_all_csv,
 )
 
 SEED_ENV_VAR = "SETINFO_SEED"
-
-
-class _StoreGiven(argparse.Action):
-    """Store the value and set ``<dest>_given``, so a given flag can be told from its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,23 +47,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--out", dest="out_path", required=True, help="manifest file to write")
     p_ingest.add_argument("--strip-headers", action="store_true", help="drop newsgroup-style headers")
 
-    p_gen = sub.add_parser("gen-synthetic", help="write a synthetic corpus plus its gold triples")
-    p_gen.add_argument("--out", dest="out_dir", required=True, help="output directory")
-    p_gen.add_argument("--sentences", type=int, default=RunConfig.synthetic_sentences)
-    p_gen.add_argument("--seed", type=int, default=42)
-    p_gen.add_argument(
-        "--p-pref",
-        type=float,
-        action=_StoreGiven,
-        default=agents_mod.SynthGrammar.p_pref,
-        help="preferred-object probability of the built-in pools (a --grammar file sets its own)",
-    )
-    p_gen.add_argument("--grammar", default=None, help="grammar config file (defaults to built-in pools)")
-    p_gen.set_defaults(p_pref_given=False)
-
+    p_gen = sub.add_parser("gen-synthetic", help="write the synthetic corpus and gold triples of a run")
     p_sim = sub.add_parser("simulate", help="run the configured agents and write one CSV per agent")
-    p_sim.add_argument("--config", required=True, help="run config file (flat key = value)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
+    for p_run in (p_gen, p_sim):
+        p_run.add_argument("--config", required=True, help="run config file (flat key = value)")
+        p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
+    p_gen.add_argument("--out", dest="out_dir", required=True, help="output directory")
     p_sim.add_argument("--out", dest="out_dir", default=None, help="override the output directory")
 
     p_plot = sub.add_parser("plot", help="render rolling-mean curves from trajectory CSVs")
@@ -99,30 +79,22 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The config at ``--config``, its seed overridden by SETINFO_SEED, then by ``--seed``."""
+    cfg = RunConfig.from_file(args.config)
+    seed, source = args.seed, "--seed"
+    if seed is None and SEED_ENV_VAR in os.environ:
+        seed, source = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR), SEED_ENV_VAR
+    if seed is None:
+        return cfg
+    if seed < 0:
+        raise ConfigInvalid(f"{source} must be >= 0, got {seed}")
+    return replace(cfg, seed=seed)
+
+
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
-    if args.sentences < 1:
-        print(f"gen-synthetic: --sentences must be >= 1, got {args.sentences}", file=sys.stderr)
-        return 1
-    if args.seed < 0:
-        print(f"gen-synthetic: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return 1
-    if not 0.0 <= args.p_pref <= 1.0:
-        print(f"gen-synthetic: --p-pref must be in [0, 1], got {args.p_pref}", file=sys.stderr)
-        return 1
-    if args.grammar and args.p_pref_given:
-        print(
-            "gen-synthetic: --p-pref applies only to the built-in pools; "
-            "with --grammar, set grammar.p_pref in the grammar file",
-            file=sys.stderr,
-        )
-        return 1
+    docs, gold = synthetic_inputs(_run_config(args))
     out = Path(args.out_dir)
-    docs, gold = agents_mod.synth_corpus(
-        args.sentences,
-        np.random.default_rng(args.seed),
-        resolve_grammar(args.grammar, args.p_pref),
-        sentences_per_doc=RunConfig.synthetic_sentences_per_doc,
-    )
     write_manifest(docs, out / "corpus.jsonl")
     agents_mod.write_triplets(gold, out / "gold.jsonl")
     print(f"gen-synthetic: {len(docs)} documents -> {out / 'corpus.jsonl'}")
@@ -131,14 +103,7 @@ def cmd_gen_synthetic(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_file(args.config)
-    seed, source = args.seed, "--seed"
-    if seed is None and SEED_ENV_VAR in os.environ:
-        seed, source = as_int(os.environ[SEED_ENV_VAR], SEED_ENV_VAR), SEED_ENV_VAR
-    if seed is not None:
-        if seed < 0:
-            raise ConfigInvalid(f"{source} must be >= 0, got {seed}")
-        cfg = replace(cfg, seed=seed)
+    cfg = _run_config(args)
     out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
     results = run_simulation(cfg)
     paths = write_all_csv(results, out_dir)

@@ -37,6 +37,14 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(p.read_text(encoding="utf-8"))
 
 
+def require_file(path: str | Path, key: str) -> Path:
+    """``path`` as a Path; ConfigInvalid naming ``key`` if it is not a file."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigInvalid(f"{key}: no such file: {p}")
+    return p
+
+
 def as_bool(value: str, key: str = "") -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "yes", "on", "1"):

@@ -71,11 +71,11 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         if not 0 < self.bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+            raise ValueError(f"estimator.bandwidth must be positive and finite, got {self.bandwidth}")
         if self.entropy_mode not in ENTROPY_MODES:
-            raise ValueError(f"entropy_mode must be one of {ENTROPY_MODES}")
+            raise ValueError(f"estimator.entropy_mode must be one of {ENTROPY_MODES}")
         if self.joint_mode not in JOINT_MODES:
-            raise ValueError(f"joint_mode must be one of {JOINT_MODES}")
+            raise ValueError(f"estimator.joint_mode must be one of {JOINT_MODES}")
         if self.n_min < 1:
             raise ValueError(f"ngram.n_min must be >= 1, got {self.n_min}")
         if self.n_max < self.n_min:

@@ -25,6 +25,7 @@ from .agents import (
     SENTENCES_PER_DOC,
     AgentSpec,
     StepSample,
+    Surfaces,
     SynthGrammar,
     build_step_samples,
     default_grammar,
@@ -38,8 +39,9 @@ from .config import (
     as_list,
     as_phrases,
     load_config,
+    require_file,
 )
-from .corpus import load_documents
+from .corpus import DocumentCollection, load_documents
 from .density import EstimatorConfig, MiRecord, compute_mi_record, joint_mass_monitor
 from .reward import demarcken_check, reward
 
@@ -341,9 +343,27 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
         raise ConfigInvalid(str(exc)) from exc
 
 
-def resolve_grammar(path: str | Path | None, p_pref: float) -> SynthGrammar:
-    """The grammar file at ``path`` if one is given, else the built-in pools with ``p_pref``."""
-    return grammar_from_file(path) if path else default_grammar(p_pref=p_pref)
+def synthetic_inputs(cfg: RunConfig) -> tuple[DocumentCollection, list[Surfaces]]:
+    """The synthetic corpus and gold triples that a run of ``cfg`` draws.
+
+    The grammar is ``synthetic.grammar`` if set, else the built-in pools with
+    ``synthetic.p_pref``.  The draw comes from the first generator spawned off
+    ``cfg.seed``; ``run_simulation`` gives its agents the ones after it, and
+    child 0 of ``spawn(n)`` is the same stream for every n.
+    """
+    if cfg.corpus_path != "synthetic":
+        raise ConfigInvalid(f"corpus.path must be synthetic, got {cfg.corpus_path!r}")
+    if cfg.grammar_path:
+        grammar = grammar_from_file(require_file(cfg.grammar_path, "synthetic.grammar"))
+    else:
+        grammar = default_grammar(p_pref=cfg.synthetic_p_pref)
+    (corpus_rng,) = np.random.default_rng(cfg.seed).spawn(1)
+    return synth_corpus(
+        cfg.synthetic_sentences,
+        corpus_rng,
+        grammar,
+        sentences_per_doc=cfg.synthetic_sentences_per_doc,
+    )
 
 
 def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, int, int]:
@@ -355,25 +375,20 @@ def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, i
 def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     """Simulate every configured agent and return one trajectory per agent.
 
-    The synthetic corpus and its gold pool are generated here from the
-    master seed; a ``gold_file`` agent without a path draws from that pool.
-    Every gram set of the run is built by ``build_step_samples`` with
+    A synthetic corpus and its gold pool come from ``synthetic_inputs``; a
+    ``gold_file`` agent without a path draws from that pool.  Every gram set
+    of the run is built by ``build_step_samples`` with
     ``cfg.estimator.gram_set``.
     Results are keyed by agent name in configuration order.
     """
     cfg.validate()
     est = cfg.estimator
-    master = np.random.default_rng(cfg.seed)
-    corpus_rng, *agent_rngs = master.spawn(1 + len(cfg.agents))
+    # Child 0 of the master seed is the synthetic corpus's generator.
+    _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
 
     gold_pool = None
     if cfg.corpus_path == "synthetic":
-        docs, gold_pool = synth_corpus(
-            cfg.synthetic_sentences,
-            corpus_rng,
-            resolve_grammar(cfg.grammar_path, cfg.synthetic_p_pref),
-            sentences_per_doc=cfg.synthetic_sentences_per_doc,
-        )
+        docs, gold_pool = synthetic_inputs(cfg)
     else:
         docs = load_documents(cfg.corpus_path, cfg.strip_headers, cfg.groups)
 

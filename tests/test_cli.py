@@ -2,14 +2,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
-from setinfo import RunConfig, read_csv
-from setinfo.cli import _build_parser, cli
-
-GRAMMAR_EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "grammar_example.cfg"
+from setinfo import read_csv
+from setinfo.cli import cli
 
 
 def write_run_config(path, corpus="synthetic", extra=""):
@@ -48,63 +45,37 @@ class TestUsageErrors:
 
 
 class TestGenSynthetic:
-    def test_defaults_match_run_config(self):
-        args = _build_parser().parse_args(["gen-synthetic", "--out", "data"])
-        run = RunConfig()
-        assert args.sentences == run.synthetic_sentences
-        assert args.p_pref == run.synthetic_p_pref
-
     def test_writes_corpus_and_gold(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
         out = tmp_path / "data"
-        assert cli(["gen-synthetic", "--out", str(out), "--sentences", "200", "--seed", "5"]) == 0
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "corpus.jsonl").exists()
         assert (out / "gold.jsonl").exists()
         gold_lines = (out / "gold.jsonl").read_text().splitlines()
-        assert len(gold_lines) == 200
+        assert len(gold_lines) == 400
         record = json.loads(gold_lines[0])
         assert set(record) == {"x", "y", "z"}
 
-    @pytest.mark.parametrize("sentences", ["0", "-3"])
-    def test_no_sentences_fails_validation(self, tmp_path, capsys, sentences):
-        out = tmp_path / "data"
-        assert cli(["gen-synthetic", "--out", str(out), "--sentences", sentences]) == 1
-        assert "--sentences" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("p_pref", ["2", "-0.5", "nan"])
-    def test_p_pref_out_of_range_fails_validation(self, tmp_path, capsys, p_pref):
-        out = tmp_path / "data"
-        assert cli(["gen-synthetic", "--out", str(out), "--p-pref", p_pref]) == 1
-        assert "--p-pref" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("p_pref", ["0.3", "0.8"])
-    def test_p_pref_with_grammar_fails_validation(self, tmp_path, capsys, p_pref):
-        # A grammar file sets its own p_pref, so --p-pref would be ignored;
-        # given explicitly, even at its default value, it is an error.
-        out = tmp_path / "data"
-        argv = ["gen-synthetic", "--out", str(out), "--grammar", str(GRAMMAR_EXAMPLE)]
-        assert cli(argv + ["--p-pref", p_pref]) == 1
-        err = capsys.readouterr().err
-        assert "--p-pref" in err and "--grammar" in err
-        assert not out.exists()
-        assert cli(argv) == 0
-
-    def test_negative_seed_fails_validation(self, tmp_path, capsys):
-        out = tmp_path / "data"
-        assert cli(["gen-synthetic", "--out", str(out), "--seed", "-1"]) == 1
-        assert "--seed" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_identical_bytes_for_same_seed(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
         for tag in ("a", "b"):
-            cli(["gen-synthetic", "--out", str(tmp_path / tag), "--sentences", "500", "--seed", "42"])
+            cli(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / tag), "--seed", "42"])
         assert (tmp_path / "a" / "corpus.jsonl").read_bytes() == (
             tmp_path / "b" / "corpus.jsonl"
         ).read_bytes()
         assert (tmp_path / "a" / "gold.jsonl").read_bytes() == (
             tmp_path / "b" / "gold.jsonl"
         ).read_bytes()
+
+    def test_non_synthetic_corpus_fails_validation(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, corpus="corpus.jsonl", extra="agent.structured.path = gold.jsonl")
+        out = tmp_path / "data"
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "setinfo gen-synthetic: corpus.path" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngest:
@@ -163,19 +134,21 @@ class TestSimulate:
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert "SETINFO_SEED" in capsys.readouterr().err
 
-    def test_negative_seed_flag_fails_validation(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "gen-synthetic"])
+    def test_negative_seed_flag_fails_validation(self, tmp_path, capsys, command):
         cfg = tmp_path / "run.cfg"
         write_run_config(cfg)
-        assert cli(["simulate", "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
-        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert cli([command, "--config", str(cfg), "--seed", "-1", "--out", str(tmp_path / "out")]) == 1
+        assert f"setinfo {command}: --seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_negative_env_seed_fails_validation(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "gen-synthetic"])
+    def test_negative_env_seed_fails_validation(self, tmp_path, monkeypatch, capsys, command):
         cfg = tmp_path / "run.cfg"
         write_run_config(cfg)
         monkeypatch.setenv("SETINFO_SEED", "-1")
-        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert "SETINFO_SEED must be >= 0" in capsys.readouterr().err
+        assert cli([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert f"setinfo {command}: SETINFO_SEED must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_fails_validation(self, tmp_path):
@@ -188,11 +161,20 @@ class TestSimulate:
             "agent.random.path = nothing.jsonl",
             "agent.random.lexicon = verbs.txt",
             "agent.structured.kind = extractor",
+            # Files that do not exist are named by their key where they are opened.
+            "synthetic.grammar = nope.cfg",
+            "agent.structured.path = nope.jsonl",
+            "agent.structured.lexicon = nope.txt\nagent.structured.kind = extractor\n"
+            "corpus.path = {data}/corpus.jsonl",
         ],
     )
     def test_key_rejected_naming_it(self, tmp_path, capsys, extra):
         cfg = tmp_path / "run.cfg"
-        write_run_config(cfg, extra=extra)
+        if "{data}" in extra:
+            write_run_config(cfg)
+            cli(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / "data")])
+        write_run_config(cfg, extra=extra.format(data=tmp_path / "data"))
+        capsys.readouterr()
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert f"setinfo simulate: {extra.split(' =')[0]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -294,21 +276,38 @@ class TestSimulate:
         assert got == digests
 
     def test_gold_file_agent_from_disk(self, tmp_path):
+        # gen-synthetic writes the very corpus and gold triples that simulate
+        # draws for the same config, so a run on the files reproduces the
+        # synthetic run; only the config hash differs.
+        synthetic = tmp_path / "synthetic.cfg"
+        write_run_config(synthetic)
         data = tmp_path / "data"
-        cli(["gen-synthetic", "--out", str(data), "--sentences", "300", "--seed", "3"])
-        cfg = tmp_path / "run.cfg"
+        assert cli(["gen-synthetic", "--config", str(synthetic), "--out", str(data)]) == 0
+        from_disk = tmp_path / "disk.cfg"
         write_run_config(
-            cfg,
+            from_disk,
             corpus=str(data / "corpus.jsonl"),
             extra=f"agent.structured.path = {data / 'gold.jsonl'}",
         )
-        out = tmp_path / "out"
-        assert cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        assert (out / "structured.csv").exists()
+        for cfg in (synthetic, from_disk):
+            assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / cfg.stem)]) == 0
+        for name in ("random", "structured"):
+            lines = [
+                [
+                    line
+                    for line in (tmp_path / stem / f"{name}.csv").read_text().splitlines()
+                    if not line.startswith("# config_hash")
+                ]
+                for stem in ("synthetic", "disk")
+            ]
+            assert lines[0] == lines[1]
+            assert len(lines[0]) == 10 + 1 + 4  # metadata, header, one row per step
 
     def test_gold_file_agent_without_path_off_synthetic_corpus_fails(self, tmp_path, capsys):
         data = tmp_path / "data"
-        cli(["gen-synthetic", "--out", str(data), "--sentences", "300", "--seed", "3"])
+        synthetic = tmp_path / "synthetic.cfg"
+        write_run_config(synthetic)
+        cli(["gen-synthetic", "--config", str(synthetic), "--out", str(data)])
         cfg = tmp_path / "run.cfg"
         write_run_config(cfg, corpus=str(data / "corpus.jsonl"))
         out = tmp_path / "out"

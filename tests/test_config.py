@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 from setinfo import CSV_HEADER, ConfigInvalid, RunConfig, parse_config_text
+from setinfo.cli import _build_parser
 from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases
 from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
 
@@ -141,6 +143,23 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
     schema = {key for key, *_ in CONFIG_SCHEMA}
     schema.update(f"agent.<name>.{suffix}" for suffix, _ in AGENT_KEYS)
     assert documented == schema
+
+
+def test_readme_commands_parse():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line)
+        for block in readme.split("```")[1::2]
+        for line in block.splitlines()
+        if line.startswith("setinfo ")
+    ]
+    assert commands
+    parser = _build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 def test_readme_csv_header_is_the_written_header():

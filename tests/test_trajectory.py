@@ -183,7 +183,10 @@ class TestRunConfig:
             ({"run.kmax": "5"}, "run.kmax"),
             ({"agent.ghost.kind": "random"}, "agent.ghost.kind"),
             ({"agents": "random", "agent.structured.kind": "gold_file"}, "agent.structured.kind"),
-            ({"estimator.entropy_mode": "bits"}, "entropy_mode"),
+            ({"estimator.entropy_mode": "bits"}, r"^estimator\.entropy_mode"),
+            ({"estimator.joint_mode": "sum"}, r"^estimator\.joint_mode"),
+            ({"estimator.bandwidth": "0"}, r"^estimator\.bandwidth"),
+            ({"agent.structured.kind": "oracle"}, r"^agent\.structured\.kind"),
         ],
     )
     def test_from_dict_rejects_naming_the_cause(self, values, named):
