@@ -6,9 +6,21 @@ which entropies and mutual information are estimated per step sample.
 Simulated segmentation agents (random splitter, heuristic extractor, gold
 triples) produce the samples, and trajectory runs score them against the
 structural ordering I(X,Y) > I(Y,Z) > I(X,Z).
+
+Importing the package pins BLAS to one thread unless a thread count is
+already set: a step's Gram products are small, and a threaded BLAS makes
+them slower and erratic on few cores.  The pin takes effect only if setinfo
+is imported before numpy.
 """
 
-from .agents import (
+import os
+
+# OpenBLAS reads OPENBLAS_NUM_THREADS before OMP_NUM_THREADS, so a count set
+# only through OMP_NUM_THREADS is carried over rather than overridden.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS", "1"))
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from .agents import (  # noqa: E402 - the thread pin must precede numpy's import
     AgentSpec,
     ContextTooShort,
     MalformedLine,

@@ -204,13 +204,14 @@ class SynthGrammar:
     p_pref: float = 0.8
 
     def __post_init__(self) -> None:
-        if not (self.subjects and self.verbs and self.objects):
-            raise ValueError("all three phrase pools must be non-empty")
+        for pool in ("subjects", "verbs", "objects"):
+            if not getattr(self, pool):
+                raise ValueError(f"grammar.{pool} must be non-empty")
         if not 0.0 <= self.p_pref <= 1.0:
-            raise ValueError(f"p_pref must be in [0, 1], got {self.p_pref}")
+            raise ValueError(f"grammar.p_pref must be in [0, 1], got {self.p_pref}")
         for verb in self.verbs:
             if not self.preferred.get(verb):
-                raise ValueError(f"verb {verb!r} has no preferred objects")
+                raise ValueError(f"grammar.preferred.{verb} must be non-empty")
 
 
 _SUBJECTS = (
@@ -293,7 +294,8 @@ def synth_corpus(
     return DocumentCollection(documents), gold
 
 
-def _resolve_pool(spec: AgentSpec, corpus: DocumentCollection | None) -> list[Surfaces]:
+def resolve_pool(spec: AgentSpec, corpus: DocumentCollection | None) -> list[Surfaces]:
+    """The surface triples a pool agent draws from: its ``pool``, its file or its corpus."""
     if spec.pool is not None:
         return list(spec.pool)
     if spec.kind == "gold_file":
@@ -349,7 +351,7 @@ def build_step_samples(
             actions = [random_split_agent(ctx, step_rng) for ctx in contexts]
             samples.append(StepSample(k, tuple(Triplet(*map(lingset, a)) for a in actions)))
     else:
-        pool = _resolve_pool(spec, corpus)
+        pool = resolve_pool(spec, corpus)
         if not pool:
             raise SourceExhausted(f"agent {spec.name!r} has an empty triple pool")
         for k, step_rng in enumerate(step_rngs, start=1):

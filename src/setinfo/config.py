@@ -37,10 +37,11 @@ def load_config(path: str | Path) -> dict[str, str]:
     return parse_config_text(p.read_text(encoding="utf-8"))
 
 
-def require_file(path: str | Path, key: str) -> Path:
-    """``path`` as a Path; ConfigInvalid naming ``key`` if it is not a file."""
+def require_file(path: str | Path, key: str, dir_ok: bool = False) -> Path:
+    """``path`` as a Path; ConfigInvalid naming ``key`` if it is not a file
+    (nor, with ``dir_ok``, a directory)."""
     p = Path(path)
-    if not p.is_file():
+    if not (p.is_file() or dir_ok and p.is_dir()):
         raise ConfigInvalid(f"{key}: no such file: {p}")
     return p
 

@@ -12,14 +12,16 @@ negative, which is reported, never clamped.
 
 A family's pairwise distances come from one indicator-matrix product: its n
 sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
-2 (M M^T)_AB, exact because every count is an integer below 2^53.  A step
+2 (M M^T)_AB.  The product runs in float32 and is exact: every partial sum
+is an integer no larger than the smaller set, and sets are required to hold
+fewer than 2^24 grams, below which float32 counts every integer.  A step
 indexes its distinct marginals and, in concat mode, its distinct seam
 windows once, as boolean rows over one vocabulary, and builds every joined
 family's rows from theirs with OR (see ``_step_capacities``).  With
 n = ``per_step`` the rows cost O(n*V) bytes, and each family is taken to
-float64 only for its own product: O(n*V + n^2) float64 at a time.  The scalar
-``kernel``/``hamming``/``capacity`` functions and ``join`` are the oracle it
-is tested against.
+float32 only for its own product: O(n*V) float32 plus O(n^2) float64 at a
+time.  The scalar ``kernel``/``hamming``/``capacity`` functions and ``join``
+are the oracle it is tested against.
 
 All logarithms are natural; every quantity is in nats.
 """
@@ -126,7 +128,7 @@ def _indicator_rows(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
     """One boolean row per gram set, over the grams in first-seen order.
 
     Rows stay boolean (one byte per entry) so that a step can gather and
-    join them cheaply; ``_row_distances`` takes them to float64 for the
+    join them cheaply; ``_row_distances`` takes them to float32 for the
     product.
     """
     vocab: dict[str, int] = {}
@@ -138,15 +140,20 @@ def _indicator_rows(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
 
 
 def _row_distances(m: np.ndarray) -> np.ndarray:
-    """Pairwise symmetric-difference counts of 0/1 rows, |A| + |B| - 2 |A & B|.
+    """Pairwise symmetric-difference counts of boolean rows, |A| + |B| - 2 |A & B|.
 
-    The rows are taken to float64 for one BLAS product.  Every count is an
-    integer below 2^53, so the distances agree with per-pair ``hamming``
-    calls to the last bit, whatever the columns.
+    The row sizes are counted as integers, and the rows are taken to float32
+    for one BLAS product, whose n x n result is taken to float64.  Every
+    partial sum of |A & B| is an integer no larger than the row sizes, which
+    must stay below 2^24 (checked before any float array is built), so the
+    product is exact in any summation order and the distances agree with
+    per-pair ``hamming`` calls to the last bit, whatever the columns.
     """
-    m = m.astype(np.float64)
     sizes = m.sum(axis=1)
-    return sizes[:, None] + sizes[None, :] - 2.0 * (m @ m.T)
+    if sizes.max(initial=0) >= 2**24:  # float32 counts exactly only up to 2^24
+        raise ValueError(f"exact float32 products need rows of fewer than 2^24 grams, got {sizes.max()}")
+    f = m.astype(np.float32)
+    return sizes[:, None] + sizes[None, :] - 2.0 * (f @ f.T).astype(np.float64)
 
 
 def _row_capacities(m: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -276,10 +283,12 @@ def _step_capacities(
     The distances equal those of ``_row_distances`` over ``join``-built
     families exactly, so the vectors are bit-identical to the per-family
     path.  Memory is O(n * V_step) bytes of boolean rows, where V_step counts
-    the step's distinct grams, seam grams included, plus O(n * V_step + n^2)
-    float64 for the one family being multiplied.  The one-entry cache lets ``joint_mass_monitor`` reuse the
-    vectors ``compute_mi_record`` computed for the same step; they are
-    returned read-only.
+    the step's distinct grams, seam grams included, plus O(n * V_step)
+    float32 and O(n^2) float64 for the one family being multiplied, whose
+    product is exact while every joined set holds fewer than 2^24 grams.
+    The one-entry cache lets ``joint_mass_monitor`` reuse the vectors
+    ``compute_mi_record`` computed for the same step; they are returned
+    read-only.
     """
     rows: dict[frozenset[str], int] = {}
 

@@ -29,6 +29,7 @@ from .agents import (
     SynthGrammar,
     build_step_samples,
     default_grammar,
+    resolve_pool,
     synth_corpus,
 )
 from .config import (
@@ -354,7 +355,11 @@ def synthetic_inputs(cfg: RunConfig) -> tuple[DocumentCollection, list[Surfaces]
     if cfg.corpus_path != "synthetic":
         raise ConfigInvalid(f"corpus.path must be synthetic, got {cfg.corpus_path!r}")
     if cfg.grammar_path:
-        grammar = grammar_from_file(require_file(cfg.grammar_path, "synthetic.grammar"))
+        path = require_file(cfg.grammar_path, "synthetic.grammar")
+        try:
+            grammar = grammar_from_file(path)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"synthetic.grammar: {exc}") from exc
     else:
         grammar = default_grammar(p_pref=cfg.synthetic_p_pref)
     (corpus_rng,) = np.random.default_rng(cfg.seed).spawn(1)
@@ -376,9 +381,10 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     """Simulate every configured agent and return one trajectory per agent.
 
     A synthetic corpus and its gold pool come from ``synthetic_inputs``; a
-    ``gold_file`` agent without a path draws from that pool.  Every gram set
-    of the run is built by ``build_step_samples`` with
-    ``cfg.estimator.gram_set``.
+    ``gold_file`` agent without a path draws from that pool.  Every pool
+    agent's triples are read before the first agent's steps, so a missing
+    file fails the run at once.  Every gram set of the run is built by
+    ``build_step_samples`` with ``cfg.estimator.gram_set``.
     Results are keyed by agent name in configuration order.
     """
     cfg.validate()
@@ -390,14 +396,20 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     if cfg.corpus_path == "synthetic":
         docs, gold_pool = synthetic_inputs(cfg)
     else:
-        docs = load_documents(cfg.corpus_path, cfg.strip_headers, cfg.groups)
+        corpus_path = require_file(cfg.corpus_path, "corpus.path", dir_ok=True)
+        docs = load_documents(corpus_path, cfg.strip_headers, cfg.groups)
+
+    sources = []
+    for spec in cfg.agents:
+        if spec.kind == "gold_file" and spec.path is None and gold_pool is not None:
+            spec = replace(spec, pool=tuple(gold_pool))
+        elif spec.kind != "random":
+            spec = replace(spec, pool=tuple(resolve_pool(spec, docs)))
+        sources.append(spec)
 
     results: dict[str, TrajectoryResult] = {}
-    for spec, agent_rng in zip(cfg.agents, agent_rngs):
+    for spec, source, agent_rng in zip(cfg.agents, sources, agent_rngs):
         started = time.perf_counter()
-        source = spec
-        if spec.kind == "gold_file" and spec.path is None and gold_pool is not None:
-            source = replace(spec, pool=tuple(gold_pool))
         samples = build_step_samples(
             source,
             docs,

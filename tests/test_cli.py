@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from setinfo import read_csv
 from setinfo.cli import cli
+
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_run_config(path, corpus="synthetic", extra=""):
@@ -76,6 +80,19 @@ class TestGenSynthetic:
         assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 1
         assert "setinfo gen-synthetic: corpus.path" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grammar_file_error_named_by_its_key(self, tmp_path, capsys):
+        grammar = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        grammar.write_text(re.sub(r"(?m)^grammar\.subjects = .*$", "grammar.subjects =", text))
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, extra=f"synthetic.grammar = {grammar}")
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 1
+        assert re.fullmatch(
+            r"setinfo gen-synthetic: synthetic\.grammar: grammar\.subjects must be non-empty\n",
+            capsys.readouterr().err,
+        )
+        assert not (tmp_path / "data").exists()
 
 
 class TestIngest:

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,6 +159,62 @@ class TestDistanceMatrix:
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
         assert np.array_equal(_row_distances(_indicator_rows(s.grams for s in sets)), expected)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 150),
+        v=st.integers(0, 3000),
+        density_=st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]),
+        zero_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, v=2049, density_=1.0, zero_share=0.0, seed=0)  # past float16's exact range
+    def test_float32_product_equals_float64_and_pairwise_hamming(
+        self, n, v, density_, zero_share, seed
+    ):
+        rng = np.random.default_rng(seed)
+        m = rng.random((n, v)) < density_
+        m[rng.random(n) < zero_share] = False  # all-zero rows
+        got = _row_distances(m)
+        f = m.astype(np.float64)
+        sizes = f.sum(axis=1)
+        assert np.array_equal(got, sizes[:, None] + sizes[None, :] - 2.0 * (f @ f.T))
+        sets = [LingSet(frozenset(map(str, np.flatnonzero(row))), "") for row in m]
+        for i in {0, n // 2, n - 1}:
+            assert np.array_equal(got[i], [hamming(sets[i], b) for b in sets])
+
+    def test_row_of_2_24_grams_rejected_before_any_float_cast(self):
+        m = np.ones((1, 2**24), dtype=bool)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"fewer than 2\^24"):
+                _row_distances(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes  # a float32 copy of the row would take 4 * m.nbytes
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "given,expected",
+    [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, "2"),
+    ],
+    ids=["unset", "openblas-set", "omp-set"],
+)
+def test_import_pins_blas_to_one_thread_unless_set(given, expected):
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = "import os, setinfo; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**env, **given}, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == expected
 
 
 class TestCapacity:

@@ -21,7 +21,9 @@ from setinfo import (
     run_simulation,
     synth_corpus,
     write_csv,
+    write_manifest,
 )
+from setinfo import trajectory
 from setinfo.agents import build_step_samples
 from setinfo.reward import SCHEMES, reward
 from setinfo.trajectory import CONFIG_SCHEMA, _fmt
@@ -307,6 +309,35 @@ class TestRunSimulation:
         ]
         assert len(texts) == sum(map(len, distinct))
         assert Counter(texts) == Counter(text for agent_texts in distinct for text in agent_texts)
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            (AgentSpec(kind="gold_file", name="structured", path="nope.jsonl"), "path"),
+            (AgentSpec(kind="extractor", name="structured", lexicon_path="nope.txt"), "lexicon"),
+        ],
+        ids=["gold_file-path", "extractor-lexicon"],
+    )
+    def test_missing_agent_file_fails_before_any_step(self, tmp_path, monkeypatch, spec, key):
+        # Every agent's pool is resolved first: the last agent's missing file
+        # stops the run before the first agent's samples are built.
+        calls = []
+        monkeypatch.setattr(
+            trajectory,
+            "build_step_samples",
+            lambda *args, **kw: calls.append(args[0].name) or build_step_samples(*args, **kw),
+        )
+        write_manifest(synth_corpus(400, np.random.default_rng(3))[0], tmp_path / "corpus.jsonl")
+        monkeypatch.chdir(tmp_path)
+        cfg = small_config(corpus_path="corpus.jsonl", agents=(AgentSpec(kind="random"), spec))
+        with pytest.raises(ConfigInvalid, match=rf"^agent\.structured\.{key}: no such file: nope"):
+            run_simulation(cfg)
+        assert calls == []
+
+    def test_missing_corpus_named_by_its_key(self, tmp_path):
+        cfg = small_config(corpus_path=str(tmp_path / "nope.jsonl"), agents=(AgentSpec(kind="random"),))
+        with pytest.raises(ConfigInvalid, match=r"^corpus\.path: no such file: .*nope\.jsonl$"):
+            run_simulation(cfg)
 
     def test_window_clamped_for_single_step(self, tmp_path):
         results = run_simulation(small_config(k_max=1, window=50, per_step=5))
