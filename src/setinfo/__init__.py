@@ -24,7 +24,6 @@ from .agents import (  # noqa: E402 - the thread pin must precede numpy's import
     AgentSpec,
     ContextTooShort,
     MalformedLine,
-    SourceExhausted,
     StepSample,
     SynthGrammar,
     Triplet,

@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import require_file
+from .config import ConfigInvalid, require_file
 from .corpus import (
     Context,
     Document,
@@ -41,10 +41,6 @@ class MalformedLine(ValueError):
     def __init__(self, message: str, line_no: int) -> None:
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-class SourceExhausted(RuntimeError):
-    """A triplet source has an empty pool and cannot fill a step sample."""
 
 
 AGENT_KINDS = ("random", "extractor", "gold_file")
@@ -76,17 +72,17 @@ class StepSample:
 
 @dataclass(frozen=True)
 class AgentSpec:
-    """How to obtain triplets for one simulated agent.
+    """One configured agent: its kind and the files it reads.
 
-    ``pool`` lets callers hand a list of surface triples straight to a
-    gold-style agent (the synthetic pipeline does this); otherwise
-    ``gold_file`` reads ``path`` and ``extractor`` mines the corpus.
+    A ``random`` agent cuts corpus contexts; a ``gold_file`` agent replays
+    the triples in ``path`` (the synthetic gold triples when unset); an
+    ``extractor`` mines the corpus with the verbs in ``lexicon_path``.
+    ``trajectory.resolve_inputs`` reads these sources.
     """
 
     kind: str
     name: str = ""
     path: str | Path | None = None
-    pool: tuple[Surfaces, ...] | None = None
     lexicon_path: str | Path | None = None
 
     def __post_init__(self) -> None:
@@ -294,30 +290,29 @@ def synth_corpus(
     return DocumentCollection(documents), gold
 
 
-def resolve_pool(spec: AgentSpec, corpus: DocumentCollection | None) -> list[Surfaces]:
-    """The surface triples a pool agent draws from: its ``pool``, its file or its corpus."""
-    if spec.pool is not None:
-        return list(spec.pool)
+def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:
+    """The triples a gold_file agent reads from ``path`` or an extractor mines from
+    ``corpus``; ConfigInvalid naming the key if a file is missing or the pool empty."""
     if spec.kind == "gold_file":
-        if spec.path is None:
-            raise SourceExhausted(f"agent {spec.name!r} has neither a pool nor a path")
-        return load_triplets(require_file(spec.path, f"agent.{spec.name}.path"))
-    if spec.kind == "extractor":
-        if corpus is None:
-            raise SourceExhausted(f"agent {spec.name!r} needs a corpus to extract from")
+        key = f"agent.{spec.name}.path"
+        pool = load_triplets(require_file(spec.path, key))
+    elif spec.kind == "extractor":
+        key = f"agent.{spec.name}.lexicon"
         lexicon = load_verb_lexicon(
-            None
-            if spec.lexicon_path is None
-            else require_file(spec.lexicon_path, f"agent.{spec.name}.lexicon")
+            None if spec.lexicon_path is None else require_file(spec.lexicon_path, key)
         )
         extracted = (heuristic_extract(sentence, lexicon) for sentence in iter_sentences(corpus))
-        return [surfaces for surfaces in extracted if surfaces is not None]
-    raise ValueError(f"agent kind {spec.kind!r} has no triple pool")
+        pool = [surfaces for surfaces in extracted if surfaces is not None]
+    else:
+        raise ValueError(f"agent kind {spec.kind!r} has no triple pool")
+    if not pool:
+        raise ConfigInvalid(f"{key}: agent {spec.name!r} has an empty triple pool")
+    return pool
 
 
 def build_step_samples(
-    source: AgentSpec | str,
-    corpus: DocumentCollection | None,
+    kind: str,
+    source: DocumentCollection | Sequence[Surfaces],
     k_max: int,
     per_step: int,
     rng: np.random.Generator,
@@ -326,14 +321,15 @@ def build_step_samples(
 ) -> list[StepSample]:
     """Produce k_max step samples of exactly per_step triplets each.
 
-    Every step draws from its own generator spawned off ``rng``, so the
-    sequence is reproducible regardless of how steps are later scheduled.
-    Pool-backed sources (extractor, gold) sample surfaces with replacement.
-    This is the one place text becomes gram sets: each distinct segment text
-    of the returned samples is turned into a ``LingSet`` once, by
-    ``gram_set``, and every triplet holding that text shares it.
+    A ``random`` agent's ``source`` is the corpus it cuts contexts of; any
+    other kind's is its resolved, nonempty pool of surface triples, sampled
+    with replacement.  Every step draws from its own generator spawned off
+    ``rng``, so the sequence is reproducible regardless of how steps are
+    later scheduled.  This is the one place text becomes gram sets: each
+    distinct segment text of the returned samples is turned into a
+    ``LingSet`` once, by ``gram_set``, and every triplet holding that text
+    shares it.
     """
-    spec = AgentSpec(kind=source) if isinstance(source, str) else source
     step_rngs = rng.spawn(k_max)
     sets: dict[str, LingSet] = {}
 
@@ -343,18 +339,13 @@ def build_step_samples(
         return sets[text]
 
     samples: list[StepSample] = []
-    if spec.kind == "random":
-        if corpus is None:
-            raise SourceExhausted("the random agent needs a corpus")
+    if kind == "random":
         for k, step_rng in enumerate(step_rngs, start=1):
-            contexts = sample_contexts(corpus, context_length, per_step, step_rng)
+            contexts = sample_contexts(source, context_length, per_step, step_rng)
             actions = [random_split_agent(ctx, step_rng) for ctx in contexts]
             samples.append(StepSample(k, tuple(Triplet(*map(lingset, a)) for a in actions)))
     else:
-        pool = resolve_pool(spec, corpus)
-        if not pool:
-            raise SourceExhausted(f"agent {spec.name!r} has an empty triple pool")
         for k, step_rng in enumerate(step_rngs, start=1):
-            idx = step_rng.integers(len(pool), size=per_step)
-            samples.append(StepSample(k, tuple(Triplet(*map(lingset, pool[int(i)])) for i in idx)))
+            idx = step_rng.integers(len(source), size=per_step)
+            samples.append(StepSample(k, tuple(Triplet(*map(lingset, source[int(i)])) for i in idx)))
     return samples

@@ -93,6 +93,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_gen_synthetic(args: argparse.Namespace) -> int:
+    # Not resolve_inputs: agent.<name>.path may name the gold file written here.
     docs, gold = synthetic_inputs(_run_config(args))
     out = Path(args.out_dir)
     write_manifest(docs, out / "corpus.jsonl")
@@ -169,7 +170,7 @@ _HANDLERS = {
 
 # ValueError covers ConfigInvalid, MalformedManifest, MalformedLine,
 # CorpusTooSmall and EmptySelection.
-_VALIDATION_ERRORS = (ValueError, agents_mod.SourceExhausted, FileNotFoundError)
+_VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 
 def cli(argv: list[str] | None = None) -> int:

@@ -117,12 +117,7 @@ class RunConfig:
             if spec.lexicon_path is not None and spec.kind != "extractor":
                 raise ConfigInvalid(f"{key}.lexicon is read only by an extractor agent, not {spec.kind}")
             # Only the synthetic corpus comes with a gold pool to draw from.
-            if (
-                spec.kind == "gold_file"
-                and spec.path is None
-                and spec.pool is None
-                and self.corpus_path != "synthetic"
-            ):
+            if spec.kind == "gold_file" and spec.path is None and self.corpus_path != "synthetic":
                 raise ConfigInvalid(
                     f"{key}.path: a gold_file agent needs a triples file unless "
                     "corpus.path = synthetic"
@@ -330,8 +325,6 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
     optional = {}
     if "grammar.p_pref" in values:
         optional["p_pref"] = as_float(values["grammar.p_pref"], "grammar.p_pref")
-        if not 0.0 <= optional["p_pref"] <= 1.0:
-            raise ConfigInvalid(f"grammar.p_pref must be in [0, 1], got {optional['p_pref']}")
     try:
         return SynthGrammar(
             subjects=tuple(as_phrases(values["grammar.subjects"])),
@@ -371,6 +364,33 @@ def synthetic_inputs(cfg: RunConfig) -> tuple[DocumentCollection, list[Surfaces]
     )
 
 
+def resolve_inputs(cfg: RunConfig) -> tuple[DocumentCollection, dict[str, list[Surfaces]]]:
+    """The run's documents and each pool agent's surface triples, read before any step.
+
+    The one place an agent's source is decided: a ``gold_file`` agent reads
+    its ``path``, or without one replays the ``synthetic_inputs`` gold; an
+    extractor mines the documents; a random agent cuts contexts of them and
+    has no pool.  A missing file, an empty pool, or a ``context.length`` no
+    document fills for a random agent is a ConfigInvalid naming its key.
+    """
+    cfg.validate()
+    gold: list[Surfaces] = []
+    if cfg.corpus_path == "synthetic":
+        docs, gold = synthetic_inputs(cfg)
+    else:
+        corpus_path = require_file(cfg.corpus_path, "corpus.path", dir_ok=True)
+        docs = load_documents(corpus_path, cfg.strip_headers, cfg.groups)
+    longest = max(map(len, docs.token_lists), default=0)
+    if longest < cfg.context_length and any(spec.kind == "random" for spec in cfg.agents):
+        raise ConfigInvalid(f"context.length: no document has >= {cfg.context_length} tokens")
+    pools = {
+        spec.name: gold if spec.kind == "gold_file" and spec.path is None else resolve_pool(spec, docs)
+        for spec in cfg.agents
+        if spec.kind != "random"
+    }
+    return docs, pools
+
+
 def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, int, int]:
     rec = compute_mi_record(sample.k, sample.triplets, est)
     violations, comparisons = joint_mass_monitor(sample.triplets, est)
@@ -380,39 +400,22 @@ def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, i
 def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     """Simulate every configured agent and return one trajectory per agent.
 
-    A synthetic corpus and its gold pool come from ``synthetic_inputs``; a
-    ``gold_file`` agent without a path draws from that pool.  Every pool
-    agent's triples are read before the first agent's steps, so a missing
-    file fails the run at once.  Every gram set of the run is built by
-    ``build_step_samples`` with ``cfg.estimator.gram_set``.
+    Every input is read by ``resolve_inputs`` before the first agent's
+    steps, so a bad one fails the run at once.  Every gram set of the run is
+    built by ``build_step_samples`` with ``cfg.estimator.gram_set``.
     Results are keyed by agent name in configuration order.
     """
-    cfg.validate()
+    docs, pools = resolve_inputs(cfg)
     est = cfg.estimator
     # Child 0 of the master seed is the synthetic corpus's generator.
     _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
 
-    gold_pool = None
-    if cfg.corpus_path == "synthetic":
-        docs, gold_pool = synthetic_inputs(cfg)
-    else:
-        corpus_path = require_file(cfg.corpus_path, "corpus.path", dir_ok=True)
-        docs = load_documents(corpus_path, cfg.strip_headers, cfg.groups)
-
-    sources = []
-    for spec in cfg.agents:
-        if spec.kind == "gold_file" and spec.path is None and gold_pool is not None:
-            spec = replace(spec, pool=tuple(gold_pool))
-        elif spec.kind != "random":
-            spec = replace(spec, pool=tuple(resolve_pool(spec, docs)))
-        sources.append(spec)
-
     results: dict[str, TrajectoryResult] = {}
-    for spec, source, agent_rng in zip(cfg.agents, sources, agent_rngs):
+    for spec, agent_rng in zip(cfg.agents, agent_rngs):
         started = time.perf_counter()
         samples = build_step_samples(
-            source,
-            docs,
+            spec.kind,
+            docs if spec.kind == "random" else pools[spec.name],
             k_max=cfg.k_max,
             per_step=cfg.per_step,
             rng=agent_rng,

@@ -15,7 +15,6 @@ from setinfo import (
     EstimatorConfig,
     MalformedLine,
     RunConfig,
-    SourceExhausted,
     build_step_samples,
     default_grammar,
     heuristic_extract,
@@ -25,6 +24,7 @@ from setinfo import (
     synth_corpus,
 )
 from setinfo import agents, ngrams
+from setinfo.agents import resolve_pool
 from setinfo.ngrams import ngram_set
 
 
@@ -166,8 +166,7 @@ class TestSynthCorpus:
         # gold pool hold one gram set per phrase, built with the given settings.
         gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
         _, gold = synth_corpus(200, np.random.default_rng(8))
-        spec = AgentSpec(kind="gold_file", pool=tuple(gold))
-        samples = build_step_samples(spec, None, 2, 200, np.random.default_rng(8), 10, gram_set)
+        samples = build_step_samples("gold_file", gold, 2, 200, np.random.default_rng(8), 10, gram_set)
         by_text = {}
         for t in (t for s in samples for t in s.triplets):
             for s in (t.x, t.y, t.z):
@@ -228,8 +227,8 @@ class TestBuildStepSamples:
         with open(path, "w") as fh:
             for i in range(50):
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
-        spec = AgentSpec(kind="gold_file", path=path)
-        samples = build_step_samples(spec, None, 4, 30, np.random.default_rng(8), 10, GRAM_SET)
+        pool = load_triplets(path)
+        samples = build_step_samples("gold_file", pool, 4, 30, np.random.default_rng(8), 10, GRAM_SET)
         assert all(len(s.triplets) == 30 for s in samples)
         # 30 draws from 50 distinct triples repeat one only when drawn with
         # replacement; without, every step would hold 30 distinct triples.
@@ -241,17 +240,10 @@ class TestBuildStepSamples:
         with open(path, "w") as fh:
             for i in range(10):
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
-        spec = AgentSpec(kind="gold_file", path=path)
-        a = build_step_samples(spec, None, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
-        b = build_step_samples(spec, None, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
+        pool = load_triplets(path)
+        a = build_step_samples("gold_file", pool, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
+        b = build_step_samples("gold_file", pool, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
         assert a == b
-
-    def test_empty_pool_exhausted(self, tmp_path):
-        path = tmp_path / "gold.jsonl"
-        path.write_text("")
-        spec = AgentSpec(kind="gold_file", path=path)
-        with pytest.raises(SourceExhausted):
-            build_step_samples(spec, None, 1, 1, np.random.default_rng(0), 10, GRAM_SET)
 
     def test_extractor_mines_corpus_sentences(self):
         docs = DocumentCollection(
@@ -260,27 +252,21 @@ class TestBuildStepSamples:
                 Document(id="d1", text="nothing verbal."),
             ]
         )
-        spec = AgentSpec(kind="extractor")
-        samples = build_step_samples(spec, docs, 2, 10, np.random.default_rng(0), 10, GRAM_SET)
+        pool = resolve_pool(AgentSpec(kind="extractor"), docs)
+        samples = build_step_samples("extractor", pool, 2, 10, np.random.default_rng(0), 10, GRAM_SET)
         surfaces = {(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets}
         assert ("the cat", "is", "on the mat.") in surfaces
-
-    def test_injected_pool_wins_over_path(self):
-        pool = tuple((f"s{i}", f"v{i}", f"o{i}") for i in range(5))
-        spec = AgentSpec(kind="gold_file", name="structured", pool=pool)
-        samples = build_step_samples(spec, None, 2, 8, np.random.default_rng(2), 10, GRAM_SET)
-        drawn = {(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets}
-        assert drawn <= set(pool)
 
     def test_one_gram_set_per_distinct_text(self):
         # Each distinct segment text of the returned samples is built once per
         # call, by the given builder, and every triplet holding it shares it.
         gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
         docs, gold = synth_corpus(400, np.random.default_rng(11))
-        for source in ("random", "extractor", AgentSpec(kind="gold_file", pool=tuple(gold))):
+        mined = resolve_pool(AgentSpec(kind="extractor"), docs)
+        for kind, source in [("random", docs), ("extractor", mined), ("gold_file", gold)]:
             calls = []
             samples = build_step_samples(
-                source, docs, 3, 40, np.random.default_rng(6), 10,
+                kind, source, 3, 40, np.random.default_rng(6), 10,
                 lambda text: calls.append(text) or gram_set(text),
             )
             sets = [s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)]

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from setinfo import CSV_HEADER, ConfigInvalid, RunConfig, parse_config_text
+from setinfo import CSV_HEADER, AgentSpec, ConfigInvalid, EstimatorConfig, RunConfig, parse_config_text
 from setinfo.cli import _build_parser
 from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases
 from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
@@ -143,6 +144,17 @@ def test_readme_config_table_lists_exactly_the_schema_keys():
     schema = {key for key, *_ in CONFIG_SCHEMA}
     schema.update(f"agent.<name>.{suffix}" for suffix, _ in AGENT_KEYS)
     assert documented == schema
+
+
+def test_every_config_field_is_a_config_key():
+    # config_hash reads only CONFIG_SCHEMA and AGENT_KEYS, so a field neither
+    # reaches would be an input the hash never sees.  An agent's name is part
+    # of its keys; ``estimator`` and ``agents`` only hold the other fields.
+    reached = {attr for _, attr, *_ in CONFIG_SCHEMA} | {f"agent.{attr}" for _, attr in AGENT_KEYS}
+    declared = {f.name for f in fields(RunConfig)} - {"estimator", "agents"}
+    declared |= {f"estimator.{f.name}" for f in fields(EstimatorConfig)}
+    declared |= {f"agent.{f.name}" for f in fields(AgentSpec)} - {"agent.name"}
+    assert sorted(declared - reached) == []
 
 
 def test_readme_commands_parse():

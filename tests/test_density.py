@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setinfo import (
-    AgentSpec,
     DegenerateDenominator,
     EmptySample,
     EstimatorConfig,
@@ -575,13 +574,12 @@ class TestStepCapacities:
 def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
     """One random-agent step and one pool step of 30 triplets each."""
     docs, gold = synth_corpus(400, np.random.default_rng(5))
-    pool = AgentSpec(kind="gold_file", name="structured", pool=tuple(gold))
     return {
         label: build_step_samples(
-            source, corpus, k_max=1, per_step=30, rng=np.random.default_rng(9),
+            kind, source, k_max=1, per_step=30, rng=np.random.default_rng(9),
             context_length=10, gram_set=UNION.gram_set,
         )[0].triplets
-        for label, source, corpus in [("random", "random", docs), ("pool", pool, None)]
+        for label, kind, source in [("random", "random", docs), ("pool", "gold_file", gold)]
     }
 
 

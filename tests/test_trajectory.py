@@ -13,36 +13,32 @@ from setinfo import (
     MI_SERIES,
     AgentSpec,
     ConfigInvalid,
+    Document,
+    DocumentCollection,
     EstimatorConfig,
     RunConfig,
     compute_mi_record,
     read_csv,
     rolling_mean,
     run_simulation,
-    synth_corpus,
     write_csv,
     write_manifest,
+    write_triplets,
 )
 from setinfo import trajectory
 from setinfo.agents import build_step_samples
 from setinfo.reward import SCHEMES, reward
-from setinfo.trajectory import CONFIG_SCHEMA, _fmt
+from setinfo.trajectory import CONFIG_SCHEMA, _fmt, resolve_inputs
 
 
 def rebuilt_samples(cfg: RunConfig, gram_set) -> dict:
-    """Each agent's step samples of a synthetic run, rebuilt from its master seed.
-
-    Like ``run_simulation``, a gold_file agent without a path replays the
-    synthetic gold triples.
-    """
-    corpus_rng, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
-    docs, gold = synth_corpus(
-        cfg.synthetic_sentences, corpus_rng, sentences_per_doc=cfg.synthetic_sentences_per_doc
-    )
+    """Each agent's step samples of a run, rebuilt from its inputs and master seed."""
+    docs, pools = resolve_inputs(cfg)
+    _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
     return {
         spec.name: build_step_samples(
-            replace(spec, pool=tuple(gold)) if spec.kind == "gold_file" else spec,
-            docs, cfg.k_max, cfg.per_step, agent_rng, cfg.context_length, gram_set,
+            spec.kind, pools.get(spec.name, docs),
+            cfg.k_max, cfg.per_step, agent_rng, cfg.context_length, gram_set,
         )
         for spec, agent_rng in zip(cfg.agents, agent_rngs)
     }
@@ -225,7 +221,6 @@ class TestRunConfig:
             small_config(corpus_path="corpus.jsonl", agents=(gold,)).validate()
         small_config(agents=(gold,)).validate()
         small_config(corpus_path="corpus.jsonl", agents=(replace(gold, path="g.jsonl"),)).validate()
-        small_config(corpus_path="corpus.jsonl", agents=(replace(gold, pool=()),)).validate()
 
     def test_config_hash_stable_and_sensitive(self):
         a = small_config()
@@ -272,7 +267,6 @@ class TestRunSimulation:
         result = results["structured"]
         assert result.cfg == cfg and result.cfg.seed == 7 and result.cfg.k_max == 6
         assert result.spec == cfg.agents[1]
-        assert result.spec.pool is None  # the configured spec, not the gold pool it drew from
         assert 0 <= result.violations <= result.comparisons
         assert result.comparisons == 6 * 20 * 3 * 2
         assert result.violation_fraction == result.violations / result.comparisons
@@ -310,6 +304,27 @@ class TestRunSimulation:
         assert len(texts) == sum(map(len, distinct))
         assert Counter(texts) == Counter(text for agent_texts in distinct for text in agent_texts)
 
+    @pytest.fixture
+    def step_calls(self, monkeypatch) -> list[str]:
+        """The kind of every agent whose step samples the run builds."""
+        calls = []
+        monkeypatch.setattr(
+            trajectory,
+            "build_step_samples",
+            lambda *args, **kw: calls.append(args[0]) or build_step_samples(*args, **kw),
+        )
+        return calls
+
+    @pytest.fixture
+    def corpus_dir(self, tmp_path, monkeypatch):
+        """A working directory holding a punctuated corpus, ``corpus.jsonl``."""
+        docs = DocumentCollection(
+            [Document(id=f"d{i}", text="the cat is on the mat. a dog was here.") for i in range(3)]
+        )
+        write_manifest(docs, tmp_path / "corpus.jsonl")
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
     @pytest.mark.parametrize(
         "spec,key",
         [
@@ -318,21 +333,65 @@ class TestRunSimulation:
         ],
         ids=["gold_file-path", "extractor-lexicon"],
     )
-    def test_missing_agent_file_fails_before_any_step(self, tmp_path, monkeypatch, spec, key):
+    def test_missing_agent_file_fails_before_any_step(self, step_calls, corpus_dir, spec, key):
         # Every agent's pool is resolved first: the last agent's missing file
         # stops the run before the first agent's samples are built.
-        calls = []
-        monkeypatch.setattr(
-            trajectory,
-            "build_step_samples",
-            lambda *args, **kw: calls.append(args[0].name) or build_step_samples(*args, **kw),
-        )
-        write_manifest(synth_corpus(400, np.random.default_rng(3))[0], tmp_path / "corpus.jsonl")
-        monkeypatch.chdir(tmp_path)
         cfg = small_config(corpus_path="corpus.jsonl", agents=(AgentSpec(kind="random"), spec))
         with pytest.raises(ConfigInvalid, match=rf"^agent\.structured\.{key}: no such file: nope"):
             run_simulation(cfg)
-        assert calls == []
+        assert step_calls == []
+
+    @pytest.mark.parametrize(
+        "spec,key",
+        [
+            (AgentSpec(kind="gold_file", name="structured", path="empty.jsonl"), "path"),
+            (AgentSpec(kind="extractor", name="structured", lexicon_path="empty.txt"), "lexicon"),
+        ],
+        ids=["gold_file-path", "extractor-lexicon"],
+    )
+    def test_empty_pool_fails_before_any_step(self, step_calls, corpus_dir, spec, key):
+        # An empty triples file, or a lexicon that matches no sentence, leaves
+        # the agent nothing to draw; the run stops before any agent's steps.
+        (corpus_dir / "empty.jsonl").write_text("")
+        (corpus_dir / "empty.txt").write_text("# no verbs\n")
+        cfg = small_config(corpus_path="corpus.jsonl", agents=(AgentSpec(kind="random"), spec))
+        message = rf"^agent\.structured\.{key}: agent 'structured' has an empty triple pool$"
+        with pytest.raises(ConfigInvalid, match=message):
+            run_simulation(cfg)
+        assert step_calls == []
+
+    def test_unfillable_context_length_fails_before_any_step(self, step_calls):
+        # Synthetic documents hold 50 sentences of 6-8 tokens, far below 1000.
+        cfg = small_config(
+            context_length=1000,
+            agents=(AgentSpec(kind="gold_file", name="structured"), AgentSpec(kind="random")),
+        )
+        with pytest.raises(ConfigInvalid, match=r"^context\.length: no document has >= 1000 tokens"):
+            run_simulation(cfg)
+        assert step_calls == []
+        # Without a random agent no context is cut, so the length is not checked.
+        _, pools = resolve_inputs(replace(cfg, agents=cfg.agents[:1]))
+        assert len(pools["structured"]) == cfg.synthetic_sentences
+
+    def test_inputs_resolve_each_agents_source(self, corpus_dir):
+        # A path-less gold_file agent replays the synthetic gold triples;
+        # one with a path reads it; an extractor mines the corpus.
+        write_triplets([("s", "v", "o")], corpus_dir / "gold.jsonl")
+        cfg = small_config()
+        _, pools = resolve_inputs(cfg)
+        assert list(pools) == ["structured"]
+        assert pools["structured"] == trajectory.synthetic_inputs(cfg)[1]
+        cfg = small_config(
+            corpus_path="corpus.jsonl",
+            agents=(
+                AgentSpec(kind="gold_file", name="gold", path="gold.jsonl"),
+                AgentSpec(kind="extractor", name="miner"),
+            ),
+        )
+        docs, pools = resolve_inputs(cfg)
+        assert len(docs) == 3
+        assert pools["gold"] == [("s", "v", "o")]
+        assert set(pools["miner"]) == {("the cat", "is", "on the mat."), ("a dog", "was", "here.")}
 
     def test_missing_corpus_named_by_its_key(self, tmp_path):
         cfg = small_config(corpus_path=str(tmp_path / "nope.jsonl"), agents=(AgentSpec(kind="random"),))
