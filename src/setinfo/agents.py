@@ -327,8 +327,8 @@ def build_step_samples(
     ``rng``, so the sequence is reproducible regardless of how steps are
     later scheduled.  This is the one place text becomes gram sets: each
     distinct segment text of the returned samples is turned into a
-    ``LingSet`` once, by ``gram_set``, and every triplet holding that text
-    shares it.
+    ``LingSet`` once, by ``gram_set`` (in a run, the run's ``GramIndex``),
+    and every triplet holding that text shares it.
     """
     step_rngs = rng.spawn(k_max)
     sets: dict[str, LingSet] = {}

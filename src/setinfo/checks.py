@@ -27,7 +27,7 @@ from .density import (
     mutual_information,
     triplet_likelihood,
 )
-from .ngrams import LingSet, hamming
+from .ngrams import LingSet, hamming, ngram_set
 from .reward import demarcken_check, reward
 
 ALPHABET = string.ascii_lowercase + " "
@@ -68,7 +68,7 @@ def random_lingset(rng: np.random.Generator, max_len: int = 40) -> LingSet:
     """``CFG``'s gram set of a random lowercase text of 1..max_len characters."""
     length = int(rng.integers(1, max_len + 1))
     text = "".join(ALPHABET[int(i)] for i in rng.integers(len(ALPHABET), size=length))
-    return CFG.gram_set(text.strip() or "a")
+    return ngram_set(text.strip() or "a", CFG.n_min, CFG.n_max, CFG.include_space)
 
 
 def _random_sample(rng: np.random.Generator) -> list[LingSet]:

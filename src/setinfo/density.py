@@ -14,9 +14,12 @@ A family's pairwise distances come from one indicator-matrix product: its n
 sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
 2 (M M^T)_AB.  The product runs in float32 and is exact: every partial sum
 is an integer no larger than the smaller set, and sets are required to hold
-fewer than 2^24 grams, below which float32 counts every integer.  A step
-indexes its distinct marginals and, in concat mode, its distinct seam
-windows once, as boolean rows over one vocabulary, and builds every joined
+fewer than 2^24 grams, below which float32 counts every integer.  Rows are
+built from gram ids, not gram strings: a run's sets carry their ids in the
+run's ``GramIndex``, any other set is numbered on first sight, and one
+scatter fills the boolean rows (``_indicator_rows``).  A step builds rows
+for its distinct marginals and, in concat mode, for its distinct seam
+windows, taken from the index's window memo, and builds every joined
 family's rows from theirs with OR (see ``_step_capacities``).  With
 n = ``per_step`` the rows cost O(n*V) bytes, and each family is taken to
 float32 only for its own product: O(n*V) float32 plus O(n^2) float64 at a
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .ngrams import LingSet, hamming, join, ngram_set, seam_grams
+from .ngrams import GramIndex, LingSet, hamming, join
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import Triplet
@@ -59,9 +62,9 @@ class EstimatorConfig:
 
     ``bandwidth`` controls how strictly two realizations must match before
     they lend each other probability mass.  ``n_min``/``n_max``/``include_space``
-    decide how a text becomes a gram set: ``build_step_samples`` builds every
-    set of a run with ``gram_set``, and concat-mode joins re-extract grams the
-    same way.
+    decide how a text becomes a gram set: ``run_simulation`` builds every set
+    of a run through one ``gram_index()``, and concat-mode joins re-extract
+    grams the same way.
     """
 
     bandwidth: float = 5.0
@@ -83,9 +86,9 @@ class EstimatorConfig:
         if self.n_max < self.n_min:
             raise ValueError(f"ngram.n_max must be >= ngram.n_min ({self.n_min}), got {self.n_max}")
 
-    def gram_set(self, text: str) -> LingSet:
-        """The gram set of ``text`` under this run's n-gram settings."""
-        return ngram_set(text, self.n_min, self.n_max, self.include_space)
+    def gram_index(self) -> GramIndex:
+        """A new index that builds gram sets under this run's n-gram settings."""
+        return GramIndex(self.n_min, self.n_max, self.include_space)
 
 
 @dataclass(frozen=True)
@@ -124,18 +127,29 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
     )
 
 
-def _indicator_rows(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
-    """One boolean row per gram set, over the grams in first-seen order.
+def _index_for(sets: Iterable[LingSet], cfg: EstimatorConfig) -> GramIndex:
+    """The index that built the first of ``sets`` if it has ``cfg``'s n-gram settings, else a new one."""
+    index = next(iter(sets)).index
+    if index is not None and index.settings == (cfg.n_min, cfg.n_max, cfg.include_space):
+        return index
+    return cfg.gram_index()
 
-    Rows stay boolean (one byte per entry) so that a step can gather and
-    join them cheaply; ``_row_distances`` takes them to float32 for the
-    product.
+
+def _indicator_rows(ids: Sequence[np.ndarray]) -> np.ndarray:
+    """One boolean row per array of gram ids, over the distinct ids in ascending order.
+
+    The ids present are marked in one table over the index's ids, whose
+    running count gives each one its column; a repeated id in a row sets its
+    entry twice.  Rows stay boolean (one byte per entry) so that a step can
+    gather and join them cheaply; ``_row_distances`` takes them to float32
+    for the product.
     """
-    vocab: dict[str, int] = {}
-    gram_sets = list(gram_sets)
-    cols = [vocab.setdefault(gram, len(vocab)) for grams in gram_sets for gram in grams]
-    m = np.zeros((len(gram_sets), len(vocab)), dtype=bool)
-    m[np.repeat(np.arange(len(gram_sets)), [len(g) for g in gram_sets]), cols] = True
+    flat = np.concatenate(ids)
+    present = np.zeros(flat.max(initial=-1) + 1, dtype=bool)
+    present[flat] = True
+    column = np.cumsum(present) - 1
+    m = np.zeros((len(ids), int(present.sum())), dtype=bool)
+    m[np.repeat(np.arange(len(ids)), [len(i) for i in ids]), column[flat]] = True
     return m
 
 
@@ -161,9 +175,10 @@ def _row_capacities(m: np.ndarray, bandwidth: float) -> np.ndarray:
     return _kernel_from_distances(_row_distances(m), bandwidth).mean(axis=1)
 
 
-def _capacity_vector(sets: Sequence[LingSet], bandwidth: float) -> np.ndarray:
+def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarray:
     """Resubstitution capacity of every member within its own sample."""
-    return _row_capacities(_indicator_rows(s.grams for s in sets), bandwidth)
+    index = _index_for(sets, cfg)
+    return _row_capacities(_indicator_rows([index.ids_of(s) for s in sets]), cfg.bandwidth)
 
 
 def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -> float:
@@ -191,7 +206,7 @@ def entropy(values: Sequence[LingSet], cfg: EstimatorConfig) -> float:
     values = list(values)
     if not values:
         raise EmptySample("entropy needs a non-empty sample")
-    p = _capacity_vector(values, cfg.bandwidth)
+    p = _capacity_vector(values, cfg)
     return _entropy_from_masses(p, cfg.entropy_mode)
 
 
@@ -265,20 +280,23 @@ def _step_capacities(
 ) -> tuple[np.ndarray, ...]:
     """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step.
 
-    The gram sets of the step's distinct marginals and, in concat mode, of
-    its distinct seam windows are indexed once into one table of boolean
-    rows over one step vocabulary; every family's rows are then the
-    elementwise OR of its parts' rows.  A union join is the OR of its
-    components.  A concat join adds the seam grams of its sources, the
-    grams of the window ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and
-    xz+y the tail is cut from ``x[-(n_max-1):] + " " + y`` (or ``z``), the
-    end of the joined source, without building the joined string.  Each
-    distinct window maps to its row through a table local to the call, so
-    ``seam_grams`` runs once per distinct window of the step.  That concat
-    identity holds only when every gram set was built by ``cfg.gram_set``
-    from its source, as ``build_step_samples`` builds every set of a run;
-    ``join`` makes no such assumption and is the oracle.  Union mode has 7
-    distinct families (xy+z = xz+y = xyz), concat mode 8.
+    The step's distinct marginals and, in concat mode, its distinct seam
+    windows become one table of boolean rows, built from their gram ids by
+    one scatter; every family's rows are then the elementwise OR of its
+    parts' rows.  A union join is the OR of its components.  A concat join
+    adds the seam grams of its sources, the grams of the window
+    ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and xz+y the tail is cut
+    from ``x[-(n_max-1):] + " " + y`` (or ``z``), the end of the joined
+    source, without building the joined string.  The ids and the windows
+    come from the ``GramIndex`` that built the first x set, the run's index,
+    so a window is extracted once per run, not once per step; sets from
+    another index or from ``ngram_set`` are numbered on first sight, and a
+    step whose first set has no index with ``cfg``'s n-gram settings uses a
+    new one.  That concat identity holds only when every gram set was built
+    from its source under ``cfg``'s n-gram settings, as ``run_simulation``
+    builds every set of a run; ``join`` makes no such assumption and is the
+    oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
+    mode 8.
 
     The distances equal those of ``_row_distances`` over ``join``-built
     families exactly, so the vectors are bit-identical to the per-family
@@ -290,42 +308,35 @@ def _step_capacities(
     ``compute_mi_record`` computed for the same step; they are returned
     read-only.
     """
+    index = _index_for([triplets[0].x], cfg)
     rows: dict[frozenset[str], int] = {}
+    ids: list[np.ndarray] = []
 
-    def index(gram_sets: Iterable[frozenset[str]]) -> np.ndarray:
-        return np.array([rows.setdefault(grams, len(rows)) for grams in gram_sets])
+    def row_indices(sets: Iterable[LingSet]) -> np.ndarray:
+        out = []
+        for s in sets:
+            row = rows.get(s.grams)
+            if row is None:
+                row = rows[s.grams] = len(ids)
+                ids.append(index.ids_of(s))
+            out.append(row)
+        return np.array(out)
 
-    ix, iy, iz = (index(getattr(t, c).grams for t in triplets) for c in "xyz")
+    ix, iy, iz = (row_indices(getattr(t, c) for t in triplets) for c in "xyz")
     seams: list[np.ndarray] = []
     if cfg.joint_mode == "concat" and cfg.include_space:
         reach = cfg.n_max - 1
-        windows: dict[str, int] = {}
-
-        def tail(text: str) -> str:  # text[-0:] would be all of text
-            return text[max(len(text) - reach, 0) :]
-
-        def seam_rows(tails: Iterable[str], heads: Iterable[str]) -> np.ndarray:
-            ixs = []
-            for a, b in zip(tails, heads):
-                a, b = tail(a), b[:reach]
-                window = a + " " + b
-                row = windows.get(window)
-                if row is None:
-                    grams = seam_grams(a, b, cfg.n_min, cfg.n_max)
-                    row = windows[window] = rows.setdefault(grams, len(rows))
-                ixs.append(row)
-            return np.array(ixs)
-
         sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
+        x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a
         for tails, heads in (
             (sx, sy),
             (sy, sz),
             (sx, sz),
-            ((tail(a) + " " + b for a, b in zip(sx, sy)), sz),
-            ((tail(a) + " " + b for a, b in zip(sx, sz)), sy),
+            ((a + " " + b for a, b in zip(x_tails, sy)), sz),
+            ((a + " " + b for a, b in zip(x_tails, sz)), sy),
         ):
-            seams.append(seam_rows(tails, heads))
-    u = _indicator_rows(rows)
+            seams.append(row_indices(map(index.window, tails, heads)))
+    u = _indicator_rows(ids)
     x, y, z = u[ix], u[iy], u[iz]
     xy, yz, xz = x | y, y | z, x | z
     if seams:

@@ -402,11 +402,13 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
 
     Every input is read by ``resolve_inputs`` before the first agent's
     steps, so a bad one fails the run at once.  Every gram set of the run is
-    built by ``build_step_samples`` with ``cfg.estimator.gram_set``.
+    built by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
+    made for this call, whose gram ids and window memo every step then uses.
     Results are keyed by agent name in configuration order.
     """
     docs, pools = resolve_inputs(cfg)
     est = cfg.estimator
+    gram_index = est.gram_index()
     # Child 0 of the master seed is the synthetic corpus's generator.
     _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
 
@@ -420,7 +422,7 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             per_step=cfg.per_step,
             rng=agent_rng,
             context_length=cfg.context_length,
-            gram_set=est.gram_set,
+            gram_set=gram_index,
         )
         if cfg.workers > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:

@@ -28,7 +28,7 @@ from setinfo.agents import resolve_pool
 from setinfo.ngrams import ngram_set
 
 
-GRAM_SET = EstimatorConfig().gram_set
+GRAM_SET = EstimatorConfig().gram_index()
 
 
 def context(*tokens: str) -> Context:
@@ -164,7 +164,7 @@ class TestSynthCorpus:
     def test_gold_shares_one_gram_set_per_phrase(self):
         # Gold phrases repeat across sentences; the step samples drawn from the
         # gold pool hold one gram set per phrase, built with the given settings.
-        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
+        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_index()
         _, gold = synth_corpus(200, np.random.default_rng(8))
         samples = build_step_samples("gold_file", gold, 2, 200, np.random.default_rng(8), 10, gram_set)
         by_text = {}
@@ -260,7 +260,7 @@ class TestBuildStepSamples:
     def test_one_gram_set_per_distinct_text(self):
         # Each distinct segment text of the returned samples is built once per
         # call, by the given builder, and every triplet holding it shares it.
-        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_set
+        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_index()
         docs, gold = synth_corpus(400, np.random.default_rng(11))
         mined = resolve_pool(AgentSpec(kind="extractor"), docs)
         for kind, source in [("random", docs), ("extractor", mined), ("gold_file", gold)]:

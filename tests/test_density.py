@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,10 @@ from setinfo import (
     synth_corpus,
     triplet_likelihood,
 )
-from setinfo import density
+from setinfo import density, ngrams
 from setinfo.agents import build_step_samples
 from setinfo.density import _capacity_vector, _indicator_rows, _row_distances, _step_capacities
+from setinfo.ngrams import GramIndex
 
 from conftest import lingsets, random_lingset
 
@@ -74,7 +76,7 @@ def oracle_entropy(sets, cfg: EstimatorConfig) -> float:
 
 
 def triplet(x: str, y: str, z: str, cfg: EstimatorConfig = UNION) -> Triplet:
-    return Triplet(cfg.gram_set(x), cfg.gram_set(y), cfg.gram_set(z))
+    return Triplet(*(ngram_set(t, cfg.n_min, cfg.n_max, cfg.include_space) for t in (x, y, z)))
 
 
 def random_triplets(rng, n: int) -> list[Triplet]:
@@ -157,7 +159,9 @@ class TestDistanceMatrix:
     def test_equals_pairwise_hamming(self, sets):
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
-        assert np.array_equal(_row_distances(_indicator_rows(s.grams for s in sets)), expected)
+        index = GramIndex(1, 3, True)
+        got = _row_distances(_indicator_rows([index.ids_of(s) for s in sets]))
+        assert np.array_equal(got, expected)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -479,33 +483,56 @@ segments = st.text(alphabet="ab c", min_size=1, max_size=6).map(lambda s: s.stri
 class TestStepCapacities:
     """The one-pass step vectors against per-family ``join`` + ``_capacity_vector``."""
 
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=8),
-        st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 3), (1, 2), (2, 2)]),
-        st.sampled_from(["union", "concat"]),
-        st.booleans(),
-    )
-    @example([("a", "b", "c")], (1, 1), "concat", True)
-    @example([("ab", "a", "ab"), ("ab", "a", "ab")], (2, 4), "concat", True)
-    @example([("ab", "cd", "ef")], (1, 3), "concat", True)  # the xy+z window is the yz window
-    def test_equals_join_built_families(self, texts, lengths, mode, include_space):
-        n_min, n_max = lengths
-        cfg = EstimatorConfig(
-            joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
-        )
-        triplets = [triplet(*t, cfg) for t in texts]
-        triplets += triplets[:2]  # repeated members
+    @staticmethod
+    def assert_equals_join_built(triplets: list[Triplet], cfg: EstimatorConfig) -> None:
         xs = [t.x for t in triplets]
         ys = [t.y for t in triplets]
         zs = [t.z for t in triplets]
         xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
         families = [xs, ys, zs, xy, yz, xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
+        _step_capacities.cache_clear()  # equal triplets built another way would hit the memo
         got = _step_capacities(tuple(triplets), cfg)
         assert len(got) == len(families)
         for vector, family in zip(got, families):
-            assert np.array_equal(vector, _capacity_vector(family, cfg.bandwidth))
+            assert np.array_equal(vector, _capacity_vector(family, cfg))
             assert not vector.flags.writeable
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=8),
+        st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=8),
+        st.sampled_from([(1, 1), (1, 3), (2, 4), (3, 3), (1, 2), (2, 2)]),
+        st.sampled_from(["union", "concat"]),
+        st.booleans(),
+    )
+    @example([("a", "b", "c")], [("a", "b", "c")], (1, 1), "concat", True)
+    @example([("ab", "a", "ab"), ("ab", "a", "ab")], [("a b", "ab", "b")], (2, 4), "concat", True)
+    @example([("ab", "cd", "ef")], [("ab", "cd", "ef")], (1, 3), "concat", True)  # xy+z window = yz window
+    def test_equals_join_built_families(self, texts, more_texts, lengths, mode, include_space):
+        # Three ways a step's sets are built: by one index shared by two steps
+        # (the second step meets memoized pieces and windows), by plain
+        # ngram_set, and a mix of the two in either order.
+        n_min, n_max = lengths
+        cfg = EstimatorConfig(
+            joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
+        )
+        index = cfg.gram_index()
+
+        def plain(text: str) -> LingSet:
+            return ngram_set(text, n_min, n_max, include_space)
+
+        def build(step_texts, *builders) -> list[Triplet]:
+            triplets = [
+                Triplet(*(builders[(i + j) % len(builders)](text) for j, text in enumerate(t)))
+                for i, t in enumerate(step_texts)
+            ]
+            return triplets + triplets[:2]  # repeated members
+
+        for step_texts in (texts, more_texts):
+            self.assert_equals_join_built(build(step_texts, index), cfg)
+        self.assert_equals_join_built(build(texts, plain), cfg)
+        self.assert_equals_join_built(build(texts, index, plain), cfg)
+        self.assert_equals_join_built(build(more_texts, plain, index), cfg)
 
     @pytest.mark.parametrize("cfg,products", [(UNION, 7), (CONCAT, 8)], ids=["union", "concat"])
     def test_record_then_monitor_runs_one_pass(self, rng, monkeypatch, cfg, products):
@@ -523,42 +550,50 @@ class TestStepCapacities:
         assert len(calls) == products  # one Gram product per distinct family
 
     @staticmethod
-    def seam_calls(monkeypatch, triplets, cfg) -> list[str]:
-        """The window of every ``seam_grams`` call one concat step makes."""
-        reach = cfg.n_max - 1
+    def scans(monkeypatch) -> list[str]:
+        """The text of every ``ngram_set`` call from here on."""
         calls = []
-        seam_grams = density.seam_grams
-        monkeypatch.setattr(
-            density,
-            "seam_grams",
-            lambda a, b, *n: calls.append(a[max(len(a) - reach, 0) :] + " " + b[:reach])
-            or seam_grams(a, b, *n),
-        )
-        _step_capacities.cache_clear()
-        _step_capacities(tuple(triplets), cfg)
+        scan = ngrams.ngram_set
+        monkeypatch.setattr(ngrams, "ngram_set", lambda text, *a: calls.append(text) or scan(text, *a))
         return calls
 
     def test_copies_of_one_triplet_extract_each_seam_window_once(self, monkeypatch):
         triplets = [triplet("the cat", "sat on", "the mat", CONCAT)] * 12
-        assert len(self.seam_calls(monkeypatch, triplets, CONCAT)) <= 5
+        _step_capacities.cache_clear()
+        calls = self.scans(monkeypatch)
+        _step_capacities(tuple(triplets), CONCAT)
+        assert len(calls) <= 5
 
-    def test_seam_grams_run_once_per_distinct_window(self, rng, monkeypatch):
-        triplets = random_triplets(rng, 12)
-        triplets += triplets[:4]  # repeated members repeat their windows
+    def test_seam_grams_run_once_per_distinct_window(self, monkeypatch):
+        # One index builds a run's sets and serves two of its steps.  Every
+        # piece and every window, inside a segment or between two, is scanned
+        # exactly once, including the windows the two steps share.
+        calls = self.scans(monkeypatch)
+        docs, _ = synth_corpus(300, np.random.default_rng(3))
+        samples = build_step_samples(
+            "random", docs, k_max=2, per_step=40, rng=np.random.default_rng(4),
+            context_length=10, gram_set=CONCAT.gram_index(),
+        )
         reach = CONCAT.n_max - 1
 
         def window(a: str, b: str) -> str:  # from the joined sources, as ``join`` sees them
             return a[max(len(a) - reach, 0) :] + " " + b[:reach]
 
-        windows = set()
-        for t in triplets:
-            x, y, z = t.x.source, t.y.source, t.z.source
-            windows |= {
-                window(x, y), window(y, z), window(x, z),
-                window(x + " " + y, z), window(x + " " + z, y),
-            }
-        calls = self.seam_calls(monkeypatch, triplets, CONCAT)
-        assert sorted(calls) == sorted(windows)
+        step_windows = []
+        for sample in samples:
+            windows = set()
+            for t in sample.triplets:
+                x, y, z = t.x.source, t.y.source, t.z.source
+                windows |= {
+                    window(x, y), window(y, z), window(x, z),
+                    window(x + " " + y, z), window(x + " " + z, y),
+                }
+            step_windows.append(windows)
+            _step_capacities.cache_clear()
+            _step_capacities(sample.triplets, CONCAT)
+        assert step_windows[0] & step_windows[1]  # windows recur across steps
+        assert set.union(*step_windows) <= set(calls)
+        assert max(Counter(calls).values()) == 1
 
     def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
@@ -571,13 +606,39 @@ class TestStepCapacities:
             assert np.array_equal(got, want)
 
 
+def test_large_union_step_memory_stays_within_its_documented_terms():
+    # One random-agent union step of per_step = 800.  With n = per_step and
+    # V = the step's distinct grams, the step holds at most 3n distinct
+    # boolean rows and the 7 families' gathered rows (10 n V bytes), one
+    # family's float32 copy (4 n V) and three n x n float64 arrays at a time
+    # (24 n^2), plus 1 MB for its id arrays, n-vectors and Python objects.
+    docs, _ = synth_corpus(2000, np.random.default_rng(5))
+    (sample,) = build_step_samples(
+        "random", docs, k_max=1, per_step=800, rng=np.random.default_rng(9),
+        context_length=10, gram_set=UNION.gram_index(),
+    )
+    triplets = sample.triplets
+    n = len(triplets)
+    v = len(frozenset().union(*(s.grams for t in triplets for s in (t.x, t.y, t.z))))
+    bound = 10 * n * v + 4 * n * v + 24 * n * n + 2**20
+    _step_capacities.cache_clear()
+    tracemalloc.start()
+    try:
+        _step_capacities(triplets, UNION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _step_capacities.cache_clear()
+    assert peak < bound
+
+
 def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
     """One random-agent step and one pool step of 30 triplets each."""
     docs, gold = synth_corpus(400, np.random.default_rng(5))
     return {
         label: build_step_samples(
             kind, source, k_max=1, per_step=30, rng=np.random.default_rng(9),
-            context_length=10, gram_set=UNION.gram_set,
+            context_length=10, gram_set=UNION.gram_index(),
         )[0].triplets
         for label, kind, source in [("random", "random", docs), ("pool", "gold_file", gold)]
     }

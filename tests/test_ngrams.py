@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import sys
+import threading
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setinfo import EmptyText, hamming, join, ngram_set
-from setinfo.ngrams import seam_grams
+from setinfo import EmptyText, LingSet, hamming, join, ngram_set
+from setinfo import ngrams
+from setinfo.ngrams import GramIndex
 
 from conftest import lingsets, texts
 
@@ -58,6 +63,98 @@ class TestNgramSet:
 
     def test_source_preserved(self):
         assert ngram_set("the cat", 1, 3, True).source == "the cat"
+
+
+# Texts over letters and three kinds of whitespace, with leading, trailing and
+# doubled spaces and tokens shorter than a seam window's n_max - 1 characters.
+spaced_texts = st.text(alphabet="ab \t\n", min_size=1, max_size=14)
+GRAM_LENGTHS = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 4), (3, 3), (1, 5)]
+
+
+class TestGramIndex:
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(spaced_texts, min_size=1, max_size=6), st.sampled_from(GRAM_LENGTHS), st.booleans())
+    @example(["ab\tcd ef"], (1, 3), True)  # a piece between spaces is scanned whole
+    @example(["ab\tcd ef"], (1, 3), False)
+    @example(["a b c"], (1, 3), True)  # " b " lies across two seams
+    @example([" a  b "], (1, 4), True)
+    @example(["ab", "b a", "ab"], (1, 1), True)
+    def test_fold_equals_ngram_set(self, texts, lengths, include_space):
+        # One index builds every text in turn, so later texts fold memoized
+        # pieces and windows; each set must equal the scan of its whole text,
+        # and its ids must be exactly the vocabulary ids of its grams.
+        n_min, n_max = lengths
+        index = GramIndex(n_min, n_max, include_space)
+        for text in texts:
+            got = index(text)
+            want = ngram_set(text, n_min, n_max, include_space)
+            assert got.grams == want.grams
+            assert got == want
+            assert got.index is index
+            assert set(got.ids.tolist()) == {index.vocab[g] for g in want.grams}
+        assert sorted(index.vocab.values()) == list(range(len(index.vocab)))
+
+    def test_ids_of_numbers_sets_from_elsewhere(self):
+        index = GramIndex(1, 2, True)
+        own = index("ab a")
+        assert index.ids_of(own) is own.ids
+        other = ngram_set("ba c", 1, 2, True)
+        ids = index.ids_of(other)
+        assert sorted(ids.tolist()) == sorted(index.vocab[g] for g in other.grams)
+        assert set(ids.tolist()) & set(own.ids.tolist()) == {index.vocab[g] for g in own.grams & other.grams}
+
+    def test_window_extracted_once(self, monkeypatch):
+        calls = []
+        scan = ngrams.ngram_set
+        monkeypatch.setattr(ngrams, "ngram_set", lambda text, *a: calls.append(text) or scan(text, *a))
+        index = GramIndex(1, 3, True)
+        assert index.window("the cat", "sat on") is index.window("a cat", "sat")
+        assert calls == ["at sa"]
+        assert index.window("the cat", "sat on").grams == {" ", "t ", " s", "at ", "t s", " sa"}
+
+    def test_empty_text_and_bad_lengths_rejected(self):
+        with pytest.raises(EmptyText):
+            GramIndex(1, 3, True)("")
+        with pytest.raises(ValueError):
+            GramIndex(0, 3, True)
+        with pytest.raises(ValueError):
+            GramIndex(3, 2, True)
+
+    def test_threads_keep_the_vocabulary_a_bijection(self):
+        # Four threads build the same texts through one index at once, two
+        # forwards and two backwards, with the interpreter switching threads
+        # as often as it can.  The texts draw from 3000 characters, so almost
+        # every piece and window holds grams not yet numbered; a race in
+        # numbering would give two grams one id.
+        rng = np.random.default_rng(0)
+        alphabet = [chr(0x4E00 + i) for i in range(3000)]
+        texts = [" ".join("".join(rng.choice(alphabet, size=4)) for _ in range(3)) for _ in range(800)]
+        index = GramIndex(1, 3, True)
+        barrier = threading.Barrier(4)
+        built: list[list[LingSet]] = [[] for _ in range(4)]
+
+        def work(slot: int) -> None:
+            barrier.wait()
+            built[slot] = [index(text) for text in (texts if slot % 2 else texts[::-1])]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        vocab = index.vocab
+        assert sorted(vocab.values()) == list(range(len(vocab)))
+        assert len(vocab) == len(frozenset().union(*(ngram_set(t, 1, 3, True).grams for t in texts)))
+        for sets in built:
+            assert len(sets) == len(texts)
+            for s in sets:
+                assert set(s.ids.tolist()) == {vocab[g] for g in s.grams}
 
 
 class TestHamming:
@@ -145,11 +242,12 @@ class TestJoin:
         a = ngram_set(ta, n_min, n_max, include_space)
         b = ngram_set(tb, n_min, n_max, include_space)
         concat = join(a, b, "concat", n_min, n_max, include_space).grams
-        seams = seam_grams(ta, tb, n_min, n_max) if include_space else frozenset()
+        seams = GramIndex(n_min, n_max, True).window(ta, tb).grams if include_space else frozenset()
         assert concat == a.grams | b.grams | seams
 
     def test_seam_window_for_unigrams_is_the_space(self):
-        assert seam_grams("abc", "def", 1, 1) == frozenset({" "})
+        assert GramIndex(1, 1, True).window("abc", "def").grams == frozenset({" "})
 
     def test_seam_window_short_segments(self):
-        assert seam_grams("a", "b", 1, 4) == ngram_set("a b", 1, 4, True).grams
+        window = {g for g in ngram_set("a b", 1, 4, True).grams if " " in g}
+        assert GramIndex(1, 4, True).window("a", "b").grams == window

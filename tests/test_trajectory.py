@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +17,7 @@ from setinfo import (
     EstimatorConfig,
     RunConfig,
     compute_mi_record,
+    ngram_set,
     read_csv,
     rolling_mean,
     run_simulation,
@@ -288,21 +288,31 @@ class TestRunSimulation:
                     assert va == pytest.approx(vb, rel=1e-9)
 
     def test_gram_sets_come_from_the_estimator_config(self, monkeypatch):
-        texts = []
-        gram_set = EstimatorConfig.gram_set
+        # One index per run, made by cfg.estimator.gram_index() under the
+        # run's ngram.* settings, builds every gram set of every agent.
+        made, built = [], []
+        gram_index = EstimatorConfig.gram_index
         monkeypatch.setattr(
-            EstimatorConfig, "gram_set", lambda cfg, text: texts.append(text) or gram_set(cfg, text)
+            EstimatorConfig, "gram_index", lambda est: made.append((est, gram_index(est))) or made[-1][1]
         )
-        cfg = small_config(k_max=2, window=2)
+        monkeypatch.setattr(
+            trajectory,
+            "build_step_samples",
+            lambda *args, **kw: built.append((kw["gram_set"], build_step_samples(*args, **kw)))
+            or built[-1][1],
+        )
+        est = EstimatorConfig(n_min=2, n_max=4, include_space=False)
+        cfg = small_config(k_max=2, window=2, estimator=est)
         run_simulation(cfg)
-        # One set per distinct segment text of each agent's samples; the
-        # synthetic corpus and its gold triples build none.
-        distinct = [
-            {s.source for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)}
-            for samples in rebuilt_samples(cfg, lambda text: gram_set(cfg.estimator, text)).values()
-        ]
-        assert len(texts) == sum(map(len, distinct))
-        assert Counter(texts) == Counter(text for agent_texts in distinct for text in agent_texts)
+        assert [made_for for made_for, _ in made] == [est]
+        index = made[0][1]
+        assert index.settings == (2, 4, False)
+        assert len(built) == len(cfg.agents)
+        for gram_set, samples in built:
+            assert gram_set is index
+            for s in (s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)):
+                assert s.index is index
+                assert s == ngram_set(s.source, 2, 4, False)
 
     @pytest.fixture
     def step_calls(self, monkeypatch) -> list[str]:
@@ -412,7 +422,7 @@ class TestRunSimulation:
         # the estimator on one step reproduces the stored record exactly.
         cfg = small_config()
         results = run_simulation(cfg)
-        samples = rebuilt_samples(cfg, cfg.estimator.gram_set)
+        samples = rebuilt_samples(cfg, cfg.estimator.gram_index())
         for name in ("random", "structured"):
             for sample, stored in zip(samples[name], results[name].records, strict=True):
                 rec = compute_mi_record(sample.k, sample.triplets, cfg.estimator)
