@@ -10,21 +10,27 @@ every entropy in [0, ln n].  ``raw`` mode uses the capacity masses as-is;
 its entropies are not normalized and conditional entropies may come out
 negative, which is reported, never clamped.
 
-A family's pairwise distances come from one indicator-matrix product: its n
+A family's pairwise distances come from one indicator-matrix product: its
 sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
-2 (M M^T)_AB.  The product runs in float32 and is exact: every partial sum
-is an integer no larger than the smaller set, and sets are required to hold
-fewer than 2^24 grams, below which float32 counts every integer.  Rows are
-built from gram ids, not gram strings: a run's sets carry their ids in the
-run's ``GramIndex``, any other set is numbered on first sight, and one
-scatter fills the boolean rows (``_indicator_rows``).  A step builds rows
-for its distinct marginals and, in concat mode, for its distinct seam
-windows, taken from the index's window memo, and builds every joined
-family's rows from theirs with OR (see ``_step_capacities``).  With
-n = ``per_step`` the rows cost O(n*V) bytes, and each family is taken to
-float32 only for its own product: O(n*V) float32 plus O(n^2) float64 at a
-time.  The scalar ``kernel``/``hamming``/``capacity`` functions and ``join``
-are the oracle it is tested against.
+2 (M M^T)_AB, with the sizes |A| on the product's diagonal.  The product
+runs in float32 and is exact: every partial sum is an integer no larger
+than the smaller set, and sets are required to hold fewer than 2^24 grams,
+below which float32 counts every integer.  Rows are built from gram ids, not
+gram strings: a run's sets carry their ids in the run's ``GramIndex``, the
+other sets of a sample are numbered in one call, and one scatter fills the
+boolean rows (``_set_rows``).  A step builds rows for its distinct marginals
+and, in concat mode, for its distinct seam windows, taken from the index's
+window memo, and builds every joined family's rows from theirs with OR (see
+``_step_capacities``).  Only a family's u distinct members get rows and a
+product; the distances are exact integers, so each kernel value is read from
+one table over the distances 0, 1, 2, ... instead of computed per pair, and
+each distinct member's kernel row is spread over all n members before its
+mean, so that every capacity sums the same n values in the same order as
+the full n x n matrix would.  With n = ``per_step`` the step's rows cost
+O(n*V) bytes, and each family O(u*V) bytes of rows and float32 plus O(u*n)
+integer distances and kernel values.  The scalar
+``kernel``/``hamming``/``capacity`` functions and ``join`` are the oracle it
+is tested against.
 
 All logarithms are natural; every quantity is in nats.
 """
@@ -135,6 +141,39 @@ def _index_for(sets: Iterable[LingSet], cfg: EstimatorConfig) -> GramIndex:
     return cfg.gram_index()
 
 
+def _set_rows(
+    families: Iterable[Iterable[LingSet]], index: GramIndex
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One boolean row per distinct gram set of ``families``, and each family's row numbers.
+
+    A set that ``index`` built brings its ids; the grams of all the others
+    are numbered in one ``index.number`` call and cut back into sets.
+    """
+    rows: dict[frozenset[str], int] = {}
+    ids: list[np.ndarray | None] = []
+    unnumbered: list[tuple[int, frozenset[str]]] = []
+    numbers = []
+    for sets in families:
+        out = []
+        for s in sets:
+            row = rows.get(s.grams)
+            if row is None:
+                row = rows[s.grams] = len(ids)
+                if s.index is index:
+                    ids.append(s.ids)
+                else:
+                    ids.append(None)
+                    unnumbered.append((row, s.grams))
+            out.append(row)
+        numbers.append(np.array(out, dtype=np.intp))
+    if unnumbered:
+        flat = index.number([g for _, grams in unnumbered for g in grams])
+        start = 0
+        for row, grams in unnumbered:
+            ids[row] = flat[start : (start := start + len(grams))]
+    return _indicator_rows(ids), numbers
+
+
 def _indicator_rows(ids: Sequence[np.ndarray]) -> np.ndarray:
     """One boolean row per array of gram ids, over the distinct ids in ascending order.
 
@@ -154,31 +193,71 @@ def _indicator_rows(ids: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _row_distances(m: np.ndarray) -> np.ndarray:
-    """Pairwise symmetric-difference counts of boolean rows, |A| + |B| - 2 |A & B|.
+    """Pairwise symmetric-difference counts of boolean rows, |A| + |B| - 2 |A & B|, as integers.
 
-    The row sizes are counted as integers, and the rows are taken to float32
-    for one BLAS product, whose n x n result is taken to float64.  Every
-    partial sum of |A & B| is an integer no larger than the row sizes, which
-    must stay below 2^24 (checked before any float array is built), so the
-    product is exact in any summation order and the distances agree with
-    per-pair ``hamming`` calls to the last bit, whatever the columns.
+    The rows are taken to float32 for one BLAS product, whose diagonal holds
+    the row sizes.  Every partial sum of |A & B| is an integer no larger
+    than the row sizes, which must stay below 2^24, so the product is exact
+    in any summation order and the distances agree with per-pair ``hamming``
+    calls to the last bit, whatever the columns.  Only rows of 2^24 or more
+    columns can break that bound; their sizes are counted, and checked,
+    before any float array is built.
     """
-    sizes = m.sum(axis=1)
-    if sizes.max(initial=0) >= 2**24:  # float32 counts exactly only up to 2^24
-        raise ValueError(f"exact float32 products need rows of fewer than 2^24 grams, got {sizes.max()}")
+    if m.shape[1] >= 2**24:
+        top = m.sum(axis=1).max(initial=0)
+        if top >= 2**24:  # float32 counts exactly only up to 2^24
+            raise ValueError(f"exact float32 products need rows of fewer than 2^24 grams, got {top}")
     f = m.astype(np.float32)
-    return sizes[:, None] + sizes[None, :] - 2.0 * (f @ f.T).astype(np.float64)
+    d = (f @ f.T).astype(np.intp)
+    sizes = d.diagonal().copy()
+    d *= -2
+    d += sizes[:, None]
+    d += sizes
+    return d
 
 
-def _row_capacities(m: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Resubstitution capacity of every row within the rows of ``m``."""
-    return _kernel_from_distances(_row_distances(m), bandwidth).mean(axis=1)
+@functools.lru_cache(maxsize=8)
+def _kernel_table(bandwidth: float, size: int) -> np.ndarray:
+    """``_kernel_from_distances`` of the distances 0 .. size - 1, read-only."""
+    table = _kernel_from_distances(np.arange(size, dtype=np.float64), bandwidth)
+    table.flags.writeable = False
+    return table
+
+
+def _family_capacities(
+    key: np.ndarray, table: np.ndarray, parts: Sequence[np.ndarray], bandwidth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Resubstitution capacity of every member of a family, and its distinct-member number.
+
+    Member i's row is the OR of the rows ``table[p[i]]`` for p in
+    ``parts``; members with equal ``key`` have equal rows.  Only the
+    distinct members' rows are built and multiplied, and each kernel value
+    is read from a table indexed by the exact integer distance.  A distinct
+    member's kernel row is laid out over all n members, in member order and
+    contiguous, so its mean adds the same n values in the same order as a
+    row of the full n x n kernel matrix, to the same bit; the means are then
+    gathered back to the members.  When every member is distinct, the rows
+    are built in member order and nothing is gathered.
+    """
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    distinct = len(first) == len(key)
+    sel = slice(None) if distinct else first
+    m = table[parts[0][sel]]
+    for p in parts[1:]:
+        m |= table[p[sel]]
+    d = _row_distances(m)
+    del m
+    kernel = _kernel_table(bandwidth, 1 << int(d.max(initial=0)).bit_length())
+    if distinct:
+        return kernel[d].mean(axis=1), inv
+    # d[:, inv] comes out column-major, and numpy sums its rows in another order.
+    return kernel[np.ascontiguousarray(d[:, inv])].mean(axis=1)[inv], inv
 
 
 def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarray:
     """Resubstitution capacity of every member within its own sample."""
-    index = _index_for(sets, cfg)
-    return _row_capacities(_indicator_rows([index.ids_of(s) for s in sets]), cfg.bandwidth)
+    table, (rows,) = _set_rows([sets], _index_for(sets, cfg))
+    return _family_capacities(rows, table, [rows], cfg.bandwidth)[0]
 
 
 def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -> float:
@@ -274,7 +353,37 @@ def triplet_likelihood(t: "Triplet", sample: Sequence["Triplet"], cfg: Estimator
     return p_y_given_xz * p_z_given_x * p_x
 
 
-@functools.lru_cache(maxsize=1)
+class _LastStep:
+    """A one-entry memo of ``fn(triplets, cfg)``, hit by the same triplets tuple and an equal config.
+
+    A hit compares the tuple's identity, not its members, so it costs O(1)
+    however large the step.  The memo holds the tuple, so its id cannot be
+    reused by another tuple while the entry lives.  The entry is read and
+    replaced as one tuple, so threads that share the memo never take one
+    step's key with another step's vectors.
+    """
+
+    def __init__(self, fn):
+        functools.update_wrapper(self, fn)
+        self.fn = fn
+        self.cache_clear()
+
+    def __call__(self, triplets: tuple["Triplet", ...], cfg: EstimatorConfig):
+        last_triplets, last_cfg, value = self.last
+        if triplets is last_triplets and cfg == last_cfg:
+            self.hits += 1
+            return value
+        self.misses += 1
+        value = self.fn(triplets, cfg)
+        self.last = (triplets, cfg, value)
+        return value
+
+    def cache_clear(self) -> None:
+        self.last = (None, None, None)
+        self.hits = self.misses = 0
+
+
+@_LastStep
 def _step_capacities(
     triplets: tuple["Triplet", ...], cfg: EstimatorConfig
 ) -> tuple[np.ndarray, ...]:
@@ -282,9 +391,10 @@ def _step_capacities(
 
     The step's distinct marginals and, in concat mode, its distinct seam
     windows become one table of boolean rows, built from their gram ids by
-    one scatter; every family's rows are then the elementwise OR of its
-    parts' rows.  A union join is the OR of its components.  A concat join
-    adds the seam grams of its sources, the grams of the window
+    one scatter (``_set_rows``), and every member is a tuple of row numbers
+    into it.  A family's row is the elementwise OR of its parts' rows.  A
+    union join is the OR of its components.  A concat join adds the seam
+    grams of its sources, the grams of the window
     ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and xz+y the tail is cut
     from ``x[-(n_max-1):] + " " + y`` (or ``z``), the end of the joined
     source, without building the joined string.  The ids and the windows
@@ -298,32 +408,26 @@ def _step_capacities(
     oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
     mode 8.
 
-    The distances equal those of ``_row_distances`` over ``join``-built
-    families exactly, so the vectors are bit-identical to the per-family
-    path.  Memory is O(n * V_step) bytes of boolean rows, where V_step counts
-    the step's distinct grams, seam grams included, plus O(n * V_step)
-    float32 and O(n^2) float64 for the one family being multiplied, whose
-    product is exact while every joined set holds fewer than 2^24 grams.
-    The one-entry cache lets ``joint_mass_monitor`` reuse the vectors
-    ``compute_mi_record`` computed for the same step; they are returned
-    read-only.
+    Each family keys its members by their parts' row numbers (xy+z and
+    xz+y by xy's or xz's distinct-member number and the rest), mixed-radix
+    over r = max(table rows, n), at most three digits, so keys stay exact in
+    int64 for any r below 2^21.  ``_family_capacities`` then builds, and
+    multiplies, the rows of the u distinct members only and reads the
+    kernel from a table over the integer distances; a pool step has a few
+    dozen distinct marginals among its n members.  The distances equal those
+    of ``_row_distances`` over ``join``-built families exactly, and every
+    capacity is the same n kernel values summed in the same order, so the
+    vectors are bit-identical to the per-family path over all n rows.
+    Memory is O(n * V_step) bytes for the table, where V_step counts the
+    step's distinct grams, seam grams included, plus, for the one family
+    being built, O(u * V_step) bytes of boolean rows and float32 and
+    O(u * n) integer distances and kernel values; the product is exact while
+    every joined set holds fewer than 2^24 grams.  The one-entry memo lets
+    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
+    for the same tuple; they are returned read-only.
     """
     index = _index_for([triplets[0].x], cfg)
-    rows: dict[frozenset[str], int] = {}
-    ids: list[np.ndarray] = []
-
-    def row_indices(sets: Iterable[LingSet]) -> np.ndarray:
-        out = []
-        for s in sets:
-            row = rows.get(s.grams)
-            if row is None:
-                row = rows[s.grams] = len(ids)
-                ids.append(index.ids_of(s))
-            out.append(row)
-        return np.array(out)
-
-    ix, iy, iz = (row_indices(getattr(t, c) for t in triplets) for c in "xyz")
-    seams: list[np.ndarray] = []
+    families = [[getattr(t, c) for t in triplets] for c in "xyz"]
     if cfg.joint_mode == "concat" and cfg.include_space:
         reach = cfg.n_max - 1
         sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
@@ -335,22 +439,28 @@ def _step_capacities(
             ((a + " " + b for a, b in zip(x_tails, sy)), sz),
             ((a + " " + b for a, b in zip(x_tails, sz)), sy),
         ):
-            seams.append(row_indices(map(index.window, tails, heads)))
-    u = _indicator_rows(ids)
-    x, y, z = u[ix], u[iy], u[iz]
-    xy, yz, xz = x | y, y | z, x | z
-    if seams:
-        s_xy, s_yz, s_xz, s_xy_z, s_xz_y = (u[i] for i in seams)
-        xy, yz, xz = xy | s_xy, yz | s_yz, xz | s_xz
-        xy_z = xy | z | s_xy_z
-        xz_y = xz | y | s_xz_y
-    else:
-        xy_z = xz_y = xy | z
-    caps = [_row_capacities(m, cfg.bandwidth) for m in (x, y, z, xy, yz, xz, xy_z)]
-    caps.append(caps[-1] if xz_y is xy_z else _row_capacities(xz_y, cfg.bandwidth))
+            families.append(list(map(index.window, tails, heads)))
+    table, (ix, iy, iz, *seams) = _set_rows(families, index)
+    # Each seam is a list of zero (union, or no spaces) or one row-number array.
+    s_xy, s_yz, s_xz, s_xy_z, s_xz_y = ([s] for s in seams) if seams else ([],) * 5
+    radix = max(len(table), len(triplets))
+
+    def capacities(digits: list[np.ndarray], parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        key = digits[0]
+        for digit in digits[1:]:
+            key = key * radix + digit
+        return _family_capacities(key, table, parts, cfg.bandwidth)
+
+    x, y, z, xy, yz, xz = (
+        capacities(parts, parts)
+        for parts in ([ix], [iy], [iz], [ix, iy, *s_xy], [iy, iz, *s_yz], [ix, iz, *s_xz])
+    )
+    xy_z = capacities([xy[1], iz, *s_xy_z], [ix, iy, *s_xy, iz, *s_xy_z])
+    xz_y = capacities([xz[1], iy, *s_xz_y], [ix, iz, *s_xz, iy, *s_xz_y]) if seams else xy_z
+    caps = tuple(p for p, _ in (x, y, z, xy, yz, xz, xy_z, xz_y))
     for p in caps:
         p.flags.writeable = False
-    return tuple(caps)
+    return caps
 
 
 def compute_mi_record(

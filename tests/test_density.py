@@ -490,7 +490,6 @@ class TestStepCapacities:
         zs = [t.z for t in triplets]
         xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
         families = [xs, ys, zs, xy, yz, xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
-        _step_capacities.cache_clear()  # equal triplets built another way would hit the memo
         got = _step_capacities(tuple(triplets), cfg)
         assert len(got) == len(families)
         for vector, family in zip(got, families):
@@ -534,20 +533,43 @@ class TestStepCapacities:
         self.assert_equals_join_built(build(texts, index, plain), cfg)
         self.assert_equals_join_built(build(more_texts, plain, index), cfg)
 
-    @pytest.mark.parametrize("cfg,products", [(UNION, 7), (CONCAT, 8)], ids=["union", "concat"])
-    def test_record_then_monitor_runs_one_pass(self, rng, monkeypatch, cfg, products):
-        calls = []
+    @pytest.mark.parametrize(
+        "cfg,distinct",
+        [(UNION, [2, 3, 4, 6, 12, 4, 12]), (CONCAT, [2, 3, 4, 6, 12, 4, 12, 12])],
+        ids=["union", "concat"],
+    )
+    def test_record_then_monitor_runs_one_pass(self, monkeypatch, cfg, distinct):
+        # Member i is (xs[i % 2], ys[i % 3], zs[i % 4]), so of the 12 members
+        # x has 2 distinct, y 3, z 4, xy 6, yz 12, xz 4 and xy+z (xz+y) 12.
+        shapes = []
         row_distances = density._row_distances
-        monkeypatch.setattr(
-            density, "_row_distances", lambda m: calls.append(m.shape) or row_distances(m)
-        )
+
+        def spy(m):
+            d = row_distances(m)
+            shapes.append(d.shape)
+            return d
+
+        monkeypatch.setattr(density, "_row_distances", spy)
+        xs = ["the cat", "a dog"]
+        ys = ["sat on", "ran to", "slept by"]
+        zs = ["the mat", "a door", "the sea", "my bed"]
+        triplets = tuple(triplet(xs[i % 2], ys[i % 3], zs[i % 4], cfg) for i in range(12))
         _step_capacities.cache_clear()
-        triplets = tuple(random_triplets(rng, 12))
         compute_mi_record(1, triplets, cfg)
         joint_mass_monitor(triplets, cfg)
-        info = _step_capacities.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        assert len(calls) == products  # one Gram product per distinct family
+        assert (_step_capacities.misses, _step_capacities.hits) == (1, 1)
+        # One Gram product per distinct family, over its distinct members only.
+        assert shapes == [(u, u) for u in distinct]
+
+    def test_memo_hit_takes_the_same_tuple_and_an_equal_config(self, rng):
+        triplets = tuple(random_triplets(rng, 6))
+        _step_capacities.cache_clear()
+        expected = _step_capacities(triplets, UNION)
+        assert _step_capacities(triplets, EstimatorConfig()) is expected
+        copy = tuple(list(triplets))  # equal members, another tuple: computed again
+        for got, want in zip(_step_capacities(copy, UNION), expected):
+            assert np.array_equal(got, want)
+        assert (_step_capacities.misses, _step_capacities.hits) == (2, 1)
 
     @staticmethod
     def scans(monkeypatch) -> list[str]:
@@ -601,9 +623,74 @@ class TestStepCapacities:
         expected = _step_capacities(b, UNION)
         compute_mi_record(1, a, UNION)
         joint_mass_monitor(b, UNION)
-        assert _step_capacities.cache_info().misses == 3
+        assert _step_capacities.misses == 3
         for got, want in zip(_step_capacities(b, UNION), expected):
             assert np.array_equal(got, want)
+
+
+def full_matrix_capacities(family: list[LingSet], bandwidth: float) -> np.ndarray:
+    """Row means of the full n x n kernel matrix of per-pair ``hamming`` distances."""
+    d = np.array([[hamming(a, b) for b in family] for a in family], dtype=np.float64)
+    return density._kernel_from_distances(d, bandwidth).mean(axis=1)
+
+
+class TestDistinctRows:
+    """Capacities from distinct rows and a kernel table against the full n x n matrix."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        pool=st.lists(
+            st.tuples(*[st.one_of(segments, st.just("  "))] * 3), min_size=1, max_size=4
+        ),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=24),
+        lengths=st.sampled_from([(1, 1), (1, 3), (2, 4)]),
+        mode=st.sampled_from(["union", "concat"]),
+        include_space=st.booleans(),
+        bandwidth=st.sampled_from([0.7, 5.0]),
+    )
+    @example([("a", "b", "c")], [0], (1, 3), "union", True, 5.0)  # n = 1
+    @example([("ab c", "b", "c a")], [0] * 9, (1, 3), "concat", True, 5.0)  # all rows identical
+    @example([("  ", "  ", "a"), ("a", "  ", "  ")], [0, 1, 0], (1, 3), "concat", False, 5.0)
+    def test_equals_full_matrix_row_means(
+        self, pool, picks, lengths, mode, include_space, bandwidth
+    ):
+        # Members are drawn from at most 4 triples, so most of them repeat.
+        # A text of spaces alone has no grams without include_space; with it,
+        # such a text has no source that ``join`` and the step agree on, so
+        # it stands in for a letter there.
+        n_min, n_max = lengths
+        cfg = EstimatorConfig(
+            bandwidth=bandwidth, joint_mode=mode, n_min=n_min, n_max=n_max,
+            include_space=include_space,
+        )
+        index = cfg.gram_index()
+
+        def build(text: str) -> LingSet:
+            return index(text if not include_space or text.strip() else "a")
+
+        triples = [Triplet(*map(build, t)) for t in pool]
+        triplets = tuple(triples[i % len(triples)] for i in picks)
+        xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
+        xy, xz = joined(xs, ys, cfg), joined(xs, zs, cfg)
+        families = [xs, ys, zs, xy, joined(ys, zs, cfg), xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
+        got = _step_capacities(triplets, cfg)
+        for vector, family in zip(got, families, strict=True):
+            want = full_matrix_capacities(family, bandwidth)
+            assert np.array_equal(vector, want)
+            assert np.array_equal(_capacity_vector(family, cfg), want)
+
+    @pytest.mark.parametrize("bandwidth", [0.7, 5.0, 40.0])
+    def test_kernel_table_equals_elementwise_kernel(self, bandwidth):
+        # Every distance 0 .. 2 * bound, bound = 1000 grams a row, shuffled into
+        # an n x n matrix as the full-matrix path laid them out.
+        bound = 1000
+        size = 1 << (2 * bound).bit_length()
+        table = density._kernel_table(bandwidth, size)
+        assert len(table) > 2 * bound and not table.flags.writeable
+        d = np.random.default_rng(7).permutation(size).reshape(32, size // 32)
+        assert np.array_equal(table[d], density._kernel_from_distances(d.astype(np.float64), bandwidth))
+        for h in (0, 1, 5, 2 * bound):
+            assert table[h] == pytest.approx(gauss(h, bandwidth), rel=1e-15, abs=0)
 
 
 def test_large_union_step_memory_stays_within_its_documented_terms():
