@@ -263,20 +263,20 @@ def synth_corpus(
     The raw sentences, packed into documents, feed the random agent; the
     gold triples feed the structured agent.  Deterministic for a fixed
     generator state.
+
+    The draws are those of ``_scalar_triples``' loop, taken in one batch:
+    each sentence draws a subject, a verb, a coin that picks the object pool
+    (``rng.random() < p_pref``) and an object, and ``_batch_triples``
+    rebuilds those draws from the generator's raw words and leaves the
+    generator in the state the loop leaves.  The loop itself runs, from the
+    state the batch started at, when the generator is not PCG64, when a pool
+    holds one phrase, or when a bounded draw would have been rejected.
     """
     grammar = grammar if grammar is not None else default_grammar()
-    sentences: list[str] = []
-    gold: list[Surfaces] = []
-    for _ in range(n_sentences):
-        subject = grammar.subjects[int(rng.integers(len(grammar.subjects)))]
-        verb = grammar.verbs[int(rng.integers(len(grammar.verbs)))]
-        if rng.random() < grammar.p_pref:
-            pool = grammar.preferred[verb]
-        else:
-            pool = grammar.objects
-        obj = pool[int(rng.integers(len(pool)))]
-        sentences.append(f"{subject} {verb} {obj}")
-        gold.append((subject, verb, obj))
+    gold = _batch_triples(n_sentences, rng, grammar)
+    if gold is None:
+        gold = _scalar_triples(n_sentences, rng, grammar)
+    sentences = [" ".join(triple) for triple in gold]
     documents = []
     for d_start in range(0, len(sentences), sentences_per_doc):
         chunk = sentences[d_start : d_start + sentences_per_doc]
@@ -288,6 +288,89 @@ def synth_corpus(
             )
         )
     return DocumentCollection(documents), gold
+
+
+def _scalar_triples(n_sentences: int, rng: np.random.Generator, grammar: SynthGrammar) -> list[Surfaces]:
+    """The reference draw: four generator calls per sentence."""
+    gold: list[Surfaces] = []
+    for _ in range(n_sentences):
+        subject = grammar.subjects[int(rng.integers(len(grammar.subjects)))]
+        verb = grammar.verbs[int(rng.integers(len(grammar.verbs)))]
+        if rng.random() < grammar.p_pref:
+            pool = grammar.preferred[verb]
+        else:
+            pool = grammar.objects
+        obj = pool[int(rng.integers(len(pool)))]
+        gold.append((subject, verb, obj))
+    return gold
+
+
+def _lemire(u: np.ndarray, n: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode 32-bit draws ``u`` as ``Generator.integers(n)`` does (Lemire's method).
+
+    Returns ``(u * n) >> 32`` and whether each draw is rejected, i.e. its
+    low 32 bits fall below ``(2**32 - n) % n``; the generator would then
+    discard it and draw again.  Needs ``1 < n <= 2**32``.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    m = u * n
+    return m >> np.uint64(32), (m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
+
+
+def _batch_triples(n_sentences: int, rng: np.random.Generator, grammar: SynthGrammar) -> list[Surfaces] | None:
+    """``_scalar_triples``' result from one ``random_raw`` call, or None where it cannot.
+
+    PCG64 gives 64-bit words.  A bounded draw takes a 32-bit value: the
+    buffered high half of the last word if one is left, else the low half of
+    a new word, buffering its high half.  The coin takes a whole new word,
+    ``(w >> 11) * 2**-53``, and leaves the buffer alone.  So the subject,
+    verb and object draws read, in order, the halves of every word that is
+    not a coin, after the buffered half; sentence i's coin is word
+    ceil((3i + 2 - b) / 2) + i, where b is 1 if a half was buffered.  None
+    (with the generator as it was) for another bit generator, a one-phrase
+    pool, for which numpy draws nothing, or a rejected draw.
+    """
+    bitgen = rng.bit_generator
+    preferred = [grammar.preferred[v] for v in grammar.verbs]
+    pools = [grammar.subjects, grammar.verbs, grammar.objects, *preferred]
+    if type(bitgen) is not np.random.PCG64 or min(map(len, pools)) < 2:
+        return None
+    n = max(n_sentences, 0)
+    start = bitgen.state
+    b = start["has_uint32"]
+    i = np.arange(n)
+    coin_at = (3 * i + 3 - b) // 2 + i
+    words = bitgen.random_raw((3 * n + 1 - b) // 2 + n)
+    halves = np.delete(words, coin_at).astype("<u8", copy=False).view("<u4")  # low half first
+    if b:
+        halves = np.insert(halves, 0, start["uinteger"])
+    u = halves[: 3 * n].reshape(n, 3)
+
+    sizes = np.array([len(p) for p in preferred])
+    subject, rej_s = _lemire(u[:, 0], len(grammar.subjects))
+    verb, rej_v = _lemire(u[:, 1], len(grammar.verbs))
+    verb = verb.astype(np.intp)
+    pref = (words[coin_at] >> np.uint64(11)) * 2.0**-53 < grammar.p_pref
+    obj, rej_o = _lemire(u[:, 2], np.where(pref, sizes[verb], len(grammar.objects)))
+    if (rej_s | rej_v | rej_o).any():
+        bitgen.state = start
+        return None
+    state = bitgen.state
+    state["has_uint32"] = len(halves) - 3 * n
+    state["uinteger"] = int(halves[-1]) if len(halves) else start["uinteger"]
+    bitgen.state = state
+
+    # Each verb's preferred pool follows the object pool in one phrase table.
+    offsets = len(grammar.objects) + np.cumsum(sizes) - sizes
+    obj = obj.astype(np.intp) + np.where(pref, offsets[verb], 0)
+    objects = np.array([*grammar.objects, *(o for p in preferred for o in p)], dtype=object)
+    return list(
+        zip(
+            np.array(grammar.subjects, dtype=object)[subject.astype(np.intp)].tolist(),
+            np.array(grammar.verbs, dtype=object)[verb].tolist(),
+            objects[obj].tolist(),
+        )
+    )
 
 
 def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:

@@ -20,7 +20,7 @@ from . import agents as agents_mod
 from .config import ConfigInvalid, as_int
 from .corpus import load_documents, write_manifest
 from .reward import reward
-from .svgplot import write_svg
+from .svgplot import selected_series, write_svg
 from .trajectory import (
     MI_SERIES,
     RunConfig,
@@ -128,6 +128,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    names = selected_series(args.series)
     src = Path(args.in_path)
     files = sorted(src.glob("*.csv")) if src.is_dir() else [src]
     if not files:
@@ -139,12 +140,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
         agent = meta.get("agent", file.stem)
         if agent in bundles:
             raise ValueError(f"{file}: agent {agent!r} is already plotted from another CSV")
-        bundles[agent] = {
-            name: rolling_mean(columns[name], args.window)
-            for name in MI_SERIES
-            if name in columns
-        }
-    write_svg(bundles, args.series, args.out_path, title=args.title)
+        known = [name for name in MI_SERIES if name in columns]
+        for name in names:
+            if name not in known:
+                raise ValueError(f"{file}: unknown series {name!r}; known: {known}")
+        bundles[agent] = {name: rolling_mean(columns[name], args.window) for name in names}
+    write_svg(bundles, names, args.out_path, title=args.title)
     print(f"plot: wrote {args.out_path} ({len(bundles)} agents)")
     return 0
 

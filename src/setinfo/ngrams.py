@@ -118,10 +118,6 @@ class GramIndex:
         with self._lock:
             return np.array([vocab.setdefault(g, len(vocab)) for g in grams], dtype=np.int32)
 
-    def ids_of(self, s: LingSet) -> np.ndarray:
-        """The ids of ``s``'s grams: its own if this index built it, else numbered now."""
-        return s.ids if s.index is self else self.number(s.grams)
-
     def _scan(self, table: dict[str, LingSet], text: str, spaced: bool) -> LingSet:
         """``text``'s grams (only those holding a space if ``spaced``), memoized in ``table``."""
         n_min, n_max, _ = self.settings

@@ -37,6 +37,17 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def selected_series(series: Sequence[str] | str) -> list[str]:
+    """The nonempty names in a comma-separated string or a sequence; EmptySelection if none."""
+    if isinstance(series, str):
+        names = [s.strip() for s in series.split(",") if s.strip()]
+    else:
+        names = [s for s in series if s]
+    if not names:
+        raise EmptySelection("no series selected")
+    return names
+
+
 def write_svg(
     results: Mapping[str, Mapping[str, Sequence[float]]],
     series: Sequence[str] | str,
@@ -51,12 +62,7 @@ def write_svg(
     """
     if not results:
         raise ValueError("write_svg needs at least one result")
-    if isinstance(series, str):
-        names = [s.strip() for s in series.split(",") if s.strip()]
-    else:
-        names = [s for s in series if s]
-    if not names:
-        raise EmptySelection("no series selected")
+    names = selected_series(series)
 
     curves: list[tuple[str, list[float]]] = []
     for agent, rolling in results.items():

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setinfo import (
     AgentSpec,
@@ -15,6 +17,7 @@ from setinfo import (
     EstimatorConfig,
     MalformedLine,
     RunConfig,
+    SynthGrammar,
     build_step_samples,
     default_grammar,
     heuristic_extract,
@@ -199,6 +202,113 @@ class TestSynthCorpus:
             counts[obj] = counts.get(obj, 0) + 1
         expected = len(gold) / len(grammar.objects)
         assert all(abs(c - expected) < 6 * np.sqrt(expected) for c in counts.values())
+
+
+def bit_state(rng: np.random.Generator) -> str:
+    """The bit generator's state, comparable for PCG64 and MT19937 alike."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+@st.composite
+def grammars(draw) -> SynthGrammar:
+    """Custom pools of 2-30 phrases, with at most one pool cut to one phrase."""
+    size = st.integers(2, 30)
+    verbs = [f"v{i}" for i in range(draw(size))]
+    pools = {
+        "subjects": [f"s{i}" for i in range(draw(size))],
+        "verbs": verbs,
+        "objects": [f"o{i}" for i in range(draw(size))],
+        **{v: [f"{v}-p{j}" for j in range(draw(size))] for v in verbs},
+    }
+    one = draw(st.none() | st.sampled_from(sorted(pools)))
+    if one is not None:
+        pools[one] = pools[one][:1]
+    return SynthGrammar(
+        subjects=tuple(pools["subjects"]),
+        verbs=tuple(pools["verbs"]),
+        objects=tuple(pools["objects"]),
+        preferred={v: tuple(pools[v]) for v in pools["verbs"]},
+        p_pref=draw(st.sampled_from([0.0, 0.37, 1.0])),
+    )
+
+
+class TestBatchDraw:
+    """``synth_corpus`` draws in one batch exactly what the scalar loop draws."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        n=st.integers(0, 300),
+        per_doc=st.integers(1, 60),
+        grammar=grammars() | st.sampled_from([0.0, 0.37, 1.0]).map(default_grammar),
+        seed=st.integers(0, 2**64 - 1),
+        half_used=st.booleans(),
+        mt=st.booleans(),
+    )
+    def test_equals_scalar_loop(self, n, per_doc, grammar, seed, half_used, mt):
+        def generator() -> np.random.Generator:
+            rng = np.random.Generator(np.random.MT19937(seed) if mt else np.random.PCG64(seed))
+            if half_used:
+                rng.integers(5)  # leaves half a word in PCG64's 32-bit buffer
+            return rng
+
+        batch_rng, scalar_rng = generator(), generator()
+        docs, gold = synth_corpus(n, batch_rng, grammar, sentences_per_doc=per_doc)
+        want = agents._scalar_triples(n, scalar_rng, grammar)
+        assert gold == want
+        assert [(d.id, d.text) for d in docs] == [
+            (f"synthetic-{i // per_doc:04d}", " ".join(" ".join(t) for t in want[i : i + per_doc]))
+            for i in range(0, n, per_doc)
+        ]
+        assert bit_state(batch_rng) == bit_state(scalar_rng)
+        # Only another bit generator or a one-phrase pool takes the scalar loop.
+        pools = [grammar.subjects, grammar.verbs, grammar.objects, *grammar.preferred.values()]
+        batchable = not mt and min(map(len, pools)) > 1
+        probe = generator()
+        assert (agents._batch_triples(n, probe, grammar) == want) == batchable
+        assert bit_state(probe) == bit_state(scalar_rng if batchable else generator())
+
+    def test_bounded_decoding_matches_integers_and_flags_rejections(self):
+        # n = 3 * 2**30 rejects u with u % 4 == 0: the low 32 bits of u * n are
+        # (3u % 4) * 2**30, below the threshold (2**32 - n) % n = 2**30.
+        n = 3 * 2**30
+        words = np.random.default_rng(7).bit_generator.random_raw(501)
+        u = np.empty(1000, dtype=np.uint64)
+        u[0::2] = words[:500] & np.uint64(0xFFFFFFFF)  # the order Generator.integers reads halves in
+        u[1::2] = words[:500] >> np.uint64(32)
+        values, rejected = agents._lemire(u, n)
+        assert 0.2 < rejected.mean() < 0.3
+        assert np.array_equal(rejected, u % np.uint64(4) == 0)
+        used = np.flatnonzero(~rejected)[-1] + 1  # draws up to the last accepted one
+        rng = np.random.default_rng(7)
+        accepted = values[:used][~rejected[:used]].tolist()
+        assert [int(rng.integers(n)) for _ in accepted] == accepted
+        # The generator read exactly the draws decoded, rejected ones included.
+        assert rng.bit_generator.state["has_uint32"] == used % 2
+        assert rng.bit_generator.random_raw() == words[(used + 1) // 2]
+
+    @pytest.mark.parametrize("flagged", ["subject", "verb", "object"])
+    def test_rejected_draw_restores_state_and_runs_scalar_loop(self, monkeypatch, flagged):
+        lemire, scalar = agents._lemire, agents._scalar_triples
+        decoded, entered = [], []
+
+        def flag_one_draw(u, n):  # subjects, verbs, then objects are decoded
+            values, rejected = lemire(u, n)
+            decoded.append(n)
+            if len(decoded) == ["subject", "verb", "object"].index(flagged) + 1:
+                rejected[-1] = True
+            return values, rejected
+
+        def spy(n_sentences, rng, grammar):
+            entered.append(bit_state(rng))
+            return scalar(n_sentences, rng, grammar)
+
+        monkeypatch.setattr(agents, "_lemire", flag_one_draw)
+        monkeypatch.setattr(agents, "_scalar_triples", spy)
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        _, gold = synth_corpus(500, rng)
+        assert entered == [bit_state(np.random.default_rng(9))]
+        assert gold == scalar(500, reference, default_grammar())
+        assert bit_state(rng) == bit_state(reference)
 
 
 class TestBuildStepSamples:

@@ -353,15 +353,33 @@ class TestPlot:
         assert fig.exists()
         assert "<svg" in fig.read_text()
 
-    def test_empty_series_selection_fails(self, tmp_path):
+    def test_empty_series_selection_fails(self, tmp_path, recwarn):
         cfg = tmp_path / "run.cfg"
         write_run_config(cfg)
         out = tmp_path / "out"
         cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        recwarn.clear()
         assert (
             cli(["plot", "--in", str(out), "--series", "", "--out", str(tmp_path / "x.svg")])
             == 1
         )
+        assert not recwarn.list  # no rolling mean was taken, so no window was clamped
+
+    def test_empty_series_selection_fails_before_reading_csvs(self, tmp_path, capsys):
+        (tmp_path / "run.csv").write_text("")  # reading it would fail: no header row
+        assert cli(["plot", "--in", str(tmp_path), "--series", " , ", "--out", str(tmp_path / "x.svg")]) == 1
+        assert "no series selected" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_unknown_series_names_file_and_known_series(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        out = tmp_path / "out"
+        cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert cli(["plot", "--in", str(out), "--series", "i_xy,i_zz", "--out", str(tmp_path / "x.svg")]) == 1
+        err = capsys.readouterr().err
+        assert "random.csv: unknown series 'i_zz'" in err
+        assert "known: ['i_xy', 'i_yz', 'i_xz', 'i_xy_z', 'i_xz_y']" in err
 
     def test_agent_in_two_csvs_fails(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

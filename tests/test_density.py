@@ -160,7 +160,7 @@ class TestDistanceMatrix:
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
         index = GramIndex(1, 3, True)
-        got = _row_distances(_indicator_rows([index.ids_of(s) for s in sets]))
+        got = _row_distances(_indicator_rows([index.number(s.grams) for s in sets]))
         assert np.array_equal(got, expected)
 
     @settings(deadline=None, max_examples=60)

@@ -94,12 +94,11 @@ class TestGramIndex:
             assert set(got.ids.tolist()) == {index.vocab[g] for g in want.grams}
         assert sorted(index.vocab.values()) == list(range(len(index.vocab)))
 
-    def test_ids_of_numbers_sets_from_elsewhere(self):
+    def test_number_reuses_the_ids_of_seen_grams(self):
         index = GramIndex(1, 2, True)
         own = index("ab a")
-        assert index.ids_of(own) is own.ids
         other = ngram_set("ba c", 1, 2, True)
-        ids = index.ids_of(other)
+        ids = index.number(other.grams)
         assert sorted(ids.tolist()) == sorted(index.vocab[g] for g in other.grams)
         assert set(ids.tolist()) & set(own.ids.tolist()) == {index.vocab[g] for g in own.grams & other.grams}
 
