@@ -28,7 +28,7 @@ from .corpus import (
     normalize_text,
     sample_contexts,
 )
-from .ngrams import LingSet
+from .ngrams import GramIndex, LingSet
 
 
 class ContextTooShort(ValueError):
@@ -101,12 +101,16 @@ def random_split_agent(ctx: Context, rng: np.random.Generator) -> Surfaces:
     segments is nonempty by construction.
     """
     tokens = ctx.tokens
-    length = len(tokens)
+    i, j = _cuts(len(tokens), rng)
+    return " ".join(tokens[:i]), " ".join(tokens[i:j]), " ".join(tokens[j:])
+
+
+def _cuts(length: int, rng: np.random.Generator) -> tuple[int, int]:
+    """The cut indices ``random_split_agent`` draws for a context of ``length`` tokens."""
     if length < 3:
         raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
     cuts = rng.choice(length - 1, size=2, replace=False) + 1
-    i, j = int(cuts.min()), int(cuts.max())
-    return " ".join(tokens[:i]), " ".join(tokens[i:j]), " ".join(tokens[j:])
+    return int(cuts.min()), int(cuts.max())
 
 
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
@@ -393,6 +397,99 @@ def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:
     return pool
 
 
+Cut = tuple[Sequence[str], int, int]  # a context's tokens and its cut indices i < j
+
+
+def _scalar_step(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut]:
+    """The reference draw of one random step: ``sample_contexts``, then one cut per context."""
+    return [(ctx.tokens, *_cuts(length, rng)) for ctx in sample_contexts(docs, length, n, rng)]
+
+
+def _batch_step(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut] | None:
+    """``_scalar_step``'s result from one ``random_raw`` call, or None where it cannot.
+
+    Every draw of the step is bounded and 32 bits wide, so the draws read, in
+    order, the halves of the words after the buffered half (see
+    ``_batch_triples``): a document and an offset per context, by Lemire's
+    rule; ``permutation(n)``'s masked rejection draws, whose number depends
+    on their values and which one scan decodes; then, per context in the
+    permuted order, ``choice(L-1, 2, replace=False)``, which is Floyd's
+    algorithm: a draw below L-2, a draw below L-1 that becomes L-2 if it
+    repeats the first, and a draw below 2 that only shuffles the two picks.
+    The generator is then advanced past the halves read and left as the
+    loop leaves it.  None (with the generator as it was) for another bit
+    generator, no context to draw, a range of one value, for which numpy
+    draws nothing, a rejected Lemire draw, or a permutation that outruns the
+    words taken.
+    """
+    bitgen = rng.bit_generator
+    eligible = [toks for toks in docs.token_lists if len(toks) >= length]
+    starts = np.array([len(toks) - length + 1 for toks in eligible], dtype=np.int64)
+    if type(bitgen) is not np.random.PCG64 or n < 1 or len(eligible) < 2 or starts.min() < 2 or length < 4:
+        return None
+    start = bitgen.state
+    b = start["has_uint32"]
+    # 2n context draws, 3n cut draws, and the permutation's, which average
+    # under 1.4 per position and take more than 2n + 64 almost never.
+    words = bitgen.random_raw((7 * n + 64) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")  # low half first
+    if b:
+        halves = np.insert(halves, 0, start["uinteger"])
+    shuffled = _masked_permutation(halves[2 * n :].tolist(), n)
+    if shuffled is None or len(halves) < 2 * n + shuffled[1] + 3 * n:
+        bitgen.state = start
+        return None
+    order, used = shuffled
+    u = halves.astype(np.uint64)
+    pick, rej_d = _lemire(u[0 : 2 * n : 2], len(eligible))
+    pick = pick.astype(np.intp)
+    offset, rej_o = _lemire(u[1 : 2 * n : 2], starts[pick])
+    cut_at = 2 * n + used
+    first, rej_1 = _lemire(u[cut_at : cut_at + 3 * n : 3], length - 2)
+    second, rej_2 = _lemire(u[cut_at + 1 : cut_at + 3 * n : 3], length - 1)
+    if (rej_d | rej_o | rej_1 | rej_2).any():
+        bitgen.state = start
+        return None
+    taken = cut_at + 3 * n - b  # halves read from new words
+    bitgen.state = start
+    bitgen.advance((taken + 1) // 2)
+    state = bitgen.state
+    state["has_uint32"] = taken % 2
+    state["uinteger"] = int(words[(taken - 1) // 2] >> np.uint64(32))  # taken >= 5n - 1 > 0
+    bitgen.state = state
+
+    second = np.where(second == first, length - 2, second)
+    low = (np.minimum(first, second) + 1).tolist()
+    high = (np.maximum(first, second) + 1).tolist()
+    pick, offset = pick.tolist(), offset.tolist()
+    return [
+        (eligible[pick[c]][offset[c] : offset[c] + length], i, j)
+        for c, i, j in zip(order, low, high)
+    ]
+
+
+def _masked_permutation(draws: list[int], n: int) -> tuple[list[int], int] | None:
+    """``Generator.permutation(n)`` decoded from 32-bit ``draws``, and how many it read.
+
+    numpy shuffles ``arange(n)`` from the back: for i = n-1 .. 1 it takes
+    draws, masked to i's bit length, until one is at most i, and swaps
+    positions i and that one.  None if the draws run out.
+    """
+    order = list(range(n))
+    pos = 0
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if pos == len(draws):
+                return None
+            j = draws[pos] & mask
+            pos += 1
+            if j <= i:
+                break
+        order[i], order[j] = order[j], order[i]
+    return order, pos
+
+
 def build_step_samples(
     kind: str,
     source: DocumentCollection | Sequence[Surfaces],
@@ -408,10 +505,14 @@ def build_step_samples(
     other kind's is its resolved, nonempty pool of surface triples, sampled
     with replacement.  Every step draws from its own generator spawned off
     ``rng``, so the sequence is reproducible regardless of how steps are
-    later scheduled.  This is the one place text becomes gram sets: each
+    later scheduled.  A random step's draws are those of ``_scalar_step``,
+    taken in one batch by ``_batch_step``; the loop itself runs where the
+    batch cannot.  This is the one place text becomes gram sets: each
     distinct segment text of the returned samples is turned into a
     ``LingSet`` once, by ``gram_set`` (in a run, the run's ``GramIndex``),
-    and every triplet holding that text shares it.
+    and every triplet holding that text shares it.  A ``GramIndex`` builds
+    a random step's new texts from their tokens, in one
+    ``GramIndex.segments`` call.
     """
     step_rngs = rng.spawn(k_max)
     sets: dict[str, LingSet] = {}
@@ -423,10 +524,22 @@ def build_step_samples(
 
     samples: list[StepSample] = []
     if kind == "random":
+        if isinstance(gram_set, GramIndex):
+            build = gram_set.segments
+        else:
+            def build(texts: list[str], _: list[Sequence[str]]) -> list[LingSet]:
+                return list(map(gram_set, texts))
+
         for k, step_rng in enumerate(step_rngs, start=1):
-            contexts = sample_contexts(source, context_length, per_step, step_rng)
-            actions = [random_split_agent(ctx, step_rng) for ctx in contexts]
-            samples.append(StepSample(k, tuple(Triplet(*map(lingset, a)) for a in actions)))
+            cuts = _batch_step(source, context_length, per_step, step_rng)
+            if cuts is None:
+                cuts = _scalar_step(source, context_length, per_step, step_rng)
+            segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
+            texts = [" ".join(seg) for seg in segments]
+            new = {text: seg for text, seg in zip(texts, segments) if text not in sets}
+            sets.update(zip(new, build(list(new), list(new.values()))))
+            flat = [sets[text] for text in texts]
+            samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
     else:
         for k, step_rng in enumerate(step_rngs, start=1):
             idx = step_rng.integers(len(source), size=per_step)

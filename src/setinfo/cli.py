@@ -10,11 +10,11 @@ and simulate read the same run config and seed overrides.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from statistics import fmean
 
 from . import agents as agents_mod
 from .config import ConfigInvalid, as_int
@@ -118,11 +118,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(
             f"simulate: {name} ({result.spec.kind}) -> {path} | "
             f"steps={len(records)} ordering_ok={ok}/{len(records)} | "
-            f"mean i_xy={fmean(r.i_xy for r in records):.4f} "
+            f"mean i_xy={math.fsum(r.i_xy for r in records) / len(records):.4f} "
             f"rolling i_xy dominant={dominant}/{len(rolling['i_xy'])} | "
             f"joint mass monitor: fraction={result.violation_fraction:.6g} "
             f"({result.violations}/{result.comparisons} pairs) | "
-            f"{result.wall_time_s:.1f}s"
+            f"build {result.build_time_s:.2f}s, steps {result.wall_time_s - result.build_time_s:.2f}s"
         )
     return 0
 

@@ -16,12 +16,12 @@ sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
 runs in float32 and is exact: every partial sum is an integer no larger
 than the smaller set, and sets are required to hold fewer than 2^24 grams,
 below which float32 counts every integer.  Rows are built from gram ids, not
-gram strings: a run's sets carry their ids in the run's ``GramIndex``, the
-other sets of a sample are numbered in one call, and one scatter fills the
-boolean rows (``_set_rows``).  A step builds rows for its distinct marginals
-and, in concat mode, for its distinct seam windows, taken from the index's
-window memo, and builds every joined family's rows from theirs with OR (see
-``_step_capacities``).  Only a family's u distinct members get rows and a
+gram strings: a run's sets carry their ids in the run's ``GramIndex`` and
+are told apart by identity, the other sets of a sample are numbered in one
+call, and one scatter fills the boolean rows (``_set_rows``).  A step builds
+rows for its distinct marginals and, in concat mode, for its distinct seam
+windows, taken from the index's window memo, and builds every joined
+family's rows from theirs with OR (see ``_step_capacities``).  Only a family's u distinct members get rows and a
 product; the distances are exact integers, so each kernel value is read from
 one table over the distances 0, 1, 2, ... instead of computed per pair, and
 each distinct member's kernel row is spread over all n members before its
@@ -40,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -133,41 +134,49 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
     )
 
 
-def _index_for(sets: Iterable[LingSet], cfg: EstimatorConfig) -> GramIndex:
-    """The index that built the first of ``sets`` if it has ``cfg``'s n-gram settings, else a new one."""
-    index = next(iter(sets)).index
+def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex | None:
+    """The index that built ``first`` if it has ``cfg``'s n-gram settings, else None."""
+    index = first.index
     if index is not None and index.settings == (cfg.n_min, cfg.n_max, cfg.include_space):
         return index
-    return cfg.gram_index()
+    return None
 
 
 def _set_rows(
-    families: Iterable[Iterable[LingSet]], index: GramIndex
+    families: Iterable[Iterable[LingSet]], index: GramIndex | None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One boolean row per distinct gram set of ``families``, and each family's row numbers.
+    """One boolean row per distinct set of ``families``, and each family's row numbers.
 
-    A set that ``index`` built brings its ids; the grams of all the others
-    are numbered in one ``index.number`` call and cut back into sets.
+    A set that ``index`` built is told apart by identity and brings its
+    ids, so no gram string is read; every other set is told apart by its
+    grams, which are numbered in one ``index.number`` call, or, without an
+    index, in one pass over a local map.  Two sets with equal grams may thus
+    get two equal rows.
     """
-    rows: dict[frozenset[str], int] = {}
+    rows: dict[object, int] = {}
     ids: list[np.ndarray | None] = []
     unnumbered: list[tuple[int, frozenset[str]]] = []
     numbers = []
     for sets in families:
         out = []
         for s in sets:
-            row = rows.get(s.grams)
+            own = index is not None and s.index is index
+            key = id(s) if own else s.grams
+            row = rows.get(key)
             if row is None:
-                row = rows[s.grams] = len(ids)
-                if s.index is index:
-                    ids.append(s.ids)
-                else:
-                    ids.append(None)
-                    unnumbered.append((row, s.grams))
+                row = rows[key] = len(ids)
+                ids.append(s.ids if own else None)
+                if not own:
+                    unnumbered.append((row, key))
             out.append(row)
         numbers.append(np.array(out, dtype=np.intp))
     if unnumbered:
-        flat = index.number([g for _, grams in unnumbered for g in grams])
+        grams = chain.from_iterable(grams for _, grams in unnumbered)
+        if index is not None:
+            flat = index.number(grams)
+        else:
+            column: dict[str, int] = {}
+            flat = np.array([column.setdefault(g, len(column)) for g in grams], dtype=np.int32)
         start = 0
         for row, grams in unnumbered:
             ids[row] = flat[start : (start := start + len(grams))]
@@ -256,7 +265,7 @@ def _family_capacities(
 
 def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarray:
     """Resubstitution capacity of every member within its own sample."""
-    table, (rows,) = _set_rows([sets], _index_for(sets, cfg))
+    table, (rows,) = _set_rows([sets], _index_for(sets[0], cfg))
     return _family_capacities(rows, table, [rows], cfg.bandwidth)[0]
 
 
@@ -399,12 +408,14 @@ def _step_capacities(
     from ``x[-(n_max-1):] + " " + y`` (or ``z``), the end of the joined
     source, without building the joined string.  The ids and the windows
     come from the ``GramIndex`` that built the first x set, the run's index,
-    so a window is extracted once per run, not once per step; sets from
-    another index or from ``ngram_set`` are numbered on first sight, and a
-    step whose first set has no index with ``cfg``'s n-gram settings uses a
-    new one.  That concat identity holds only when every gram set was built
-    from its source under ``cfg``'s n-gram settings, as ``run_simulation``
-    builds every set of a run; ``join`` makes no such assumption and is the
+    so a window is extracted once per run, not once per step, and no gram
+    string of the index's sets is read; sets from another index or from
+    ``ngram_set`` are numbered on first sight.  A step whose first set has
+    no index with ``cfg``'s n-gram settings numbers its sets through a local
+    map, or, in concat mode, through a new index that also cuts its windows.
+    That concat identity holds only when every gram set was built from its
+    source under ``cfg``'s n-gram settings, as ``run_simulation`` builds
+    every set of a run; ``join`` makes no such assumption and is the
     oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
     mode 8.
 
@@ -426,9 +437,10 @@ def _step_capacities(
     ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
     for the same tuple; they are returned read-only.
     """
-    index = _index_for([triplets[0].x], cfg)
+    index = _index_for(triplets[0].x, cfg)
     families = [[getattr(t, c) for t in triplets] for c in "xyz"]
     if cfg.joint_mode == "concat" and cfg.include_space:
+        index = index or cfg.gram_index()  # the seam windows need one
         reach = cfg.n_max - 1
         sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
         x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a

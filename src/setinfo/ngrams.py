@@ -11,14 +11,17 @@ memoizes the grams of each distinct space-free piece (token memo, bounded
 by the corpus vocabulary) and of each distinct seam window (window memo,
 bounded by the distinct windows).  A set is then the union of its pieces'
 grams and of the windows between them, and carries its gram ids, from
-which the estimator builds its rows without looking at a gram string.
+which the estimator builds its rows without looking at a gram string; its
+grams are derived from the ids only when read.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import FrozenInstanceError
+from itertools import islice
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,19 +30,55 @@ class EmptyText(ValueError):
     """A gram set would have to be built from an empty string."""
 
 
-@dataclass(frozen=True)
 class LingSet:
     """A finite set of distinct character n-grams plus its originating text.
 
     A set built by a ``GramIndex`` also holds that index and the ids of its
     grams in the index's vocabulary, where an id may repeat; neither is
-    compared or hashed.
+    compared or hashed.  Such a set may be made without its grams (``grams``
+    None): they are then derived from the ids, through the index's inverse
+    vocabulary, on first access.  Sets compare and hash by their grams and
+    source, and cannot be changed.
     """
 
-    grams: frozenset[str]
-    source: str
-    index: GramIndex | None = field(default=None, compare=False, repr=False)
-    ids: np.ndarray | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("grams", "source", "index", "ids")
+
+    def __init__(
+        self,
+        grams: frozenset[str] | None,
+        source: str,
+        index: GramIndex | None = None,
+        ids: np.ndarray | None = None,
+    ) -> None:
+        if grams is not None:
+            object.__setattr__(self, "grams", grams)
+        elif index is None or ids is None:
+            raise ValueError("a LingSet without grams needs its gram ids and their index")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "ids", ids)
+
+    def __getattr__(self, name: str) -> frozenset[str]:
+        # Reached only for an unset slot, and only ``grams`` is ever left unset.
+        if name != "grams":
+            raise AttributeError(name)
+        grams = self.index.grams_of(self.ids)
+        object.__setattr__(self, "grams", grams)
+        return grams
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grams, self.source) == (other.grams, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.grams, self.source))
+
+    def __repr__(self) -> str:
+        return f"LingSet(grams={self.grams!r}, source={self.source!r})"
 
 
 def ngram_set(text: str, n_min: int, n_max: int, include_space: bool) -> LingSet:
@@ -99,8 +138,10 @@ class GramIndex:
     The pieces (a token memo, bounded by the distinct tokens) and the
     windows (bounded by the distinct windows) are memoized for as long as
     the index lives, and so is ``vocab``, which numbers every gram on first
-    sight.  Numbering holds a lock, so threads that share the index never
-    give two grams one id.
+    sight, with its inverse, through which a built set's grams are derived
+    when first read.  ``segments`` builds the sets of texts given as tokens
+    from token positions instead.  Numbering holds a lock, so threads that
+    share the index never give two grams one id.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -108,8 +149,11 @@ class GramIndex:
             raise ValueError(f"bad n-gram lengths: n_min={n_min}, n_max={n_max}")
         self.settings = (n_min, n_max, include_space)
         self.vocab: dict[str, int] = {}
+        self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
         self._lock = threading.Lock()
-        self._pieces: dict[str, LingSet] = {}
+        self._token_ids: dict[str, int] = {}
+        self._tokens: list[LingSet] = []  # the token memo, by token id
+        self._pairs: dict[tuple[int, int], LingSet] = {}  # windows, by token-id pair
         self._windows: dict[str, LingSet] = {}
 
     def number(self, grams: Iterable[str]) -> np.ndarray:
@@ -118,14 +162,31 @@ class GramIndex:
         with self._lock:
             return np.array([vocab.setdefault(g, len(vocab)) for g in grams], dtype=np.int32)
 
-    def _scan(self, table: dict[str, LingSet], text: str, spaced: bool) -> LingSet:
-        """``text``'s grams (only those holding a space if ``spaced``), memoized in ``table``."""
+    def grams_of(self, ids: np.ndarray) -> frozenset[str]:
+        """The grams that ``ids`` number; the inverse vocabulary catches up with ``vocab`` here."""
+        inverse = self._inverse
+        if len(inverse) < len(self.vocab):
+            with self._lock:
+                inverse.extend(islice(self.vocab, len(inverse), None))
+        return frozenset(map(inverse.__getitem__, ids.tolist()))
+
+    def _scan(self, text: str, spaced: bool) -> LingSet:
+        """``text``'s grams, only those holding a space if ``spaced``, kept as ids only."""
         n_min, n_max, _ = self.settings
         grams = ngram_set(text, n_min, n_max, True).grams
         if spaced:
-            grams = frozenset(g for g in grams if " " in g)
-        table[text] = LingSet(grams, text, self, self.number(grams))
-        return table[text]
+            grams = (g for g in grams if " " in g)
+        return LingSet(None, text, self, self.number(grams))
+
+    def _token(self, token: str) -> int:
+        """The id of a space-free piece in the token memo, scanned on first sight."""
+        i = self._token_ids.get(token)
+        if i is None:
+            scanned = self._scan(token, False)
+            with self._lock:
+                i = self._token_ids[token] = len(self._tokens)
+                self._tokens.append(scanned)
+        return i
 
     def window(self, a: str, b: str) -> LingSet:
         """The grams holding a space of ``a[-(n_max-1):] + " " + b[:n_max-1]``, scanned once per window.
@@ -139,19 +200,22 @@ class GramIndex:
         """
         reach = self.settings[1] - 1  # a[-0:] would be all of a
         key = a[max(len(a) - reach, 0) :] + " " + b[:reach]
-        return self._windows.get(key) or self._scan(self._windows, key, True)
+        found = self._windows.get(key)
+        if found is None:
+            found = self._windows[key] = self._scan(key, True)
+        return found
 
     def __call__(self, text: str) -> LingSet:
         if not text:
             raise EmptyText("cannot build an n-gram set from empty text")
-        pieces = self._pieces
+        tokens = self._tokens
         if not self.settings[2]:
-            parts = [pieces.get(p) or self._scan(pieces, p, False) for p in text.split()]
+            parts = [tokens[self._token(p)] for p in text.split()]
             if not parts:
                 return LingSet(frozenset(), text, self, np.zeros(0, dtype=np.int32))
         else:
             first, *rest = text.split(" ")
-            parts = [pieces.get(first) or self._scan(pieces, first, False)] if first else []
+            parts = [tokens[self._token(first)]] if first else []
             if not rest:
                 return parts[0]
             reach = self.settings[1] - 1
@@ -159,8 +223,52 @@ class GramIndex:
             for piece in rest:
                 parts.append(self.window(tail, piece))
                 if piece:
-                    parts.append(pieces.get(piece) or self._scan(pieces, piece, False))
+                    parts.append(tokens[self._token(piece)])
                 tail += " " + piece
                 tail = tail[max(len(tail) - reach, 0) :]
-        grams = frozenset().union(*[p.grams for p in parts])
-        return LingSet(grams, text, self, np.concatenate([p.ids for p in parts]))
+        return LingSet(None, text, self, np.concatenate([p.ids for p in parts]))
+
+    def segments(self, texts: Sequence[str], tokens: Sequence[Sequence[str]]) -> list[LingSet]:
+        """The set of each text, given as its tokens: ``texts[i] == " ".join(tokens[i])``.
+
+        Each set equals ``self(texts[i])`` but is built from token positions.
+        The tokens (nonempty, without whitespace) are numbered through the
+        token memo.  With ``include_space``, the seam window before token t
+        is keyed by the id pair (token t-1, token t), since the window holds
+        the last ``n_max - 1`` characters of the text before the space, all
+        inside token t-1, unless token t-1 is shorter; only then is the
+        window keyed by that text's tail, cut at the start of the text, as
+        the fold keys it.  The gram ids of all the sets are held in one
+        array, each set's as one contiguous slice, and the sets' grams are
+        not built.
+        """
+        token_ids, memo, pairs = self._token_ids, self._tokens, self._pairs
+        parts: list[LingSet] = []
+        ends = []
+        for seg in tokens:
+            ids = list(map(token_ids.get, seg))
+            if None in ids:
+                ids = list(map(self._token, seg))
+            parts += map(memo.__getitem__, ids)
+            if self.settings[2]:
+                windows = list(map(pairs.get, zip(ids, ids[1:])))
+                for t, window in enumerate(windows, 1):
+                    if window is None:
+                        windows[t - 1] = self._seam(seg, ids, t)
+                parts += windows
+            ends.append(len(parts))
+        arrays = list(map(attrgetter("ids"), parts))
+        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
+        bounds = np.cumsum([0, *map(len, arrays)])[[0, *ends]].tolist()
+        return [
+            LingSet(None, text, self, flat[start:end])
+            for text, start, end in zip(texts, bounds, bounds[1:])
+        ]
+
+    def _seam(self, seg: Sequence[str], ids: list[int], t: int) -> LingSet:
+        """The window before token t of ``seg``, memoized by id pair if token t-1 spans it."""
+        reach = self.settings[1] - 1
+        if len(seg[t - 1]) < reach:  # reach tokens of one or more characters span reach characters
+            return self.window(" ".join(seg[max(t - reach, 0) : t]), seg[t])
+        window = self._pairs[ids[t - 1], ids[t]] = self.window(seg[t - 1], seg[t])
+        return window

@@ -10,13 +10,12 @@ evaluated the steps.
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from pathlib import Path
-from statistics import fmean
 from typing import Sequence
 
 import numpy as np
@@ -266,6 +265,9 @@ class TrajectoryResult:
 
     ``spec`` is the agent as configured.  Rewards, rolling means and the CSV
     metadata are derived from these fields where they are read.
+    ``wall_time_s`` is the agent's whole time, of which ``build_time_s``
+    went to ``build_step_samples`` and the rest to the estimator steps;
+    neither is written to the CSV.
     """
 
     cfg: RunConfig
@@ -274,6 +276,7 @@ class TrajectoryResult:
     violations: int
     comparisons: int
     wall_time_s: float
+    build_time_s: float
 
     @property
     def violation_fraction(self) -> float:
@@ -302,7 +305,7 @@ def rolling_mean(series: Sequence[float], window: int) -> list[float]:
     if window > n:
         warnings.warn(f"window {window} exceeds series length {n}; clamping", stacklevel=2)
         window = n
-    return [fmean(series[i : i + window]) for i in range(n - window + 1)]
+    return [math.fsum(series[i : i + window]) / window for i in range(n - window + 1)]
 
 
 def grammar_from_file(path: str | Path) -> SynthGrammar:
@@ -424,7 +427,10 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             context_length=cfg.context_length,
             gram_set=gram_index,
         )
+        built = time.perf_counter()
         if cfg.workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # a serial run need not import it
+
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                 stepped = list(pool.map(lambda s: _compute_step(s, est), samples))
         else:
@@ -436,6 +442,7 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             violations=sum(v for _, v, _ in stepped),
             comparisons=sum(c for _, _, c in stepped),
             wall_time_s=time.perf_counter() - started,
+            build_time_s=built - started,
         )
     return results
 

@@ -126,6 +126,10 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert "joint mass monitor" in stdout
         assert "mean i_xy=" in stdout and "rolling i_xy dominant=" in stdout
+        # Each agent's line splits its time into the build and the steps.
+        lines = stdout.splitlines()
+        assert len(lines) == 2
+        assert all(re.search(r"build \d+\.\d\ds, steps \d+\.\d\ds$", line) for line in lines)
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"

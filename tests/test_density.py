@@ -628,6 +628,58 @@ class TestStepCapacities:
             assert np.array_equal(got, want)
 
 
+class TestRowKeys:
+    """Sets the run's index built are told apart by identity, others by their grams."""
+
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
+    def test_equal_gram_sets_of_two_texts_match_the_grams_keyed_path(self, cfg):
+        # "aaa" and "aaaa" are two texts with one gram set under n_max = 3.
+        # The index's sets of them get two equal rows; plain sets, keyed by
+        # their grams, share one.  The capacities must not tell the difference.
+        texts = [("aaa", "b c", "dd"), ("aaaa", "b c", "dd"), ("aaa", "c", "e f"), ("b", "aaaa", "c d")]
+        index = cfg.gram_index()
+        built: dict[str, LingSet] = {}
+        by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
+        by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
+        assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
+        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index)
+        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], None)
+        assert (len(identity_rows), len(grams_rows)) == (3, 2)
+        _step_capacities.cache_clear()
+        for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
+    def test_step_derives_no_gram_string(self, monkeypatch, cfg):
+        derived = []
+        grams_of = GramIndex.grams_of
+        monkeypatch.setattr(GramIndex, "grams_of", lambda self, ids: derived.append(ids) or grams_of(self, ids))
+        docs, gold = synth_corpus(300, np.random.default_rng(3))
+        index = cfg.gram_index()
+        samples = [
+            *build_step_samples("random", docs, 2, 40, np.random.default_rng(4), 10, index),
+            *build_step_samples("gold_file", gold, 1, 40, np.random.default_rng(5), 10, index),
+        ]
+        _step_capacities.cache_clear()
+        for sample in samples:
+            compute_mi_record(sample.k, sample.triplets, cfg)
+            joint_mass_monitor(sample.triplets, cfg)
+        assert derived == []
+        # Read afterwards, the grams are those of the texts.
+        t = samples[0].triplets[0]
+        assert t.x.grams == ngram_set(t.x.source, cfg.n_min, cfg.n_max, cfg.include_space).grams
+        assert derived
+
+    def test_sets_without_an_index_take_a_local_map(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(EstimatorConfig, "gram_index", lambda est: made.append(est))
+        sets = [ngram_set(t, 1, 3, True) for t in ("the cat", "a dog", "the cat", "cats")]
+        assert entropy(sets, UNION) == pytest.approx(oracle_entropy(sets, UNION), rel=1e-12)
+        _step_capacities.cache_clear()
+        _step_capacities(tuple(triplet("the cat", "sat", "on it") for _ in range(3)), UNION)
+        assert made == []
+
+
 def full_matrix_capacities(family: list[LingSet], bandwidth: float) -> np.ndarray:
     """Row means of the full n x n kernel matrix of per-pair ``hamming`` distances."""
     d = np.array([[hamming(a, b) for b in family] for a in family], dtype=np.float64)

@@ -94,6 +94,48 @@ class TestGramIndex:
             assert set(got.ids.tolist()) == {index.vocab[g] for g in want.grams}
         assert sorted(index.vocab.values()) == list(range(len(index.vocab)))
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.text(alphabet="ab.", min_size=1, max_size=4), min_size=1, max_size=9),
+        st.lists(st.tuples(st.integers(0, 8), st.integers(1, 9)), min_size=1, max_size=6),
+        st.sampled_from([(a, b) for b in range(1, 6) for a in range(1, b + 1)]),
+        st.booleans(),
+    )
+    @example(["a", "b", "ab", "a", "bab"], [(0, 5), (1, 4), (3, 5)], (1, 5), True)  # 1-character tokens
+    @example(["ab", "a", "b", "a"], [(2, 4), (0, 2)], (2, 4), True)
+    def test_segments_equal_ngram_set(self, tokens, bounds, lengths, include_space):
+        # Segments of one context, starting at its first token or mid-way,
+        # built twice through one index, so the second pass meets memoized
+        # tokens, pair-keyed windows and tail-keyed windows.
+        segments = [tokens[start:end] for start, end in bounds if start < end <= len(tokens)]
+        n_min, n_max = lengths
+        index = GramIndex(n_min, n_max, include_space)
+        for batch in (segments, segments[::-1]):
+            texts = [" ".join(seg) for seg in batch]
+            got = index.segments(texts, batch)
+            assert len(got) == len(texts)
+            assert len({id(s.ids.base) for s in got}) <= 1  # slices of one array
+            for text, s in zip(texts, got):
+                want = ngram_set(text, n_min, n_max, include_space)
+                assert s.grams == want.grams
+                assert s == want and s.index is index
+                assert set(s.ids.tolist()) == {index.vocab[g] for g in want.grams}
+
+    def test_grams_are_derived_from_ids_on_first_read(self, monkeypatch):
+        index = GramIndex(1, 3, True)
+        (s,) = index.segments(["ab cd"], [["ab", "cd"]])
+        folded = index("ab cd")
+        reads = []
+        grams_of = index.grams_of
+        monkeypatch.setattr(index, "grams_of", lambda ids: reads.append(ids) or grams_of(ids))
+        assert s.grams == folded.grams == ngram_set("ab cd", 1, 3, True).grams
+        assert s.grams is s.grams
+        assert len(reads) == 2
+        with pytest.raises(ValueError):
+            LingSet(None, "ab cd")
+        with pytest.raises(AttributeError):
+            s.source = "x"
+
     def test_number_reuses_the_ids_of_seen_grams(self):
         index = GramIndex(1, 2, True)
         own = index("ab a")
@@ -154,6 +196,7 @@ class TestGramIndex:
             assert len(sets) == len(texts)
             for s in sets:
                 assert set(s.ids.tolist()) == {vocab[g] for g in s.grams}
+                assert s.grams == ngram_set(s.source, 1, 3, True).grams
 
 
 class TestHamming:
