@@ -21,16 +21,27 @@ are told apart by identity, the other sets of a sample are numbered in one
 call, and one scatter fills the boolean rows (``_set_rows``).  A step builds
 rows for its distinct marginals and, in concat mode, for its distinct seam
 windows, taken from the index's window memo, and builds every joined
-family's rows from theirs with OR (see ``_step_capacities``).  Only a family's u distinct members get rows and a
-product; the distances are exact integers, so each kernel value is read from
-one table over the distances 0, 1, 2, ... instead of computed per pair, and
-each distinct member's kernel row is spread over all n members before its
-mean, so that every capacity sums the same n values in the same order as
-the full n x n matrix would.  With n = ``per_step`` the step's rows cost
-O(n*V) bytes, and each family O(u*V) bytes of rows and float32 plus O(u*n)
-integer distances and kernel values.  The scalar
-``kernel``/``hamming``/``capacity`` functions and ``join`` are the oracle it
-is tested against.
+family's rows from theirs with OR (see ``_step_capacities``).  Only a
+family's u distinct members get rows and a product; the distances are exact
+integers, so each kernel value is read from one table over the distances
+0, 1, 2, ... instead of computed per pair, and each distinct member's kernel
+row is spread over all n members before its mean, so that every capacity
+sums the same n values in the same order as the full n x n matrix would.
+With n = ``per_step`` the step's rows cost O(n*V) bytes, and each family
+O(u*V) bytes of rows and float32 plus O(u*n) integer distances and kernel
+values.  The scalar ``kernel``/``hamming``/``capacity`` functions and
+``join`` are the oracle it is tested against.
+
+These large arrays are views into a ``Scratch``: one buffer per role, which
+each thread keeps in the ``local`` of the run's ``GramIndex`` (the index
+that built the step's sets) for as long as the index lives, and which is
+regrown, to half again the request, only when a request outgrows it.  After
+a thread's first step, a step thus makes none of its large arrays anew and
+maps again no page that an earlier step handed back to the system.  A call
+whose sets have no such index, such as ``entropy`` of plain ``ngram_set``
+sets, takes a new scratch for the call.  Threads that share an index never
+share a scratch, and no view of one is returned: every capacity vector is a
+new array.
 
 All logarithms are natural; every quantity is in nats.
 """
@@ -142,8 +153,52 @@ def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex | None:
     return None
 
 
+class Scratch:
+    """Buffers that one thread keeps, from step to step, for its steps' large arrays.
+
+    ``take`` returns a C-contiguous view of exactly the shape asked for,
+    laid from the start of its role's buffer, so the array is strided, and
+    its rows summed, as a new one of that shape would be; the view is valid
+    until the role's next ``take``.  A buffer too small for a request is
+    replaced by one half as large again as the request, so every regrowth
+    at least multiplies its size by 1.5, and pages that no step touches are
+    never mapped.  Four roles hold a step's large arrays:
+
+    - "rows": the step's table of boolean rows, read by every family.
+    - "part": one part's gathered rows, ORed into its family's rows.
+    - "even" and "odd": a chain of arrays in which each is made from the one
+      before it, which is then no longer read: the step's gram ids (even),
+      their offsets into the table (odd), and then, for each family, its
+      rows (even), their float32 copy (odd), the Gram product (even), the
+      distances (odd), the distances spread over all n members (even) and
+      the kernel values (odd, or even when nothing was spread).  An array
+      never shares a buffer with the one it is made from.
+    """
+
+    def __init__(self) -> None:
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...], dtype: type) -> np.ndarray:
+        buffer = self.buffers.get(role)
+        nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+        if buffer is None or buffer.nbytes < nbytes:
+            buffer = self.buffers[role] = None  # the old buffer goes before the new one is made
+            buffer = self.buffers[role] = np.empty(nbytes + nbytes // 2, dtype=np.uint8)
+        return np.ndarray(shape, dtype, buffer)
+
+
+def _scratch(index: GramIndex | None) -> Scratch:
+    """The calling thread's scratch on ``index``, kept as long as the index; a new one without."""
+    if index is None:
+        return Scratch()
+    local = index.local
+    if not hasattr(local, "scratch"):
+        local.scratch = Scratch()
+    return local.scratch
+
+
 def _set_rows(
-    families: Iterable[Iterable[LingSet]], index: GramIndex | None
+    families: Iterable[Iterable[LingSet]], index: GramIndex | None, scratch: Scratch | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One boolean row per distinct set of ``families``, and each family's row numbers.
 
@@ -180,28 +235,41 @@ def _set_rows(
         start = 0
         for row, grams in unnumbered:
             ids[row] = flat[start : (start := start + len(grams))]
-    return _indicator_rows(ids), numbers
+    return _indicator_rows(ids, scratch), numbers
 
 
-def _indicator_rows(ids: Sequence[np.ndarray]) -> np.ndarray:
+def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch | None = None) -> np.ndarray:
     """One boolean row per array of gram ids, over the distinct ids in ascending order.
 
     The ids present are marked in one table over the index's ids, whose
     running count gives each one its column; a repeated id in a row sets its
     entry twice.  Rows stay boolean (one byte per entry) so that a step can
     gather and join them cheaply; ``_row_distances`` takes them to float32
-    for the product.
+    for the product.  The rows are ``scratch``'s "rows" array, valid until
+    its next ``_indicator_rows``; a call without a scratch uses a new one.
     """
-    flat = np.concatenate(ids)
+    scratch = scratch or Scratch()
+    lengths = [len(i) for i in ids]
+    # As intp, so that no indexing below makes an intp copy of the ids.
+    flat = np.concatenate(ids, out=scratch.take("even", (sum(lengths),), np.intp))
     present = np.zeros(flat.max(initial=-1) + 1, dtype=bool)
     present[flat] = True
     column = np.cumsum(present) - 1
-    m = np.zeros((len(ids), int(present.sum())), dtype=bool)
-    m[np.repeat(np.arange(len(ids)), [len(i) for i in ids]), column[flat]] = True
+    m = scratch.take("rows", (len(ids), int(present.sum())), bool)
+    m.fill(False)
+    # Each id's offset in the flattened rows: its row's start, a running sum
+    # of one row width at the first id of every row, plus its column.
+    at, columns = scratch.take("odd", (2, len(flat)), np.intp)
+    at.fill(0)
+    starts = np.cumsum(lengths[:-1], dtype=np.intp)
+    np.add.at(at, starts[starts < len(flat)], m.shape[1])  # empty rows share a start
+    np.cumsum(at, out=at)
+    at += np.take(column, flat, out=columns, mode="clip")
+    m.reshape(-1)[at] = True
     return m
 
 
-def _row_distances(m: np.ndarray) -> np.ndarray:
+def _row_distances(m: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
     """Pairwise symmetric-difference counts of boolean rows, |A| + |B| - 2 |A & B|, as integers.
 
     The rows are taken to float32 for one BLAS product, whose diagonal holds
@@ -210,14 +278,22 @@ def _row_distances(m: np.ndarray) -> np.ndarray:
     in any summation order and the distances agree with per-pair ``hamming``
     calls to the last bit, whatever the columns.  Only rows of 2^24 or more
     columns can break that bound; their sizes are counted, and checked,
-    before any float array is built.
+    before any float array is built.  The float32 rows, the product and the
+    distances take ``scratch``'s "odd", "even" and "odd" roles, so ``m`` may
+    be its "even" array.
     """
     if m.shape[1] >= 2**24:
         top = m.sum(axis=1).max(initial=0)
         if top >= 2**24:  # float32 counts exactly only up to 2^24
             raise ValueError(f"exact float32 products need rows of fewer than 2^24 grams, got {top}")
-    f = m.astype(np.float32)
-    d = (f @ f.T).astype(np.intp)
+    scratch = scratch or Scratch()
+    u = len(m)
+    f = scratch.take("odd", m.shape, np.float32)
+    np.copyto(f, m)
+    gram = np.matmul(f, f.T, out=scratch.take("even", (u, u), np.float32))
+    del f  # so that "odd" can let its buffer go if it must regrow
+    d = scratch.take("odd", (u, u), np.intp)
+    np.copyto(d, gram, casting="unsafe")
     sizes = d.diagonal().copy()
     d *= -2
     d += sizes[:, None]
@@ -234,7 +310,11 @@ def _kernel_table(bandwidth: float, size: int) -> np.ndarray:
 
 
 def _family_capacities(
-    key: np.ndarray, table: np.ndarray, parts: Sequence[np.ndarray], bandwidth: float
+    key: np.ndarray,
+    table: np.ndarray,
+    parts: Sequence[np.ndarray],
+    bandwidth: float,
+    scratch: Scratch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Resubstitution capacity of every member of a family, and its distinct-member number.
 
@@ -249,24 +329,32 @@ def _family_capacities(
     are built in member order and nothing is gathered.
     """
     _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    distinct = len(first) == len(key)
-    sel = slice(None) if distinct else first
-    m = table[parts[0][sel]]
-    for p in parts[1:]:
-        m |= table[p[sel]]
-    d = _row_distances(m)
+    u, n = len(first), len(key)
+    sel = slice(None) if u == n else first
+    take = scratch.take
+    # mode="clip" gathers straight into ``out``, which mode="raise" would buffer.
+    m = take("even", (u, table.shape[1]), bool)
+    np.take(table, parts[0][sel], axis=0, out=m, mode="clip")
+    if len(parts) > 1:
+        part = take("part", m.shape, bool)
+        for p in parts[1:]:
+            m |= np.take(table, p[sel], axis=0, out=part, mode="clip")
+    d = _row_distances(m, scratch)
     del m
     kernel = _kernel_table(bandwidth, 1 << int(d.max(initial=0)).bit_length())
-    if distinct:
-        return kernel[d].mean(axis=1), inv
-    # d[:, inv] comes out column-major, and numpy sums its rows in another order.
-    return kernel[np.ascontiguousarray(d[:, inv])].mean(axis=1)[inv], inv
+    if u < n:  # each distinct member's distances to all n members, in member order
+        d = np.take(d, inv, axis=1, out=take("even", (u, n), np.intp), mode="clip")
+    values = take("odd" if u < n else "even", (u, n), np.float64)
+    means = np.take(kernel, d, out=values, mode="clip").mean(axis=1)
+    return (means if u == n else means[inv]), inv
 
 
 def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarray:
     """Resubstitution capacity of every member within its own sample."""
-    table, (rows,) = _set_rows([sets], _index_for(sets[0], cfg))
-    return _family_capacities(rows, table, [rows], cfg.bandwidth)[0]
+    index = _index_for(sets[0], cfg)
+    scratch = _scratch(index)
+    table, (rows,) = _set_rows([sets], index, scratch)
+    return _family_capacities(rows, table, [rows], cfg.bandwidth, scratch)[0]
 
 
 def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -> float:
@@ -433,9 +521,17 @@ def _step_capacities(
     step's distinct grams, seam grams included, plus, for the one family
     being built, O(u * V_step) bytes of boolean rows and float32 and
     O(u * n) integer distances and kernel values; the product is exact while
-    every joined set holds fewer than 2^24 grams.  The one-entry memo lets
-    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
-    for the same tuple; they are returned read-only.
+    every joined set holds fewer than 2^24 grams.  These arrays live in the
+    calling thread's ``Scratch`` on the index (a new one if the step's sets
+    have none): four buffers, each at most 1.5 times the largest request of
+    its role so far, that stay with the thread for the index's lifetime, so
+    that steps after the first reuse them instead of mapping new pages.
+    The one-entry memo lets ``joint_mass_monitor`` reuse the vectors
+    ``compute_mi_record`` computed for the same tuple; they are new arrays,
+    never views of the scratch, and are returned read-only.  The memo holds
+    the last step's sets, and through them the index and its scratches,
+    until the next call; a worker thread's scratch goes when the thread
+    ends.
     """
     index = _index_for(triplets[0].x, cfg)
     families = [[getattr(t, c) for t in triplets] for c in "xyz"]
@@ -452,7 +548,8 @@ def _step_capacities(
             ((a + " " + b for a, b in zip(x_tails, sz)), sy),
         ):
             families.append(list(map(index.window, tails, heads)))
-    table, (ix, iy, iz, *seams) = _set_rows(families, index)
+    scratch = _scratch(index)
+    table, (ix, iy, iz, *seams) = _set_rows(families, index, scratch)
     # Each seam is a list of zero (union, or no spaces) or one row-number array.
     s_xy, s_yz, s_xz, s_xy_z, s_xz_y = ([s] for s in seams) if seams else ([],) * 5
     radix = max(len(table), len(triplets))
@@ -461,7 +558,7 @@ def _step_capacities(
         key = digits[0]
         for digit in digits[1:]:
             key = key * radix + digit
-        return _family_capacities(key, table, parts, cfg.bandwidth)
+        return _family_capacities(key, table, parts, cfg.bandwidth, scratch)
 
     x, y, z, xy, yz, xz = (
         capacities(parts, parts)

@@ -141,7 +141,9 @@ class GramIndex:
     sight, with its inverse, through which a built set's grams are derived
     when first read.  ``segments`` builds the sets of texts given as tokens
     from token positions instead.  Numbering holds a lock, so threads that
-    share the index never give two grams one id.
+    share the index never give two grams one id.  ``local`` holds each
+    thread's own state for as long as the index lives; the estimator keeps
+    its scratch buffers there.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -151,6 +153,7 @@ class GramIndex:
         self.vocab: dict[str, int] = {}
         self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
         self._lock = threading.Lock()
+        self.local = threading.local()
         self._token_ids: dict[str, int] = {}
         self._tokens: list[LingSet] = []  # the token memo, by token id
         self._pairs: dict[tuple[int, int], LingSet] = {}  # windows, by token-id pair

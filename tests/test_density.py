@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -35,7 +36,13 @@ from setinfo import (
 )
 from setinfo import density, ngrams
 from setinfo.agents import build_step_samples
-from setinfo.density import _capacity_vector, _indicator_rows, _row_distances, _step_capacities
+from setinfo.density import (
+    Scratch,
+    _capacity_vector,
+    _indicator_rows,
+    _row_distances,
+    _step_capacities,
+)
 from setinfo.ngrams import GramIndex
 
 from conftest import lingsets, random_lingset
@@ -544,8 +551,8 @@ class TestStepCapacities:
         shapes = []
         row_distances = density._row_distances
 
-        def spy(m):
-            d = row_distances(m)
+        def spy(m, scratch):
+            d = row_distances(m, scratch)
             shapes.append(d.shape)
             return d
 
@@ -760,6 +767,8 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
     n = len(triplets)
     v = len(frozenset().union(*(s.grams for t in triplets for s in (t.x, t.y, t.z))))
     bound = 10 * n * v + 4 * n * v + 24 * n * n + 2**20
+    # A new index holds no scratch yet, so the peak counts every buffer the step makes.
+    assert not hasattr(triplets[0].x.index.local, "scratch")
     _step_capacities.cache_clear()
     tracemalloc.start()
     try:
@@ -769,6 +778,140 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
         tracemalloc.stop()
     _step_capacities.cache_clear()
     assert peak < bound
+
+
+class TestScratch:
+    """Buffers kept across steps: exact views, per-thread, never returned."""
+
+    shared = Scratch()  # one for all examples of the hypothesis test below
+
+    def test_take_gives_exact_views_and_regrows_by_half_the_request(self):
+        scratch = Scratch()
+        a = scratch.take("r", (2, 5), np.float64)
+        buffer = scratch.buffers["r"]
+        assert a.shape == (2, 5) and a.dtype == np.float64 and buffer.nbytes == 120
+        assert a.flags.c_contiguous and a.flags.writeable and a.base is buffer
+        b = scratch.take("r", (3, 5), np.int32)  # 60 bytes fit
+        c = scratch.take("r", (15,), np.float64)  # 120 bytes fit
+        assert scratch.buffers["r"] is buffer and b.base is buffer and c.base is buffer
+        d = scratch.take("r", (16,), np.float64)  # 128 bytes do not: 192 are made
+        assert scratch.buffers["r"] is not buffer and scratch.buffers["r"].nbytes == 192
+        assert d.base is scratch.buffers["r"]
+        assert scratch.take("empty", (0, 7), bool).shape == (0, 7)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 40), max_size=12).map(lambda ids: np.array(ids, dtype=np.int32)),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    @example([np.zeros(0, dtype=np.int32)])
+    @example([np.zeros(0, dtype=np.int32), np.array([3, 3, 1], dtype=np.int32), np.zeros(0, dtype=np.int32)])
+    def test_reused_scratch_builds_rows_and_distances_as_new_arrays(self, ids):
+        # One scratch across all examples, so every call meets the garbage of
+        # the last; empty rows may lead, trail or repeat.
+        scratch = self.shared
+        columns = sorted(set(np.concatenate(ids).tolist()))
+        expected = np.zeros((len(ids), len(columns)), dtype=bool)
+        for row, i in enumerate(ids):
+            expected[row, np.searchsorted(columns, i)] = True
+        got = _indicator_rows(ids, scratch)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(_row_distances(got, scratch), _row_distances(expected))
+
+    @staticmethod
+    def steps(index: GramIndex, per_step: int = 40) -> dict[str, tuple[Triplet, ...]]:
+        docs, gold = synth_corpus(400, np.random.default_rng(5))
+        return {
+            label: build_step_samples(
+                kind, source, k_max=1, per_step=per_step, rng=np.random.default_rng(9),
+                context_length=10, gram_set=index,
+            )[0].triplets
+            for label, kind, source in [("random", "random", docs), ("pool", "gold_file", gold)]
+        }
+
+    @staticmethod
+    def buffers(index: GramIndex) -> dict[str, np.ndarray]:
+        return dict(index.local.scratch.buffers)
+
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
+    def test_vectors_never_share_memory_with_the_scratch(self, cfg):
+        index = cfg.gram_index()
+        steps = self.steps(index)
+        bigger = self.steps(index, per_step=60)["random"]
+        _step_capacities.cache_clear()
+        kept = _step_capacities(steps["random"], cfg)
+        copies = [v.copy() for v in kept]
+        # Another shape, entropies through the same scratch and through a
+        # call's own, and a step that regrows the buffers.
+        _step_capacities(steps["pool"], cfg)
+        xs = [t.x for t in steps["pool"]]
+        entropy(xs, cfg)
+        mutual_information([(t.x, t.y) for t in steps["random"]], cfg)
+        plain = [ngram_set(t.x.source, cfg.n_min, cfg.n_max, cfg.include_space) for t in steps["pool"]]
+        assert entropy(plain, cfg) == entropy(xs, cfg)
+        before = self.buffers(index)
+        later = _step_capacities(bigger, cfg)
+        assert any(self.buffers(index)[role] is not buffer for role, buffer in before.items())
+        for got, want in zip(kept, copies, strict=True):
+            assert np.array_equal(got, want)
+        buffers = [*before.values(), *self.buffers(index).values()]
+        for vector in (*kept, *later, _capacity_vector(xs, cfg)):
+            assert not any(np.shares_memory(vector, buffer) for buffer in buffers)
+
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
+    def test_a_step_that_fits_keeps_every_buffer(self, cfg):
+        index = cfg.gram_index()
+        steps = self.steps(index)
+        _step_capacities.cache_clear()
+        first = _step_capacities(steps["random"], cfg)
+        buffers = self.buffers(index)
+        assert set(buffers) == {"rows", "part", "even", "odd"}
+        # The same step as another tuple (the memo misses), and a part of it.
+        for triplets in (tuple(steps["random"]), steps["random"][:25], steps["random"][5:]):
+            _step_capacities(triplets, cfg)
+            assert self.buffers(index).keys() == buffers.keys()
+            assert all(self.buffers(index)[role] is buffer for role, buffer in buffers.items())
+        for got, want in zip(_step_capacities(tuple(steps["random"]), cfg), first, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_threads_take_their_own_scratch_and_match_serial_vectors(self):
+        # One index built every set, as in a run; four threads run random and
+        # pool steps in union and concat mode at once, each in its own order.
+        index = UNION.gram_index()
+        steps = self.steps(index)
+        jobs = [(steps[label], cfg) for label in ("random", "pool") for cfg in (UNION, CONCAT)]
+        compute = _step_capacities.fn  # the memo would serve repeats without computing
+        serial = [compute(*job) for job in jobs]
+        barrier = threading.Barrier(4)
+        results: dict[int, list] = {}
+        scratches: dict[int, Scratch] = {}
+
+        def work(t: int) -> None:
+            barrier.wait(timeout=60)
+            order = [(t + j) % len(jobs) for j in range(3 * len(jobs))]
+            results[t] = [(i, compute(*jobs[i])) for i in order]
+            scratches[t] = index.local.scratch
+
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads as often as the interpreter allows
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(results) == [0, 1, 2, 3]
+        assert len({id(s) for s in scratches.values()} | {id(index.local.scratch)}) == 5
+        for runs in results.values():
+            for i, vectors in runs:
+                for got, want in zip(vectors, serial[i], strict=True):
+                    assert np.array_equal(got, want)
 
 
 def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
