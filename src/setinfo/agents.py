@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -497,7 +497,7 @@ def build_step_samples(
     per_step: int,
     rng: np.random.Generator,
     context_length: int,
-    gram_set: Callable[[str], LingSet],
+    gram_set: GramIndex,
 ) -> list[StepSample]:
     """Produce k_max step samples of exactly per_step triplets each.
 
@@ -509,10 +509,9 @@ def build_step_samples(
     taken in one batch by ``_batch_step``; the loop itself runs where the
     batch cannot.  This is the one place text becomes gram sets: each
     distinct segment text of the returned samples is turned into a
-    ``LingSet`` once, by ``gram_set`` (in a run, the run's ``GramIndex``),
-    and every triplet holding that text shares it.  A ``GramIndex`` builds
-    a random step's new texts from their tokens, in one
-    ``GramIndex.segments`` call.
+    ``LingSet`` once, by ``gram_set`` (in a run, the run's index), and every
+    triplet holding that text shares it.  A random step's new texts are
+    built from their tokens, in one ``GramIndex.segments`` call.
     """
     step_rngs = rng.spawn(k_max)
     sets: dict[str, LingSet] = {}
@@ -524,12 +523,6 @@ def build_step_samples(
 
     samples: list[StepSample] = []
     if kind == "random":
-        if isinstance(gram_set, GramIndex):
-            build = gram_set.segments
-        else:
-            def build(texts: list[str], _: list[Sequence[str]]) -> list[LingSet]:
-                return list(map(gram_set, texts))
-
         for k, step_rng in enumerate(step_rngs, start=1):
             cuts = _batch_step(source, context_length, per_step, step_rng)
             if cuts is None:
@@ -537,7 +530,7 @@ def build_step_samples(
             segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
             texts = [" ".join(seg) for seg in segments]
             new = {text: seg for text, seg in zip(texts, segments) if text not in sets}
-            sets.update(zip(new, build(list(new), list(new.values()))))
+            sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
             flat = [sets[text] for text in texts]
             samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
     else:

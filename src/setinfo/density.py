@@ -32,15 +32,14 @@ O(u*V) bytes of rows and float32 plus O(u*n) integer distances and kernel
 values.  The scalar ``kernel``/``hamming``/``capacity`` functions and
 ``join`` are the oracle it is tested against.
 
-These large arrays are views into a ``Scratch``: one buffer per role, which
-each thread keeps in the ``local`` of the run's ``GramIndex`` (the index
-that built the step's sets) for as long as the index lives, and which is
-regrown, to half again the request, only when a request outgrows it.  After
-a thread's first step, a step thus makes none of its large arrays anew and
-maps again no page that an earlier step handed back to the system.  A call
-whose sets have no such index, such as ``entropy`` of plain ``ngram_set``
-sets, takes a new scratch for the call.  Threads that share an index never
-share a scratch, and no view of one is returned: every capacity vector is a
+These large arrays are views into a ``Scratch``: one buffer per role, kept
+in the ``scratch`` of the run's ``GramIndex`` (the index that built the
+step's sets) for as long as the index lives, and regrown, to half again the
+request, only when a request outgrows it.  After a run's first step, a step
+thus makes none of its large arrays anew and maps again no page that an
+earlier step handed back to the system.  A call whose sets have no such
+index, such as ``entropy`` of plain ``ngram_set`` sets, takes a new scratch
+for the call.  No view of a scratch is returned: every capacity vector is a
 new array.
 
 All logarithms are natural; every quantity is in nats.
@@ -154,7 +153,7 @@ def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex | None:
 
 
 class Scratch:
-    """Buffers that one thread keeps, from step to step, for its steps' large arrays.
+    """Buffers that a run keeps, from step to step, for its steps' large arrays.
 
     ``take`` returns a C-contiguous view of exactly the shape asked for,
     laid from the start of its role's buffer, so the array is strided, and
@@ -188,13 +187,12 @@ class Scratch:
 
 
 def _scratch(index: GramIndex | None) -> Scratch:
-    """The calling thread's scratch on ``index``, kept as long as the index; a new one without."""
+    """The scratch on ``index``, kept as long as the index; a new one without."""
     if index is None:
         return Scratch()
-    local = index.local
-    if not hasattr(local, "scratch"):
-        local.scratch = Scratch()
-    return local.scratch
+    if index.scratch is None:
+        index.scratch = Scratch()
+    return index.scratch
 
 
 def _set_rows(
@@ -455,9 +453,10 @@ class _LastStep:
 
     A hit compares the tuple's identity, not its members, so it costs O(1)
     however large the step.  The memo holds the tuple, so its id cannot be
-    reused by another tuple while the entry lives.  The entry is read and
-    replaced as one tuple, so threads that share the memo never take one
-    step's key with another step's vectors.
+    reused by another tuple while the entry lives.  A hit also empties the
+    memo: each call is served again at most once, which is all that
+    ``joint_mass_monitor`` after ``compute_mi_record`` asks, and a run whose
+    every step made both calls leaves nothing held.
     """
 
     def __init__(self, fn):
@@ -469,6 +468,7 @@ class _LastStep:
         last_triplets, last_cfg, value = self.last
         if triplets is last_triplets and cfg == last_cfg:
             self.hits += 1
+            self.last = (None, None, None)
             return value
         self.misses += 1
         value = self.fn(triplets, cfg)
@@ -522,16 +522,14 @@ def _step_capacities(
     being built, O(u * V_step) bytes of boolean rows and float32 and
     O(u * n) integer distances and kernel values; the product is exact while
     every joined set holds fewer than 2^24 grams.  These arrays live in the
-    calling thread's ``Scratch`` on the index (a new one if the step's sets
-    have none): four buffers, each at most 1.5 times the largest request of
-    its role so far, that stay with the thread for the index's lifetime, so
-    that steps after the first reuse them instead of mapping new pages.
-    The one-entry memo lets ``joint_mass_monitor`` reuse the vectors
-    ``compute_mi_record`` computed for the same tuple; they are new arrays,
-    never views of the scratch, and are returned read-only.  The memo holds
-    the last step's sets, and through them the index and its scratches,
-    until the next call; a worker thread's scratch goes when the thread
-    ends.
+    ``Scratch`` on the index (a new one if the step's sets have none): four
+    buffers, each at most 1.5 times the largest request of its role so far,
+    that stay for the index's lifetime, so that steps after the first reuse
+    them instead of mapping new pages.  The one-entry memo lets
+    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
+    for the same tuple; they are new arrays, never views of the scratch, and
+    are returned read-only.  The memo holds the step's sets, and through
+    them the index and its scratch, only until that reuse.
     """
     index = _index_for(triplets[0].x, cfg)
     families = [[getattr(t, c) for t in triplets] for c in "xyz"]

@@ -17,13 +17,15 @@ grams are derived from the ids only when read.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import FrozenInstanceError
 from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .density import Scratch
 
 
 class EmptyText(ValueError):
@@ -140,10 +142,10 @@ class GramIndex:
     the index lives, and so is ``vocab``, which numbers every gram on first
     sight, with its inverse, through which a built set's grams are derived
     when first read.  ``segments`` builds the sets of texts given as tokens
-    from token positions instead.  Numbering holds a lock, so threads that
-    share the index never give two grams one id.  ``local`` holds each
-    thread's own state for as long as the index lives; the estimator keeps
-    its scratch buffers there.
+    from token positions instead.  ``scratch`` holds the estimator's step
+    buffers (``density.Scratch``) from the first step on, for as long as the
+    index lives.  Nothing here is locked: an index, and the steps that use
+    it, belong to one thread.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -152,8 +154,7 @@ class GramIndex:
         self.settings = (n_min, n_max, include_space)
         self.vocab: dict[str, int] = {}
         self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
-        self._lock = threading.Lock()
-        self.local = threading.local()
+        self.scratch: Scratch | None = None  # set by the estimator's first step on this index's sets
         self._token_ids: dict[str, int] = {}
         self._tokens: list[LingSet] = []  # the token memo, by token id
         self._pairs: dict[tuple[int, int], LingSet] = {}  # windows, by token-id pair
@@ -162,15 +163,13 @@ class GramIndex:
     def number(self, grams: Iterable[str]) -> np.ndarray:
         """The ids of ``grams``, numbering the ones not seen before."""
         vocab = self.vocab
-        with self._lock:
-            return np.array([vocab.setdefault(g, len(vocab)) for g in grams], dtype=np.int32)
+        return np.array([vocab.setdefault(g, len(vocab)) for g in grams], dtype=np.int32)
 
     def grams_of(self, ids: np.ndarray) -> frozenset[str]:
         """The grams that ``ids`` number; the inverse vocabulary catches up with ``vocab`` here."""
         inverse = self._inverse
         if len(inverse) < len(self.vocab):
-            with self._lock:
-                inverse.extend(islice(self.vocab, len(inverse), None))
+            inverse.extend(islice(self.vocab, len(inverse), None))
         return frozenset(map(inverse.__getitem__, ids.tolist()))
 
     def _scan(self, text: str, spaced: bool) -> LingSet:
@@ -186,9 +185,8 @@ class GramIndex:
         i = self._token_ids.get(token)
         if i is None:
             scanned = self._scan(token, False)
-            with self._lock:
-                i = self._token_ids[token] = len(self._tokens)
-                self._tokens.append(scanned)
+            i = self._token_ids[token] = len(self._tokens)
+            self._tokens.append(scanned)
         return i
 
     def window(self, a: str, b: str) -> LingSet:

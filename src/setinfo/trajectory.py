@@ -3,8 +3,7 @@
 A run is described by a RunConfig (usually parsed from a flat key=value
 file), produces one TrajectoryResult per configured agent, and is
 deterministic given (config, seed): every step draws from its own generator
-spawned off the master seed, so results do not depend on how many workers
-evaluated the steps.
+spawned off the master seed.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ class RunConfig:
     k_max: int = 120
     window: int = 50
     seed: int = 0
-    workers: int = 1
     out_dir: str = "out"
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     agents: tuple[AgentSpec, ...] = (
@@ -90,8 +88,6 @@ class RunConfig:
             raise ConfigInvalid(f"run.window must be >= 1, got {self.window}")
         if self.seed < 0:
             raise ConfigInvalid(f"run.seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigInvalid(f"run.workers must be >= 1, got {self.workers}")
         if self.context_length < 3:
             raise ConfigInvalid(
                 f"context.length must be >= 3 so contexts can be split, got {self.context_length}"
@@ -179,8 +175,10 @@ class RunConfig:
         kwargs: dict[str, dict[str, object]] = {"": {}, "estimator": {}}
         for key, attr, parse, _ in CONFIG_SCHEMA:
             if parse is not None and key in values:
-                owner, _, name = attr.rpartition(".")
-                kwargs[owner][name] = parse(values[key], key)
+                value = parse(values[key], key)
+                if attr is not None:
+                    owner, _, name = attr.rpartition(".")
+                    kwargs[owner][name] = value
         try:
             specs = []
             for name in names:
@@ -216,6 +214,11 @@ def _items(value: str, key: str) -> tuple[str, ...]:
     return tuple(as_list(value))
 
 
+def _one_thread(value: str, key: str) -> None:
+    if as_int(value, key) != 1:
+        raise ConfigInvalid(f"{key} must be 1, got {value}: a run's steps run on one thread")
+
+
 def _fmt(value: float) -> str:
     return format(value, ".12g")
 
@@ -228,7 +231,9 @@ def _fmt_bool(value: bool) -> str:
 # formatter writes the value into ``to_flat_dict`` and so into
 # ``config_hash``; it returns None to leave an unset value out.  Keys whose
 # formatter is None cannot change a result and are not hashed.  Changing how
-# a hashed key is written changes the hash of every existing run.
+# a hashed key is written changes the hash of every existing run.  A key
+# without an attribute sets no field: ``run.workers`` is still read, so that
+# configs which set it to 1 keep parsing, and any other count is rejected.
 CONFIG_SCHEMA = (
     ("corpus.path", "corpus_path", _text, str),
     ("corpus.strip_headers", "strip_headers", as_bool, _fmt_bool),
@@ -238,7 +243,7 @@ CONFIG_SCHEMA = (
     ("run.k_max", "k_max", as_int, str),
     ("run.window", "window", as_int, str),
     ("run.seed", "seed", as_int, str),
-    ("run.workers", "workers", as_int, None),
+    ("run.workers", None, _one_thread, None),
     ("run.out", "out_dir", _text, None),
     ("estimator.bandwidth", "estimator.bandwidth", as_float, _fmt),
     ("estimator.entropy_mode", "estimator.entropy_mode", _text, str),
@@ -407,7 +412,8 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     steps, so a bad one fails the run at once.  Every gram set of the run is
     built by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
     made for this call, whose gram ids and window memo every step then uses.
-    Results are keyed by agent name in configuration order.
+    The steps run one after another on the calling thread, which the index
+    requires.  Results are keyed by agent name in configuration order.
     """
     docs, pools = resolve_inputs(cfg)
     est = cfg.estimator
@@ -428,13 +434,7 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             gram_set=gram_index,
         )
         built = time.perf_counter()
-        if cfg.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor  # a serial run need not import it
-
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                stepped = list(pool.map(lambda s: _compute_step(s, est), samples))
-        else:
-            stepped = [_compute_step(s, est) for s in samples]
+        stepped = [_compute_step(s, est) for s in samples]
         results[spec.name] = TrajectoryResult(
             cfg=cfg,
             spec=spec,

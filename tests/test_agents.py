@@ -30,7 +30,7 @@ from setinfo import (
 )
 from setinfo import agents, ngrams
 from setinfo.agents import resolve_pool
-from setinfo.ngrams import ngram_set
+from setinfo.ngrams import GramIndex, ngram_set
 
 
 GRAM_SET = EstimatorConfig().gram_index()
@@ -486,16 +486,24 @@ class TestBuildStepSamples:
 
     def test_one_gram_set_per_distinct_text(self):
         # Each distinct segment text of the returned samples is built once per
-        # call, by the given builder, and every triplet holding it shares it.
-        gram_set = EstimatorConfig(n_max=4, include_space=False).gram_index()
+        # call, by the given index, and every triplet holding it shares it.
+        class RecordingIndex(GramIndex):
+            """Records the text of every set it builds, one by one or as segments."""
+
+            def __call__(self, text):
+                calls.append(text)
+                return super().__call__(text)
+
+            def segments(self, texts, tokens):
+                calls.extend(texts)
+                return super().segments(texts, tokens)
+
+        gram_set = RecordingIndex(*EstimatorConfig(n_max=4, include_space=False).gram_index().settings)
         docs, gold = synth_corpus(400, np.random.default_rng(11))
         mined = resolve_pool(AgentSpec(kind="extractor"), docs)
         for kind, source in [("random", docs), ("extractor", mined), ("gold_file", gold)]:
             calls = []
-            samples = build_step_samples(
-                kind, source, 3, 40, np.random.default_rng(6), 10,
-                lambda text: calls.append(text) or gram_set(text),
-            )
+            samples = build_step_samples(kind, source, 3, 40, np.random.default_rng(6), 10, gram_set)
             sets = [s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)]
             assert len(calls) == len(set(calls))
             assert set(calls) == {s.source for s in sets}

@@ -179,6 +179,7 @@ class TestSimulate:
         "extra",
         [
             "run.seed = -1",
+            "run.workers = 2",
             "agent.random.path = nothing.jsonl",
             "agent.random.lexicon = verbs.txt",
             "agent.structured.kind = extractor",

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib.util
 import re
 import shlex
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 from setinfo import CSV_HEADER, AgentSpec, ConfigInvalid, EstimatorConfig, RunConfig, parse_config_text
 from setinfo.cli import _build_parser
-from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases
+from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases, load_config
 from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
 
 REPO = Path(__file__).resolve().parents[1]
@@ -55,8 +57,6 @@ class TestAccessors:
 
 
 def _load(name: str) -> dict[str, str]:
-    from setinfo import load_config
-
     return load_config(REPO_CONFIGS / name)
 
 
@@ -105,6 +105,22 @@ class TestShippedConfigs:
         assert cfg.seed == 42
         assert cfg.estimator.entropy_mode == "raw"
         assert [a.kind for a in cfg.agents] == ["random", "gold_file"]
+
+    def test_benchmark_configs_parse(self, tmp_path, monkeypatch):
+        # perfbench/run.py writes each run's config with ``config_text``; a
+        # schema change that rejected those configs would fail every
+        # benchmark run, so it fails here first.
+        spec = importlib.util.spec_from_file_location("perfbench_run", REPO / "perfbench" / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)  # where @dataclass looks the module up
+        spec.loader.exec_module(bench)
+        path = tmp_path / "run.cfg"
+        for workload in bench.WORKLOADS.values():
+            for sizes in (workload.sizes(), workload.sizes(tiny=True)):
+                path.write_text(bench.config_text(workload, 1, sizes), encoding="utf-8")
+                cfg = RunConfig.from_dict(load_config(path))
+                assert cfg.estimator.joint_mode == workload.joint_mode
+                assert (cfg.per_step, cfg.k_max) == (sizes["per_step"], sizes["steps"])
 
     # Every hashed key must keep being written exactly as before, or the
     # config_hash in existing CSVs no longer matches their config.

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import threading
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -768,7 +767,7 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
     v = len(frozenset().union(*(s.grams for t in triplets for s in (t.x, t.y, t.z))))
     bound = 10 * n * v + 4 * n * v + 24 * n * n + 2**20
     # A new index holds no scratch yet, so the peak counts every buffer the step makes.
-    assert not hasattr(triplets[0].x.index.local, "scratch")
+    assert triplets[0].x.index.scratch is None
     _step_capacities.cache_clear()
     tracemalloc.start()
     try:
@@ -781,7 +780,7 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
 
 
 class TestScratch:
-    """Buffers kept across steps: exact views, per-thread, never returned."""
+    """Buffers kept across steps: exact views, kept on the index, never returned."""
 
     shared = Scratch()  # one for all examples of the hypothesis test below
 
@@ -834,7 +833,7 @@ class TestScratch:
 
     @staticmethod
     def buffers(index: GramIndex) -> dict[str, np.ndarray]:
-        return dict(index.local.scratch.buffers)
+        return dict(index.scratch.buffers)
 
     @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
     def test_vectors_never_share_memory_with_the_scratch(self, cfg):
@@ -876,42 +875,6 @@ class TestScratch:
             assert all(self.buffers(index)[role] is buffer for role, buffer in buffers.items())
         for got, want in zip(_step_capacities(tuple(steps["random"]), cfg), first, strict=True):
             assert np.array_equal(got, want)
-
-    def test_threads_take_their_own_scratch_and_match_serial_vectors(self):
-        # One index built every set, as in a run; four threads run random and
-        # pool steps in union and concat mode at once, each in its own order.
-        index = UNION.gram_index()
-        steps = self.steps(index)
-        jobs = [(steps[label], cfg) for label in ("random", "pool") for cfg in (UNION, CONCAT)]
-        compute = _step_capacities.fn  # the memo would serve repeats without computing
-        serial = [compute(*job) for job in jobs]
-        barrier = threading.Barrier(4)
-        results: dict[int, list] = {}
-        scratches: dict[int, Scratch] = {}
-
-        def work(t: int) -> None:
-            barrier.wait(timeout=60)
-            order = [(t + j) % len(jobs) for j in range(3 * len(jobs))]
-            results[t] = [(i, compute(*jobs[i])) for i in order]
-            scratches[t] = index.local.scratch
-
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # switch threads as often as the interpreter allows
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(results) == [0, 1, 2, 3]
-        assert len({id(s) for s in scratches.values()} | {id(index.local.scratch)}) == 5
-        for runs in results.values():
-            for i, vectors in runs:
-                for got, want in zip(vectors, serial[i], strict=True):
-                    assert np.array_equal(got, want)
 
 
 def pinned_steps() -> dict[str, tuple[Triplet, ...]]:

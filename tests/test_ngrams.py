@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -160,43 +157,6 @@ class TestGramIndex:
             GramIndex(0, 3, True)
         with pytest.raises(ValueError):
             GramIndex(3, 2, True)
-
-    def test_threads_keep_the_vocabulary_a_bijection(self):
-        # Four threads build the same texts through one index at once, two
-        # forwards and two backwards, with the interpreter switching threads
-        # as often as it can.  The texts draw from 3000 characters, so almost
-        # every piece and window holds grams not yet numbered; a race in
-        # numbering would give two grams one id.
-        rng = np.random.default_rng(0)
-        alphabet = [chr(0x4E00 + i) for i in range(3000)]
-        texts = [" ".join("".join(rng.choice(alphabet, size=4)) for _ in range(3)) for _ in range(800)]
-        index = GramIndex(1, 3, True)
-        barrier = threading.Barrier(4)
-        built: list[list[LingSet]] = [[] for _ in range(4)]
-
-        def work(slot: int) -> None:
-            barrier.wait()
-            built[slot] = [index(text) for text in (texts if slot % 2 else texts[::-1])]
-
-        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        vocab = index.vocab
-        assert sorted(vocab.values()) == list(range(len(vocab)))
-        assert len(vocab) == len(frozenset().union(*(ngram_set(t, 1, 3, True).grams for t in texts)))
-        for sets in built:
-            assert len(sets) == len(texts)
-            for s in sets:
-                assert set(s.ids.tolist()) == {vocab[g] for g in s.grams}
-                assert s.grams == ngram_set(s.source, 1, 3, True).grams
 
 
 class TestHamming:

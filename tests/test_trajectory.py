@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 from statistics import fmean
 
@@ -129,7 +131,6 @@ class TestRunConfig:
             {"k_max": 0},
             {"per_step": 0},
             {"window": 0},
-            {"workers": 0},
             {"agents": ()},
             {"synthetic_sentences": 0},
             {"synthetic_sentences_per_doc": 0},
@@ -201,11 +202,19 @@ class TestRunConfig:
             ({"estimator.joint_mode": "sum"}, r"^estimator\.joint_mode"),
             ({"estimator.bandwidth": "0"}, r"^estimator\.bandwidth"),
             ({"agent.structured.kind": "oracle"}, r"^agent\.structured\.kind"),
+            ({"run.workers": "0"}, r"^run\.workers"),
+            ({"run.workers": "4"}, r"^run\.workers"),
         ],
     )
     def test_from_dict_rejects_naming_the_cause(self, values, named):
         with pytest.raises(ConfigInvalid, match=named):
             RunConfig.from_dict(values)
+
+    def test_run_workers_is_accepted_as_one_and_not_hashed(self):
+        values = {"run.seed": "3", "estimator.joint_mode": "concat"}
+        cfg = RunConfig.from_dict({**values, "run.workers": "1"})
+        assert cfg == RunConfig.from_dict(values)
+        assert cfg.config_hash() == RunConfig.from_dict(values).config_hash()
 
     @pytest.mark.parametrize(
         "spec,key",
@@ -294,14 +303,19 @@ class TestRunSimulation:
         for name in a:
             assert a[name].records == b[name].records
 
-    def test_workers_do_not_change_results(self):
-        solo = run_simulation(small_config(workers=1))
-        multi = run_simulation(small_config(workers=4))
-        for name in solo:
-            for rec_a, rec_b in zip(solo[name].records, multi[name].records):
-                for field in ("i_xy", "i_yz", "i_xz", "i_xy_z", "i_xz_y"):
-                    va, vb = getattr(rec_a, field), getattr(rec_b, field)
-                    assert va == pytest.approx(vb, rel=1e-9)
+    def test_a_finished_run_holds_no_index(self, monkeypatch):
+        # Once the run returns, nothing, the step memo included, keeps its
+        # index alive, nor so the scratch the steps kept on it.
+        indexes = []
+        monkeypatch.setattr(
+            trajectory,
+            "build_step_samples",
+            lambda *args, **kw: indexes.append(weakref.ref(kw["gram_set"])) or build_step_samples(*args, **kw),
+        )
+        run_simulation(small_config(k_max=2, window=2))
+        gc.collect()
+        assert len(indexes) == 2
+        assert [ref() for ref in indexes] == [None, None]
 
     def test_gram_sets_come_from_the_estimator_config(self, monkeypatch):
         # One index per run, made by cfg.estimator.gram_index() under the
