@@ -17,6 +17,12 @@ texts = st.text(
 lingsets = texts.map(lambda t: ngram_set(t, 1, 3, True))
 
 
+def one_object_per_value(strings) -> bool:
+    """Whether each distinct value among ``strings`` is one object."""
+    strings = list(strings)  # keeps every object alive while ids are taken
+    return len({id(s) for s in strings}) == len(set(strings))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

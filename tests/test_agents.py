@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -31,6 +33,9 @@ from setinfo import (
 from setinfo import agents, ngrams
 from setinfo.agents import resolve_pool
 from setinfo.ngrams import GramIndex, ngram_set
+from setinfo.trajectory import grammar_from_file
+
+from conftest import one_object_per_value
 
 
 GRAM_SET = EstimatorConfig().gram_index()
@@ -147,6 +152,22 @@ class TestLoadTriplets:
         path.write_text(json.dumps({"x": "The  CAT", "y": "Sat", "z": "Down"}) + "\n")
         assert load_triplets(path) == [("the cat", "sat", "down")]
 
+    def test_a_repeated_surface_is_one_object(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        lines = [
+            {"x": "the cat", "y": "sat on", "z": "the mat"},
+            {"x": "The  Cat", "y": "sat on", "z": "the cat"},
+            {"x": "a dog", "y": "sat  on", "z": "the mat"},
+        ]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        triplets = load_triplets(path)
+        assert triplets == [
+            ("the cat", "sat on", "the mat"),
+            ("the cat", "sat on", "the cat"),
+            ("a dog", "sat on", "the mat"),
+        ]
+        assert one_object_per_value(chain.from_iterable(triplets))
+
 
 class TestSynthCorpus:
     def test_deterministic_for_fixed_seed(self):
@@ -179,6 +200,45 @@ class TestSynthCorpus:
                 assert s == ngram_set(s.source, 1, 4, False)
         assert len(by_text) < 3 * 2 * 200
 
+    @pytest.mark.parametrize("per_doc", [1, 7, 50, 1000])
+    @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
+    def test_documents_are_the_sentences_joined_then_split(self, per_doc, bitgen):
+        # MT19937 takes the scalar draws (_scalar_triples).
+        docs, gold = synth_corpus(600, np.random.Generator(bitgen(6)), sentences_per_doc=per_doc)
+        texts = joined_sentences(gold, per_doc)
+        assert [d.text for d in docs] == texts
+        assert docs.token_lists == [text.split() for text in texts]
+
+    def test_grammar_file_documents_are_the_sentences_joined_then_split(self, tmp_path):
+        # Phrases share words ("the", "red", "drone") across and within pools,
+        # and one holds a run of spaces, which the text keeps and the split drops.
+        docs, gold = synth_corpus(300, np.random.default_rng(2), shared_word_grammar(tmp_path), 20)
+        assert any("a red  drone" in triple for triple in gold)
+        texts = joined_sentences(gold, 20)
+        assert [d.text for d in docs] == texts
+        assert docs.token_lists == [text.split() for text in texts]
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_tokens_are_one_object_per_distinct_token(self, tmp_path, from_file):
+        grammar = shared_word_grammar(tmp_path) if from_file else None
+        docs, _ = synth_corpus(2000, np.random.default_rng(3), grammar)
+        tokens = list(chain.from_iterable(docs.token_lists))
+        assert 10 * len(set(tokens)) < len(tokens)  # tokens repeat
+        assert one_object_per_value(tokens)
+
+    def test_corpus_retains_one_reference_per_token(self):
+        # Measured about 2.0 MB: one 8-byte reference per token (84000 tokens,
+        # 0.67 MB), the 240 texts (0.55 MB) and the 12000 gold tuples
+        # (0.77 MB).  A new str per token adds about 4 MB (6 MB in all).
+        tracemalloc.start()
+        try:
+            docs, gold = synth_corpus(12000, np.random.default_rng(5))
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, docs.token_lists)) == 7 * 12000
+        assert retained < 3_000_000
+
     def test_sentences_per_doc_default_matches_run_config(self):
         default = inspect.signature(synth_corpus).parameters["sentences_per_doc"].default
         assert default == RunConfig().synthetic_sentences_per_doc
@@ -204,6 +264,25 @@ class TestSynthCorpus:
             counts[obj] = counts.get(obj, 0) + 1
         expected = len(gold) / len(grammar.objects)
         assert all(abs(c - expected) < 6 * np.sqrt(expected) for c in counts.values())
+
+
+def joined_sentences(gold: list[tuple[str, str, str]], per_doc: int) -> list[str]:
+    """Each document's text: its sentences, each a triple's phrases, joined by spaces."""
+    sentences = [" ".join(triple) for triple in gold]
+    return [" ".join(sentences[i : i + per_doc]) for i in range(0, len(sentences), per_doc)]
+
+
+def shared_word_grammar(tmp_path) -> SynthGrammar:
+    path = tmp_path / "grammar.cfg"
+    path.write_text(
+        "grammar.subjects = the red robot | a red  drone | the drone\n"
+        "grammar.verbs = lifts | moves\n"
+        "grammar.objects = the red crate | a drone | the crate\n"
+        "grammar.preferred.lifts = the red crate | a drone\n"
+        "grammar.preferred.moves = the crate | the red robot\n",
+        encoding="utf-8",
+    )
+    return grammar_from_file(path)
 
 
 def bit_state(rng: np.random.Generator) -> str:

@@ -3,12 +3,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from setinfo import read_csv
+from setinfo import RunConfig, load_documents, read_csv
 from setinfo.cli import cli
+from setinfo.trajectory import synthetic_inputs
+
+from conftest import one_object_per_value
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -72,6 +76,16 @@ class TestGenSynthetic:
         assert (tmp_path / "a" / "gold.jsonl").read_bytes() == (
             tmp_path / "b" / "gold.jsonl"
         ).read_bytes()
+
+    def test_written_corpus_loads_back_to_the_run_tokens(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        loaded = load_documents(tmp_path / "data" / "corpus.jsonl")
+        docs, _ = synthetic_inputs(RunConfig.from_file(cfg))
+        assert loaded.documents == docs.documents
+        assert loaded.token_lists == docs.token_lists
+        assert one_object_per_value(chain.from_iterable(loaded.token_lists))
 
     def test_non_synthetic_corpus_fails_validation(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from setinfo import (
     write_manifest,
 )
 
-from conftest import texts
+from conftest import one_object_per_value, texts
 
 
 class TestNormalizeText:
@@ -185,3 +186,30 @@ class TestLoadDocuments:
             DocumentCollection(
                 [Document(id="same", text="a"), Document(id="same", text="b")]
             )
+
+
+class TestSharedTokens:
+    """A collection holds one string per distinct token."""
+
+    def test_a_loaded_manifest_shares_repeated_words(self, tmp_path):
+        path = tmp_path / "manifest.jsonl"
+        raw = ["The cat saw the dog", "the DOG saw  a cat.", "cat cat the cat"]
+        path.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(raw)))
+        docs = load_documents(path)
+        assert docs.token_lists == [normalize_text(t).split() for t in raw]
+        assert one_object_per_value(chain.from_iterable(docs.token_lists))
+
+    def test_pieces_join_into_the_text_and_chain_into_the_tokens(self):
+        pieces = [("a", ["the red  fox", "", "the\tdog"]), ("b", ["red", "the red  fox"]), ("c", [" dog "])]
+        docs = DocumentCollection.from_pieces(pieces, source_label="s")
+        assert docs.documents == [
+            Document(id=i, text=" ".join(parts), source_label="s") for i, parts in pieces
+        ]
+        assert docs.token_lists == [d.text.split() for d in docs]
+        assert one_object_per_value(chain.from_iterable(docs.token_lists))
+
+    def test_pieces_are_checked_as_documents_are(self):
+        with pytest.raises(ValueError, match="duplicate document id"):
+            DocumentCollection.from_pieces([("a", ["x"]), ("a", ["y"])])
+        with pytest.raises(ValueError, match="empty text"):
+            DocumentCollection.from_pieces([("a", [])])

@@ -28,7 +28,7 @@ from setinfo import (
     write_manifest,
     write_triplets,
 )
-from setinfo import trajectory
+from setinfo import density, trajectory
 from setinfo.agents import build_step_samples
 from setinfo.reward import SCHEMES, reward
 from setinfo.trajectory import CONFIG_SCHEMA, _fmt, resolve_inputs
@@ -316,6 +316,28 @@ class TestRunSimulation:
         gc.collect()
         assert len(indexes) == 2
         assert [ref() for ref in indexes] == [None, None]
+
+    def test_a_finished_run_frees_its_step_scratch_at_once(self, monkeypatch):
+        # The index outlives the run until a cyclic collection, since the sets
+        # it memoizes point back to it; the step buffers on it must not.
+        buffers = []
+
+        class Recorded(density.Scratch):
+            def take(self, role, shape, dtype):
+                view = super().take(role, shape, dtype)
+                buffers.append(weakref.ref(self.buffers[role]))
+                return view
+
+        monkeypatch.setattr(density, "Scratch", Recorded)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_simulation(small_config(k_max=2, window=2))
+            alive = [ref() is not None for ref in buffers]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive and not any(alive)
 
     def test_gram_sets_come_from_the_estimator_config(self, monkeypatch):
         # One index per run, made by cfg.estimator.gram_index() under the
