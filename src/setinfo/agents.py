@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,6 +22,7 @@ import numpy as np
 from .config import ConfigInvalid, require_file
 from .corpus import (
     Context,
+    Document,
     DocumentCollection,
     iter_sentences,
     normalize_text,
@@ -151,12 +151,10 @@ def heuristic_extract(sentence: str, verb_lexicon: frozenset[str]) -> Surfaces |
 def load_triplets(path: str | Path) -> list[Surfaces]:
     """Read gold triples from JSONL ({"x","y","z"} strings per line).
 
-    Surfaces are normalized, and a surface repeated in the file is one
-    string object; a line whose fields are missing, non-string, or empty
-    after normalization is rejected with its line number.
+    Surfaces are normalized; a line whose fields are missing, non-string,
+    or empty after normalization is rejected with its line number.
     """
     triplets: list[Surfaces] = []
-    shared: dict[str, str] = {}  # one object per distinct surface of the file
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -175,7 +173,7 @@ def load_triplets(path: str | Path) -> list[Surfaces]:
                 text = normalize_text(value)
                 if not text:
                     raise MalformedLine(f"empty {fieldname!r} field", line_no)
-                surfaces.append(shared.setdefault(text, text))
+                surfaces.append(text)
             triplets.append(tuple(surfaces))
     return triplets
 
@@ -268,11 +266,9 @@ def synth_corpus(
 
     The raw sentences, packed into documents, feed the random agent; the
     gold triples feed the structured agent.  Deterministic for a fixed
-    generator state.  A document's text is its sentences' phrases joined by
-    spaces, and its token list chains the phrases' tokens: the collection
-    (``DocumentCollection.from_pieces``) splits each distinct phrase once and
-    shares its tokens' strings, so "the" is one object in every list however
-    many phrases hold it.
+    generator state.  The documents' token lists are built by
+    ``DocumentCollection``, which splits each text and shares the tokens'
+    strings, so "the" is one object however many sentences hold it.
 
     The draws are those of ``_scalar_triples``' loop, taken in one batch:
     each sentence draws a subject, a verb, a coin that picks the object pool
@@ -286,14 +282,18 @@ def synth_corpus(
     gold = _batch_triples(n_sentences, rng, grammar)
     if gold is None:
         gold = _scalar_triples(n_sentences, rng, grammar)
-    documents = [
-        (
-            f"synthetic-{start // sentences_per_doc:04d}",
-            list(chain.from_iterable(gold[start : start + sentences_per_doc])),
+    sentences = [" ".join(triple) for triple in gold]
+    documents = []
+    for d_start in range(0, len(sentences), sentences_per_doc):
+        chunk = sentences[d_start : d_start + sentences_per_doc]
+        documents.append(
+            Document(
+                id=f"synthetic-{d_start // sentences_per_doc:04d}",
+                text=" ".join(chunk),
+                source_label="synthetic",
+            )
         )
-        for start in range(0, len(gold), sentences_per_doc)
-    ]
-    return DocumentCollection.from_pieces(documents, source_label="synthetic"), gold
+    return DocumentCollection(documents), gold
 
 
 def _scalar_triples(n_sentences: int, rng: np.random.Generator, grammar: SynthGrammar) -> list[Surfaces]:

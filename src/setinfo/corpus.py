@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -58,48 +57,14 @@ class DocumentCollection:
     """Immutable bag of documents with their token lists precomputed.
 
     The collection builds and owns the token lists, one per document, each
-    equal to ``tokenize_words(doc.text)``.  Its tokens share strings through
-    one table per collection: every distinct token is one ``str`` object,
-    which every list holding it references.  ``from_pieces`` builds a
-    collection from texts given as pieces (``agents.synth_corpus``' phrases),
-    splitting each distinct piece once instead of each text.
+    equal to ``tokenize_words(doc.text)``.  Every token passes through one
+    table per collection, so each distinct token is one ``str`` object that
+    every list holding it references: the lists cost one reference per
+    token, and the strings one object per distinct token.
     """
 
     def __init__(self, documents: Iterable[Document]) -> None:
         self.documents: list[Document] = list(documents)
-        self._check()
-        shared: dict[str, str] = {}
-        self.token_lists: list[list[str]] = [
-            list(map(shared.setdefault, toks, toks))
-            for toks in (tokenize_words(doc.text) for doc in self.documents)
-        ]
-
-    @classmethod
-    def from_pieces(
-        cls, pieces: Sequence[tuple[str, Sequence[str]]], source_label: str = ""
-    ) -> DocumentCollection:
-        """A collection of (id, pieces) documents, each text its pieces joined by spaces.
-
-        A document's tokens are its pieces' tokens, chained: ``str.split`` of
-        a space-joined text is the chain of its pieces' splits, so the text
-        and the tokens agree for any pieces.  Each distinct piece is split
-        once, into a tuple of shared strings, so the lists cost a lookup per
-        piece, not a split of every text, where pieces repeat.
-        """
-        shared: dict[str, str] = {}
-        split: dict[str, tuple[str, ...]] = {}
-        for piece in dict.fromkeys(chain.from_iterable(parts for _, parts in pieces)):
-            toks = tokenize_words(piece)
-            split[piece] = tuple(map(shared.setdefault, toks, toks))
-        docs = cls.__new__(cls)
-        docs.documents = [
-            Document(id=doc_id, text=" ".join(parts), source_label=source_label) for doc_id, parts in pieces
-        ]
-        docs._check()
-        docs.token_lists = [list(chain.from_iterable(map(split.__getitem__, parts))) for _, parts in pieces]
-        return docs
-
-    def _check(self) -> None:
         seen: set[str] = set()
         for doc in self.documents:
             if doc.id in seen:
@@ -107,6 +72,11 @@ class DocumentCollection:
             seen.add(doc.id)
             if not doc.text:
                 raise ValueError(f"document {doc.id!r} has empty text")
+        shared: dict[str, str] = {}
+        self.token_lists: list[list[str]] = [
+            list(map(shared.setdefault, toks, toks))
+            for toks in (tokenize_words(doc.text) for doc in self.documents)
+        ]
 
     def __len__(self) -> int:
         return len(self.documents)

@@ -413,9 +413,8 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     built by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
     made for this call, whose gram ids and window memo every step then uses.
     The steps run one after another on the calling thread, which the index
-    requires, and the steps' scratch on the index is dropped when the call
-    returns or raises.  Results are keyed by agent name in configuration
-    order.
+    requires, and the steps' scratch on the index is dropped before the call
+    returns.  Results are keyed by agent name in configuration order.
     """
     docs, pools = resolve_inputs(cfg)
     est = cfg.estimator
@@ -424,33 +423,31 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
 
     results: dict[str, TrajectoryResult] = {}
-    try:
-        for spec, agent_rng in zip(cfg.agents, agent_rngs):
-            started = time.perf_counter()
-            samples = build_step_samples(
-                spec.kind,
-                docs if spec.kind == "random" else pools[spec.name],
-                k_max=cfg.k_max,
-                per_step=cfg.per_step,
-                rng=agent_rng,
-                context_length=cfg.context_length,
-                gram_set=gram_index,
-            )
-            built = time.perf_counter()
-            stepped = [_compute_step(s, est) for s in samples]
-            results[spec.name] = TrajectoryResult(
-                cfg=cfg,
-                spec=spec,
-                records=tuple(rec for rec, _, _ in stepped),
-                violations=sum(v for _, v, _ in stepped),
-                comparisons=sum(c for _, _, c in stepped),
-                wall_time_s=time.perf_counter() - started,
-                build_time_s=built - started,
-            )
-    finally:
-        # The index's memoized sets point back to it, so the index outlives
-        # this call until a cyclic collection; its step buffers need not.
-        gram_index.scratch = None
+    for spec, agent_rng in zip(cfg.agents, agent_rngs):
+        started = time.perf_counter()
+        samples = build_step_samples(
+            spec.kind,
+            docs if spec.kind == "random" else pools[spec.name],
+            k_max=cfg.k_max,
+            per_step=cfg.per_step,
+            rng=agent_rng,
+            context_length=cfg.context_length,
+            gram_set=gram_index,
+        )
+        built = time.perf_counter()
+        stepped = [_compute_step(s, est) for s in samples]
+        results[spec.name] = TrajectoryResult(
+            cfg=cfg,
+            spec=spec,
+            records=tuple(rec for rec, _, _ in stepped),
+            violations=sum(v for _, v, _ in stepped),
+            comparisons=sum(c for _, _, c in stepped),
+            wall_time_s=time.perf_counter() - started,
+            build_time_s=built - started,
+        )
+    # The index's memoized sets point back to it, so the index outlives this
+    # call until a cyclic collection; its step buffers need not.
+    gram_index.scratch = None
     return results
 
 

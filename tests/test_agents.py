@@ -152,22 +152,6 @@ class TestLoadTriplets:
         path.write_text(json.dumps({"x": "The  CAT", "y": "Sat", "z": "Down"}) + "\n")
         assert load_triplets(path) == [("the cat", "sat", "down")]
 
-    def test_a_repeated_surface_is_one_object(self, tmp_path):
-        path = tmp_path / "gold.jsonl"
-        lines = [
-            {"x": "the cat", "y": "sat on", "z": "the mat"},
-            {"x": "The  Cat", "y": "sat on", "z": "the cat"},
-            {"x": "a dog", "y": "sat  on", "z": "the mat"},
-        ]
-        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        triplets = load_triplets(path)
-        assert triplets == [
-            ("the cat", "sat on", "the mat"),
-            ("the cat", "sat on", "the cat"),
-            ("a dog", "sat on", "the mat"),
-        ]
-        assert one_object_per_value(chain.from_iterable(triplets))
-
 
 class TestSynthCorpus:
     def test_deterministic_for_fixed_seed(self):

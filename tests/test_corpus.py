@@ -198,18 +198,3 @@ class TestSharedTokens:
         docs = load_documents(path)
         assert docs.token_lists == [normalize_text(t).split() for t in raw]
         assert one_object_per_value(chain.from_iterable(docs.token_lists))
-
-    def test_pieces_join_into_the_text_and_chain_into_the_tokens(self):
-        pieces = [("a", ["the red  fox", "", "the\tdog"]), ("b", ["red", "the red  fox"]), ("c", [" dog "])]
-        docs = DocumentCollection.from_pieces(pieces, source_label="s")
-        assert docs.documents == [
-            Document(id=i, text=" ".join(parts), source_label="s") for i, parts in pieces
-        ]
-        assert docs.token_lists == [d.text.split() for d in docs]
-        assert one_object_per_value(chain.from_iterable(docs.token_lists))
-
-    def test_pieces_are_checked_as_documents_are(self):
-        with pytest.raises(ValueError, match="duplicate document id"):
-            DocumentCollection.from_pieces([("a", ["x"]), ("a", ["y"])])
-        with pytest.raises(ValueError, match="empty text"):
-            DocumentCollection.from_pieces([("a", [])])
