@@ -144,7 +144,10 @@ class GramIndex:
     when first read.  ``segments`` builds the sets of texts given as tokens
     from token positions instead.  ``scratch`` holds the estimator's step
     buffers (``density.Scratch``) from the first step on, for as long as the
-    index lives.  Nothing here is locked: an index, and the steps that use
+    index lives.  Every memoized set points back to the index, so an index
+    with memos lives until a cyclic collection; ``clear`` drops the memos
+    and the scratch, after which the index dies with its last outside
+    reference.  Nothing here is locked: an index, and the steps that use
     it, belong to one thread.
     """
 
@@ -159,6 +162,18 @@ class GramIndex:
         self._tokens: list[LingSet] = []  # the token memo, by token id
         self._pairs: dict[tuple[int, int], LingSet] = {}  # windows, by token-id pair
         self._windows: dict[str, LingSet] = {}
+
+    def clear(self) -> None:
+        """Empty the token, pair and window memos and drop the scratch.
+
+        The vocabulary stays, so the sets built before can still read their
+        grams; later calls fill the memos again.
+        """
+        self.scratch = None
+        self._token_ids.clear()
+        self._tokens.clear()
+        self._pairs.clear()
+        self._windows.clear()
 
     def number(self, grams: Iterable[str]) -> np.ndarray:
         """The ids of ``grams``, numbering the ones not seen before."""

@@ -413,8 +413,11 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     built by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
     made for this call, whose gram ids and window memo every step then uses.
     The steps run one after another on the calling thread, which the index
-    requires, and the steps' scratch on the index is dropped before the call
-    returns.  Results are keyed by agent name in configuration order.
+    requires.  An agent's step samples are dropped once its steps are
+    measured, before the next agent's are built, and the index's memos and
+    scratch are cleared before the call returns, so the index is freed with
+    the call, without waiting for a cyclic collection.  Results are keyed by
+    agent name in configuration order.
     """
     docs, pools = resolve_inputs(cfg)
     est = cfg.estimator
@@ -436,6 +439,7 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
         )
         built = time.perf_counter()
         stepped = [_compute_step(s, est) for s in samples]
+        del samples
         results[spec.name] = TrajectoryResult(
             cfg=cfg,
             spec=spec,
@@ -445,9 +449,7 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             wall_time_s=time.perf_counter() - started,
             build_time_s=built - started,
         )
-    # The index's memoized sets point back to it, so the index outlives this
-    # call until a cyclic collection; its step buffers need not.
-    gram_index.scratch = None
+    gram_index.clear()
     return results
 
 

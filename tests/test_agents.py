@@ -187,17 +187,23 @@ class TestSynthCorpus:
     @pytest.mark.parametrize("per_doc", [1, 7, 50, 1000])
     @pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937])
     def test_documents_are_the_sentences_joined_then_split(self, per_doc, bitgen):
-        # MT19937 takes the scalar draws (_scalar_triples).
+        # MT19937 takes the scalar draws (_scalar_triples).  Either way each
+        # text is the space-join of its document's triples, and the gold list
+        # holds one tuple object per distinct triple.
         docs, gold = synth_corpus(600, np.random.Generator(bitgen(6)), sentences_per_doc=per_doc)
         texts = joined_sentences(gold, per_doc)
         assert [d.text for d in docs] == texts
         assert docs.token_lists == [text.split() for text in texts]
+        assert len(set(gold)) < len(gold)  # triples repeat
+        assert one_object_per_value(gold)
 
     def test_grammar_file_documents_are_the_sentences_joined_then_split(self, tmp_path):
         # Phrases share words ("the", "red", "drone") across and within pools,
         # and one holds a run of spaces, which the text keeps and the split drops.
+        # Object phrases read apart from each pool line are one phrase by value.
         docs, gold = synth_corpus(300, np.random.default_rng(2), shared_word_grammar(tmp_path), 20)
         assert any("a red  drone" in triple for triple in gold)
+        assert one_object_per_value(gold)
         texts = joined_sentences(gold, 20)
         assert [d.text for d in docs] == texts
         assert docs.token_lists == [text.split() for text in texts]
@@ -211,17 +217,21 @@ class TestSynthCorpus:
         assert one_object_per_value(tokens)
 
     def test_corpus_retains_one_reference_per_token(self):
-        # Measured about 2.0 MB: one 8-byte reference per token (84000 tokens,
-        # 0.67 MB), the 240 texts (0.55 MB) and the 12000 gold tuples
-        # (0.77 MB).  A new str per token adds about 4 MB (6 MB in all).
+        # Measured about 1.4 MB retained: one 8-byte reference per token
+        # (84000 tokens, 0.69 MB), the 240 texts (0.51 MB), the gold list
+        # (0.11 MB) and its 2816 distinct tuples (at most 0.18 MB).  A tuple
+        # per sentence adds about 0.6 MB, and a new str per token about
+        # 4 MB.  The peak, about 1.8 MB, comes while the batch draw's arrays
+        # are alive.
         tracemalloc.start()
         try:
             docs, gold = synth_corpus(12000, np.random.default_rng(5))
-            retained, _ = tracemalloc.get_traced_memory()
+            retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sum(map(len, docs.token_lists)) == 7 * 12000
-        assert retained < 3_000_000
+        assert retained < 1_800_000
+        assert peak < 2_600_000
 
     def test_sentences_per_doc_default_matches_run_config(self):
         default = inspect.signature(synth_corpus).parameters["sentences_per_doc"].default

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +152,29 @@ class TestGramIndex:
         assert index.window("the cat", "sat on") is index.window("a cat", "sat")
         assert calls == ["at sa"]
         assert index.window("the cat", "sat on").grams == {" ", "t ", " s", "at ", "t s", " sa"}
+
+    def test_clear_frees_the_index_without_the_collector(self):
+        # Every memoized set points back to the index, a cycle; clear drops
+        # them, so the index dies with its last reference.  Sets built
+        # before still read their grams, and later calls fold again.
+        index = GramIndex(1, 3, True)
+        (segment,) = index.segments(["cd ab"], [["cd", "ab"]])
+        index.scratch = object()
+        index.clear()
+        assert index.scratch is None
+        assert index("ab cd ab") == ngram_set("ab cd ab", 1, 3, True)
+        index.clear()
+        assert segment.grams == ngram_set("cd ab", 1, 3, True).grams
+        ref = weakref.ref(index)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del index, segment
+            alive = ref() is not None
+        finally:
+            if enabled:
+                gc.enable()
+        assert not alive
 
     def test_empty_text_and_bad_lengths_rejected(self):
         with pytest.raises(EmptyText):

@@ -305,17 +305,44 @@ class TestRunSimulation:
 
     def test_a_finished_run_holds_no_index(self, monkeypatch):
         # Once the run returns, nothing, the step memo included, keeps its
-        # index alive, nor so the scratch the steps kept on it.
+        # index alive, nor so the scratch the steps kept on it; the memos
+        # are cleared, so no cycle through them waits for the collector.
         indexes = []
         monkeypatch.setattr(
             trajectory,
             "build_step_samples",
             lambda *args, **kw: indexes.append(weakref.ref(kw["gram_set"])) or build_step_samples(*args, **kw),
         )
-        run_simulation(small_config(k_max=2, window=2))
-        gc.collect()
-        assert len(indexes) == 2
-        assert [ref() for ref in indexes] == [None, None]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_simulation(small_config(k_max=2, window=2))
+            alive = [ref() is not None for ref in indexes]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [False, False]
+
+    def test_an_agents_samples_are_dead_before_the_next_agent_builds(self, monkeypatch):
+        # The random agent's samples are dropped once its steps are measured,
+        # so they never coexist with the gold agent's.
+        built, alive_at_entry = [], []
+
+        def recording(*args, **kw):
+            alive_at_entry.append([ref() is not None for ref in built])
+            samples = build_step_samples(*args, **kw)
+            built.extend(map(weakref.ref, samples))
+            return samples
+
+        monkeypatch.setattr(trajectory, "build_step_samples", recording)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run_simulation(small_config(k_max=2, window=2))
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive_at_entry == [[], [False, False]]
 
     def test_a_finished_run_frees_its_step_scratch_at_once(self, monkeypatch):
         # The index outlives the run until a cyclic collection, since the sets
