@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -21,6 +24,18 @@ def one_object_per_value(strings) -> bool:
     """Whether each distinct value among ``strings`` is one object."""
     strings = list(strings)  # keeps every object alive while ids are taken
     return len({id(s) for s in strings}) == len(set(strings))
+
+
+@contextmanager
+def collector_disabled():
+    """Turn the cyclic garbage collector off for the block, so only reference counts free objects."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.fixture

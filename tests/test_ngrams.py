@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import weakref
 
 import numpy as np
@@ -12,7 +11,7 @@ from setinfo import EmptyText, LingSet, hamming, join, ngram_set
 from setinfo import ngrams
 from setinfo.ngrams import GramIndex
 
-from conftest import lingsets, texts
+from conftest import collector_disabled, lingsets, texts
 
 
 def brute_force_grams(text: str, n_min: int, n_max: int) -> set[str]:
@@ -166,14 +165,9 @@ class TestGramIndex:
         index.clear()
         assert segment.grams == ngram_set("cd ab", 1, 3, True).grams
         ref = weakref.ref(index)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_disabled():
             del index, segment
             alive = ref() is not None
-        finally:
-            if enabled:
-                gc.enable()
         assert not alive
 
     def test_empty_text_and_bad_lengths_rejected(self):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import gc
 import weakref
 from dataclasses import replace
 from statistics import fmean
@@ -32,6 +31,8 @@ from setinfo import density, trajectory
 from setinfo.agents import build_step_samples
 from setinfo.reward import SCHEMES, reward
 from setinfo.trajectory import CONFIG_SCHEMA, _fmt, resolve_inputs
+
+from conftest import collector_disabled
 
 
 def rebuilt_samples(cfg: RunConfig, gram_set) -> dict:
@@ -313,14 +314,9 @@ class TestRunSimulation:
             "build_step_samples",
             lambda *args, **kw: indexes.append(weakref.ref(kw["gram_set"])) or build_step_samples(*args, **kw),
         )
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_disabled():
             run_simulation(small_config(k_max=2, window=2))
             alive = [ref() is not None for ref in indexes]
-        finally:
-            if enabled:
-                gc.enable()
         assert alive == [False, False]
 
     def test_an_agents_samples_are_dead_before_the_next_agent_builds(self, monkeypatch):
@@ -335,18 +331,13 @@ class TestRunSimulation:
             return samples
 
         monkeypatch.setattr(trajectory, "build_step_samples", recording)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_disabled():
             run_simulation(small_config(k_max=2, window=2))
-        finally:
-            if enabled:
-                gc.enable()
         assert alive_at_entry == [[], [False, False]]
 
     def test_a_finished_run_frees_its_step_scratch_at_once(self, monkeypatch):
-        # The index outlives the run until a cyclic collection, since the sets
-        # it memoizes point back to it; the step buffers on it must not.
+        # The step buffers are freed at the return by reference counting
+        # alone, with the index that holds them.
         buffers = []
 
         class Recorded(density.Scratch):
@@ -356,14 +347,9 @@ class TestRunSimulation:
                 return view
 
         monkeypatch.setattr(density, "Scratch", Recorded)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_disabled():
             run_simulation(small_config(k_max=2, window=2))
             alive = [ref() is not None for ref in buffers]
-        finally:
-            if enabled:
-                gc.enable()
         assert alive and not any(alive)
 
     def test_gram_sets_come_from_the_estimator_config(self, monkeypatch):
