@@ -23,11 +23,11 @@ import numpy as np
 from .config import ConfigInvalid, require_file
 from .corpus import (
     Context,
+    CorpusTooSmall,
     Document,
     DocumentCollection,
     iter_sentences,
     normalize_text,
-    sample_contexts,
 )
 from .ngrams import GramIndex, LingSet
 
@@ -324,7 +324,7 @@ def _lemire(u: np.ndarray, n: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]
     discard it and draw again.  Needs ``1 < n <= 2**32``.
     """
     n = np.asarray(n, dtype=np.uint64)
-    m = u * n
+    m = np.multiply(u, n, dtype=np.uint64)
     return m >> np.uint64(32), (m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
 
 
@@ -428,94 +428,73 @@ def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:
 Cut = tuple[Sequence[str], int, int]  # a context's tokens and its cut indices i < j
 
 
-def _scalar_step(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut]:
-    """The reference draw of one random step: ``sample_contexts``, then one cut per context."""
-    return [(ctx.tokens, *_cuts(length, rng)) for ctx in sample_contexts(docs, length, n, rng)]
+def _step_cuts(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut]:
+    """One random step's contexts and cut indices, as ``sample_contexts`` and ``_cuts`` draw them.
 
-
-def _batch_step(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut] | None:
-    """``_scalar_step``'s result from one ``random_raw`` call, or None where it cannot.
-
-    Every draw of the step is bounded and 32 bits wide, so the draws read, in
-    order, the halves of the words after the buffered half (see
-    ``_batch_triples``): a document and an offset per context, by Lemire's
-    rule; ``permutation(n)``'s masked rejection draws, whose number depends
-    on their values and which one scan decodes; then, per context in the
-    permuted order, ``choice(L-1, 2, replace=False)``, which is Floyd's
-    algorithm: a draw below L-2, a draw below L-1 that becomes L-2 if it
-    repeats the first, and a draw below 2 that only shuffles the two picks.
-    The generator is then advanced past the halves read and left as the
-    loop leaves it.  None (with the generator as it was) for another bit
-    generator, no context to draw, a range of one value, for which numpy
-    draws nothing, a rejected Lemire draw, or a permutation that outruns the
-    words taken.
+    The result, the draws and the state ``rng`` is left in are those of
+    ``[(ctx.tokens, *_cuts(length, rng)) for ctx in sample_contexts(docs,
+    length, n, rng)]``, for any bit generator.  Every draw reads 32-bit
+    ``next_uint32`` values:
+    - a document and an offset per context.  Each offset's bound depends on
+      the document drawn, so all 2n values are taken in one
+      ``integers(2**32, dtype=uint32)`` call and decoded by Lemire's rule.
+      Where a range has one value, for which numpy draws nothing, or a draw
+      is rejected, the pairs are drawn one by one from the starting state;
+    - ``permutation(n)``'s, decoded by ``_permutation``;
+    - per context, in the permuted order, ``choice(L-1, 2, replace=False)``'s.
+      That is Floyd's algorithm: a draw below L-2, a draw below L-1 that
+      becomes L-2 if it repeats the first, and a draw below 2 that only
+      shuffles the two picks.  numpy takes these itself, in one call.
     """
-    bitgen = rng.bit_generator
+    if length < 3:
+        raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
     eligible = [toks for toks in docs.token_lists if len(toks) >= length]
+    if not eligible:
+        raise CorpusTooSmall(f"no document has >= {length} tokens")
     starts = np.array([len(toks) - length + 1 for toks in eligible], dtype=np.int64)
-    if type(bitgen) is not np.random.PCG64 or n < 1 or len(eligible) < 2 or starts.min() < 2 or length < 4:
-        return None
-    start = bitgen.state
-    b = start["has_uint32"]
-    # 2n context draws, 3n cut draws, and the permutation's, which average
-    # under 1.4 per position and take more than 2n + 64 almost never.
-    words = bitgen.random_raw((7 * n + 64) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")  # low half first
-    if b:
-        halves = np.insert(halves, 0, start["uinteger"])
-    shuffled = _masked_permutation(halves[2 * n :].tolist(), n)
-    if shuffled is None or len(halves) < 2 * n + shuffled[1] + 3 * n:
-        bitgen.state = start
-        return None
-    order, used = shuffled
-    u = halves.astype(np.uint64)
-    pick, rej_d = _lemire(u[0 : 2 * n : 2], len(eligible))
-    pick = pick.astype(np.intp)
-    offset, rej_o = _lemire(u[1 : 2 * n : 2], starts[pick])
-    cut_at = 2 * n + used
-    first, rej_1 = _lemire(u[cut_at : cut_at + 3 * n : 3], length - 2)
-    second, rej_2 = _lemire(u[cut_at + 1 : cut_at + 3 * n : 3], length - 1)
-    if (rej_d | rej_o | rej_1 | rej_2).any():
-        bitgen.state = start
-        return None
-    taken = cut_at + 3 * n - b  # halves read from new words
-    bitgen.state = start
-    bitgen.advance((taken + 1) // 2)
-    state = bitgen.state
-    state["has_uint32"] = taken % 2
-    state["uinteger"] = int(words[(taken - 1) // 2] >> np.uint64(32))  # taken >= 5n - 1 > 0
-    bitgen.state = state
-
+    start = rng.bit_generator.state
+    batch = len(eligible) > 1 and starts.min() > 1
+    if batch:
+        u = rng.integers(2**32, size=2 * n, dtype=np.uint32)
+        pick, rej_d = _lemire(u[0::2], len(eligible))
+        offset, rej_o = _lemire(u[1::2], starts[pick.astype(np.intp)])
+        batch = not (rej_d | rej_o).any()
+        pick, offset = pick.tolist(), offset.tolist()
+    if not batch:
+        rng.bit_generator.state = start
+        pick, offset = [], []
+        for _ in range(n):
+            pick.append(int(rng.integers(len(eligible))))
+            offset.append(int(rng.integers(starts[pick[-1]])))
+    order = _permutation(n, rng)
+    first, second, _ = rng.integers(0, (length - 2, length - 1, 2), size=(n, 3)).T
     second = np.where(second == first, length - 2, second)
     low = (np.minimum(first, second) + 1).tolist()
     high = (np.maximum(first, second) + 1).tolist()
-    pick, offset = pick.tolist(), offset.tolist()
     return [
         (eligible[pick[c]][offset[c] : offset[c] + length], i, j)
         for c, i, j in zip(order, low, high)
     ]
 
 
-def _masked_permutation(draws: list[int], n: int) -> tuple[list[int], int] | None:
-    """``Generator.permutation(n)`` decoded from 32-bit ``draws``, and how many it read.
+def _permutation(n: int, rng: np.random.Generator) -> list[int]:
+    """``rng.permutation(n)``, with the same draws and final state.
 
     numpy shuffles ``arange(n)`` from the back: for i = n-1 .. 1 it takes
-    draws, masked to i's bit length, until one is at most i, and swaps
-    positions i and that one.  None if the draws run out.
+    32-bit draws, masked to i's bit length, until one is at most i, and
+    swaps positions i and that one.  Every position left takes at least one
+    draw, so the draws are taken as many at a time as positions are left,
+    which never reads past the shuffle's last draw.
     """
     order = list(range(n))
-    pos = 0
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        while True:
-            if pos == len(draws):
-                return None
-            j = draws[pos] & mask
-            pos += 1
+    i = n - 1
+    while i > 0:
+        for u in rng.integers(2**32, size=i, dtype=np.uint32).tolist():
+            j = u & ((1 << i.bit_length()) - 1)
             if j <= i:
-                break
-        order[i], order[j] = order[j], order[i]
-    return order, pos
+                order[i], order[j] = order[j], order[i]
+                i -= 1
+    return order
 
 
 def build_step_samples(
@@ -533,36 +512,27 @@ def build_step_samples(
     other kind's is its resolved, nonempty pool of surface triples, sampled
     with replacement.  Every step draws from its own generator spawned off
     ``rng``, so the sequence is reproducible regardless of how steps are
-    later scheduled.  A random step's draws are those of ``_scalar_step``,
-    taken in one batch by ``_batch_step``; the loop itself runs where the
-    batch cannot.  This is the one place text becomes gram sets: each
-    distinct segment text of the returned samples is turned into a
-    ``LingSet`` once, by ``gram_set`` (in a run, the run's index), and every
-    triplet holding that text shares it.  A random step's new texts are
-    built from their tokens, in one ``GramIndex.segments`` call.
+    later scheduled.  A random step's draws are those of ``sample_contexts``
+    and ``random_split_agent``, taken by ``_step_cuts``.  This is the one
+    place text becomes gram sets: each distinct segment text of the
+    returned samples is turned into a ``LingSet`` once, by ``gram_set`` (in
+    a run, the run's index), and every triplet holding that text shares it.
+    A random step's new texts are built from their tokens, in one
+    ``GramIndex.segments`` call.
     """
-    step_rngs = rng.spawn(k_max)
     sets: dict[str, LingSet] = {}
-
-    def lingset(text: str) -> LingSet:
-        if text not in sets:
-            sets[text] = gram_set(text)
-        return sets[text]
-
     samples: list[StepSample] = []
-    if kind == "random":
-        for k, step_rng in enumerate(step_rngs, start=1):
-            cuts = _batch_step(source, context_length, per_step, step_rng)
-            if cuts is None:
-                cuts = _scalar_step(source, context_length, per_step, step_rng)
+    for k, step_rng in enumerate(rng.spawn(k_max), start=1):
+        if kind == "random":
+            cuts = _step_cuts(source, context_length, per_step, step_rng)
             segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
             texts = [" ".join(seg) for seg in segments]
             new = {text: seg for text, seg in zip(texts, segments) if text not in sets}
             sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
-            flat = [sets[text] for text in texts]
-            samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
-    else:
-        for k, step_rng in enumerate(step_rngs, start=1):
-            idx = step_rng.integers(len(source), size=per_step)
-            samples.append(StepSample(k, tuple(Triplet(*map(lingset, source[int(i)])) for i in idx)))
+        else:
+            picks = step_rng.integers(len(source), size=per_step).tolist()
+            texts = [text for i in picks for text in source[i]]
+            sets.update({text: gram_set(text) for text in dict.fromkeys(texts) if text not in sets})
+        flat = [sets[text] for text in texts]
+        samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
     return samples

@@ -58,7 +58,9 @@ def write_svg(
 ) -> None:
     """Render the selected series of every agent into one SVG.
 
-    ``results`` maps each agent to its rolling-mean series by name.
+    ``results`` maps each agent to its rolling-mean series by name.  The x
+    axis labels each point with the step its window starts at: point i of
+    ``rolling_mean`` covers steps i+1 .. i+window.
     """
     if not results:
         raise ValueError("write_svg needs at least one result")
@@ -115,12 +117,10 @@ def write_svg(
     parts.append(
         f'<line x1="{x0}" y1="{_MARGIN_TOP}" x2="{x0}" y2="{y0}" stroke="{axis_color}"/>'
     )
-    for tick in _ticks(0, max(x_max - 1, 1)):
-        tx = sx(round(tick))
+    for i in sorted({round(tick) for tick in _ticks(0, x_max - 1)}):
+        tx = sx(i)
         parts.append(f'<line x1="{tx:.1f}" y1="{y0}" x2="{tx:.1f}" y2="{y0 + 5}" stroke="{axis_color}"/>')
-        parts.append(
-            f'<text x="{tx:.1f}" y="{y0 + 18}" text-anchor="middle">{round(tick)}</text>'
-        )
+        parts.append(f'<text x="{tx:.1f}" y="{y0 + 18}" text-anchor="middle">{i + 1}</text>')
     for tick in _ticks(y_lo, y_hi):
         ty = sy(tick)
         parts.append(f'<line x1="{x0 - 5}" y1="{ty:.1f}" x2="{x0}" y2="{ty:.1f}" stroke="{axis_color}"/>')

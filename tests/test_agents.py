@@ -4,6 +4,7 @@ import inspect
 import json
 import tracemalloc
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from setinfo import (
     load_triplets,
     load_verb_lexicon,
     random_split_agent,
-    run_simulation,
     sample_contexts,
     synth_corpus,
 )
@@ -397,108 +397,109 @@ def plain(cuts) -> list[tuple[tuple[str, ...], int, int]]:
     return [(tuple(tokens), i, j) for tokens, i, j in cuts]
 
 
-class TestBatchStep:
-    """A random step's batch draws equal ``sample_contexts`` and ``random_split_agent``'s."""
+BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
-    @settings(deadline=None, max_examples=120)
+
+def seeded(bitgen, seed: int, half_used: bool) -> np.random.Generator:
+    rng = np.random.Generator(bitgen(seed))
+    if half_used:
+        rng.integers(5)  # leaves half a word in a 64-bit generator's 32-bit buffer
+    return rng
+
+
+def lemire_spy(flagged: str | None, decoded: list[int]):
+    """``_lemire`` that records how many draws each call decodes and, on the
+    call for the ``flagged`` draws (documents, then offsets), reports one
+    draw as rejected and changes its value to another in range, so a batch
+    that used the flagged value would differ from the loop."""
+    lemire = agents._lemire
+
+    def spy(u, n):
+        values, rejected = lemire(u, n)
+        decoded.append(len(u))
+        if len(decoded) == [None, "document", "offset"].index(flagged) and len(u):
+            k = len(u) // 2
+            rejected[k] = True
+            values[k] = values[k] == 0  # 0 <-> nonzero; every range decoded has >= 2 values
+        return values, rejected
+
+    return spy
+
+
+class TestBatchStep:
+    """A random step's draws equal ``sample_contexts`` and ``random_split_agent``'s."""
+
+    @settings(deadline=None, max_examples=150)
     @given(
         lengths=st.lists(st.integers(1, 30), min_size=1, max_size=8),
         length=st.integers(3, 12),
         per_step=st.integers(0, 120),
         seed=st.integers(0, 2**64 - 1),
         half_used=st.booleans(),
-        mt=st.booleans(),
+        bitgen=st.sampled_from(BIT_GENERATORS),
+        flagged=st.sampled_from([None, "document", "offset"]),
     )
-    @example(lengths=[12], length=10, per_step=40, seed=1, half_used=False, mt=False)  # one eligible document
-    @example(lengths=[10, 14, 30], length=10, per_step=40, seed=2, half_used=True, mt=False)  # one of exactly L
-    @example(lengths=[9, 14, 30], length=3, per_step=40, seed=3, half_used=False, mt=False)  # Floyd draws nothing first
-    @example(lengths=[9, 14, 30], length=4, per_step=1, seed=4, half_used=True, mt=False)
-    @example(lengths=[9, 14, 30], length=10, per_step=100, seed=5, half_used=False, mt=True)
-    @example(lengths=[9, 14, 30], length=4, per_step=0, seed=6, half_used=True, mt=False)
-    def test_equals_scalar_loop(self, lengths, length, per_step, seed, half_used, mt):
+    @example([12], 10, 40, 1, False, np.random.PCG64, None)  # one eligible document
+    @example([10, 14, 30], 10, 40, 2, True, np.random.PCG64, None)  # one of exactly L
+    @example([9, 14, 30], 3, 40, 3, True, np.random.SFC64, "offset")  # L = 3: Floyd draws nothing first
+    @example([9, 14, 30], 4, 1, 4, True, np.random.Philox, "document")
+    @example([9, 14, 30], 10, 100, 5, False, np.random.MT19937, "offset")
+    @example([9, 14, 30], 4, 0, 6, True, np.random.PCG64, None)
+    @example([9, 14, 30], 8, 120, 7, True, np.random.PCG64, "document")
+    def test_equals_scalar_loop(self, lengths, length, per_step, seed, half_used, bitgen, flagged):
         assume(max(lengths) >= length)
-
-        def generator() -> np.random.Generator:
-            rng = np.random.Generator(np.random.MT19937(seed) if mt else np.random.PCG64(seed))
-            if half_used:
-                rng.integers(5)  # leaves half a word in PCG64's 32-bit buffer
-            return rng
-
         docs = token_corpus(lengths)
-        batch_rng, scalar_rng = generator(), generator()
-        want = agents._scalar_step(docs, length, per_step, scalar_rng)
-        got = agents._batch_step(docs, length, per_step, batch_rng)
-        # Only another bit generator, no context or a range of one value takes the loop.
+        rng, reference = seeded(bitgen, seed, half_used), seeded(bitgen, seed, half_used)
+        contexts = sample_contexts(docs, length, per_step, reference)
+        want = [(ctx.tokens, *agents._cuts(length, reference)) for ctx in contexts]
+        decoded = []
+        with mock.patch.object(agents, "_lemire", lemire_spy(flagged, decoded)):
+            got = agents._step_cuts(docs, length, per_step, rng)
+        assert plain(got) == plain(want)
+        assert bit_state(rng) == bit_state(reference)
+        # Only a range of one value skips the batch decode.
         eligible = [n for n in lengths if n >= length]
-        batchable = not mt and per_step > 0 and len(eligible) > 1 and min(eligible) > length and length > 3
-        assert (got is not None) == batchable
-        if batchable:
-            assert plain(got) == plain(want)
-            assert bit_state(batch_rng) == bit_state(scalar_rng)
-        else:
-            assert bit_state(batch_rng) == bit_state(generator())
+        assert decoded == ([per_step, per_step] if len(eligible) > 1 and min(eligible) > length else [])
 
         # The contexts, their order, the cuts and the surfaces of a whole
-        # build equal the loop's, whichever path each step takes.
+        # build equal the loop's.
         def surfaces(samples):
             return [[(t.x.source, t.y.source, t.z.source) for t in s.triplets] for s in samples]
 
-        args = (docs, 3, per_step, generator(), length, GRAM_SET)
-        built = build_step_samples("random", *args)
+        built = build_step_samples("random", docs, 3, per_step, seeded(bitgen, seed, half_used), length, GRAM_SET)
         reference = [
             [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, length, per_step, step_rng)]
-            for step_rng in generator().spawn(3)
+            for step_rng in seeded(bitgen, seed, half_used).spawn(3)
         ]
         assert surfaces(built) == reference
 
-    def test_permutation_decoding_reads_masked_draws_and_runs_out(self):
-        rng = np.random.default_rng(12)
-        halves = rng.bit_generator.random_raw(200).astype("<u8").view("<u4").tolist()
-        order, used = agents._masked_permutation(halves, 150)
-        want = np.random.default_rng(12).permutation(150).tolist()
-        assert order == want
-        assert used > 149  # masked rejection redraws
-        assert agents._masked_permutation(halves[: used - 1], 150) is None
-        assert agents._masked_permutation([], 1) == ([0], 0)
+    @settings(deadline=None, max_examples=100)
+    @given(
+        n=st.integers(0, 400),
+        seed=st.integers(0, 2**64 - 1),
+        half_used=st.booleans(),
+        bitgen=st.sampled_from(BIT_GENERATORS),
+    )
+    @example(0, 1, True, np.random.PCG64)
+    @example(1, 2, True, np.random.PCG64)
+    @example(2, 3, False, np.random.MT19937)
+    @example(2, 4, True, np.random.Philox)
+    @example(300, 5, True, np.random.SFC64)
+    def test_permutation_equals_numpys(self, n, seed, half_used, bitgen):
+        rng, reference = seeded(bitgen, seed, half_used), seeded(bitgen, seed, half_used)
+        assert agents._permutation(n, rng) == reference.permutation(n).tolist()
+        assert bit_state(rng) == bit_state(reference)
 
-    @pytest.mark.parametrize("flagged", ["document", "offset", "first cut", "second cut", "out of words"])
+    @pytest.mark.parametrize("flagged", ["document", "offset"])
     def test_rejected_draw_restores_state_and_runs_scalar_loop(self, monkeypatch, flagged):
-        lemire, scalar = agents._lemire, agents._scalar_step
-        decoded, entered = [], []
-
-        def flag_one_draw(u, n):  # documents, offsets, first and second cuts, in turn
-            values, rejected = lemire(u, n)
-            decoded.append(n)
-            if (len(decoded) - 1) % 4 == ["document", "offset", "first cut", "second cut"].index(flagged):
-                rejected[len(rejected) // 2] = True
-            return values, rejected
-
-        def spy(docs, length, n, rng):
-            entered.append(bit_state(rng))
-            return scalar(docs, length, n, rng)
-
         docs = TestBuildStepSamples().make_corpus()
-        if flagged == "out of words":
-            monkeypatch.setattr(agents, "_masked_permutation", lambda draws, n: None)
-        else:
-            monkeypatch.setattr(agents, "_lemire", flag_one_draw)
-        monkeypatch.setattr(agents, "_scalar_step", spy)
-        rng = np.random.default_rng(9)
-        assert agents._batch_step(docs, 10, 50, rng) is None
-        assert bit_state(rng) == bit_state(np.random.default_rng(9))
+        decoded = []
+        monkeypatch.setattr(agents, "_lemire", lemire_spy(flagged, decoded))
         samples = build_step_samples("random", docs, 1, 50, np.random.default_rng(9), 10, GRAM_SET)
+        assert decoded == [50, 50]
         (step_rng,) = np.random.default_rng(9).spawn(1)
-        assert entered == [bit_state(step_rng)]
         want = [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, 10, 50, step_rng)]
         assert [(t.x.source, t.y.source, t.z.source) for t in samples[0].triplets] == want
-
-    def test_run_takes_the_batch_path(self, monkeypatch):
-        batch, scalar = agents._batch_step, agents._scalar_step
-        paths = []
-        monkeypatch.setattr(agents, "_batch_step", lambda *a: paths.append("batch") or batch(*a))
-        monkeypatch.setattr(agents, "_scalar_step", lambda *a: paths.append("loop") or scalar(*a))
-        run_simulation(RunConfig(synthetic_sentences=400, k_max=4, per_step=20, window=2))
-        assert paths == ["batch"] * 4
 
 
 class TestBuildStepSamples:
@@ -584,6 +585,11 @@ class TestBuildStepSamples:
             for s in sets:
                 assert s == gram_set(s.source)
                 assert shared.setdefault(s.source, s) is s
+
+    def test_random_context_shorter_than_three_rejected(self):
+        # Two tokens cannot be cut into three nonempty segments.
+        with pytest.raises(ContextTooShort):
+            build_step_samples("random", self.make_corpus(), 1, 5, np.random.default_rng(0), 2, GRAM_SET)
 
     def test_bad_agent_kind_rejected(self):
         with pytest.raises(ValueError):

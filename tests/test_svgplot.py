@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from setinfo import EmptySelection, run_simulation, write_svg
@@ -47,3 +49,15 @@ class TestWriteSvg:
         path = tmp_path / "flat.svg"
         write_svg(bundle("a", i_xy=[1.0, 1.0, 1.0]), "i_xy", path)
         assert "<polyline" in path.read_text()
+
+    @pytest.mark.parametrize(
+        ("points", "labels"),
+        [(1, ["1"]), (2, ["1", "2"]), (3, ["1", "2", "3"]), (100, ["1", "26", "51", "75", "100"])],
+    )
+    def test_step_ticks_appear_once_and_count_from_one(self, tmp_path, points, labels):
+        # A 3-point series used to be labelled 0, 0, 1, 2, 2.
+        path = tmp_path / "steps.svg"
+        write_svg(bundle("a", i_xy=[0.1 * i for i in range(points)]), "i_xy", path)
+        ticks = re.findall(r'<text x="([\d.]+)" y="\d+" text-anchor="middle">(\d+)</text>', path.read_text())
+        assert [label for _, label in ticks] == labels
+        assert len({x for x, _ in ticks}) == len(labels)
