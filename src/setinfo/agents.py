@@ -517,8 +517,8 @@ def build_step_samples(
     place text becomes gram sets: each distinct segment text of the
     returned samples is turned into a ``LingSet`` once, by ``gram_set`` (in
     a run, the run's index), and every triplet holding that text shares it.
-    A random step's new texts are built from their tokens, in one
-    ``GramIndex.segments`` call.
+    Each step's new texts are built in one ``GramIndex.segments`` call: a
+    random step's from the tokens it cut, a pool step's from their ``pieces``.
     """
     sets: dict[str, LingSet] = {}
     samples: list[StepSample] = []
@@ -528,11 +528,11 @@ def build_step_samples(
             segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
             texts = [" ".join(seg) for seg in segments]
             new = {text: seg for text, seg in zip(texts, segments) if text not in sets}
-            sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
         else:
             picks = step_rng.integers(len(source), size=per_step).tolist()
             texts = [text for i in picks for text in source[i]]
-            sets.update({text: gram_set(text) for text in dict.fromkeys(texts) if text not in sets})
+            new = {text: gram_set.pieces(text) for text in dict.fromkeys(texts) if text not in sets}
+        sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
         flat = [sets[text] for text in texts]
         samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
     return samples

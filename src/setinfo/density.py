@@ -16,9 +16,11 @@ sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
 runs in float32 and is exact: every partial sum is an integer no larger
 than the smaller set, and sets are required to hold fewer than 2^24 grams,
 below which float32 counts every integer.  Rows are built from gram ids, not
-gram strings: a run's sets carry their ids in the run's ``GramIndex`` and
-are told apart by identity, the other sets of a sample are numbered in one
-call, and one scatter fills the boolean rows (``_set_rows``).  A step builds
+gram strings, and every call numbers its grams through one ``GramIndex``:
+the one that built the sample's first set, if it has the call's n-gram
+settings, else a new one.  That index's sets carry their ids and are told
+apart by identity, the other sets of a sample are numbered in one call,
+and one scatter fills the boolean rows (``_set_rows``).  A step builds
 rows for its distinct marginals and, in concat mode, for its distinct seam
 windows, taken from the index's window memo, and builds every joined
 family's rows from theirs with OR (see ``_step_capacities``).  Only a
@@ -38,9 +40,9 @@ step's sets) for as long as the index lives, and regrown, to half again the
 request, only when a request outgrows it.  After a run's first step, a step
 thus makes none of its large arrays anew and maps again no page that an
 earlier step handed back to the system.  A call whose sets have no such
-index, such as ``entropy`` of plain ``ngram_set`` sets, takes a new scratch
-for the call.  No view of a scratch is returned: every capacity vector is a
-new array.
+index, such as ``entropy`` of plain ``ngram_set`` sets, makes a new index,
+and with it a new scratch, for the call.  No view of a scratch is
+returned: every capacity vector is a new array.
 
 All logarithms are natural; every quantity is in nats.
 """
@@ -144,12 +146,12 @@ def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
     )
 
 
-def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex | None:
-    """The index that built ``first`` if it has ``cfg``'s n-gram settings, else None."""
+def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex:
+    """The index that built ``first`` if it has ``cfg``'s n-gram settings, else a new one."""
     index = first.index
     if index is not None and index.settings == (cfg.n_min, cfg.n_max, cfg.include_space):
         return index
-    return None
+    return cfg.gram_index()
 
 
 class Scratch:
@@ -186,25 +188,22 @@ class Scratch:
         return np.ndarray(shape, dtype, buffer)
 
 
-def _scratch(index: GramIndex | None) -> Scratch:
-    """The scratch on ``index``, kept as long as the index; a new one without."""
-    if index is None:
-        return Scratch()
+def _scratch(index: GramIndex) -> Scratch:
+    """The scratch on ``index``, kept as long as the index."""
     if index.scratch is None:
         index.scratch = Scratch()
     return index.scratch
 
 
 def _set_rows(
-    families: Iterable[Iterable[LingSet]], index: GramIndex | None, scratch: Scratch | None = None
+    families: Iterable[Iterable[LingSet]], index: GramIndex, scratch: Scratch
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One boolean row per distinct set of ``families``, and each family's row numbers.
 
     A set that ``index`` built is told apart by identity and brings its
     ids, so no gram string is read; every other set is told apart by its
-    grams, which are numbered in one ``index.number`` call, or, without an
-    index, in one pass over a local map.  Two sets with equal grams may thus
-    get two equal rows.
+    grams, which are numbered in one ``index.number`` call.  Two sets with
+    equal grams may thus get two equal rows.  The rows are ``scratch``'s.
     """
     rows: dict[object, int] = {}
     ids: list[np.ndarray | None] = []
@@ -213,7 +212,7 @@ def _set_rows(
     for sets in families:
         out = []
         for s in sets:
-            own = index is not None and s.index is index
+            own = s.index is index
             key = id(s) if own else s.grams
             row = rows.get(key)
             if row is None:
@@ -224,19 +223,14 @@ def _set_rows(
             out.append(row)
         numbers.append(np.array(out, dtype=np.intp))
     if unnumbered:
-        grams = chain.from_iterable(grams for _, grams in unnumbered)
-        if index is not None:
-            flat = index.number(grams)
-        else:
-            column: dict[str, int] = {}
-            flat = np.array([column.setdefault(g, len(column)) for g in grams], dtype=np.int32)
+        flat = index.number(chain.from_iterable(grams for _, grams in unnumbered))
         start = 0
         for row, grams in unnumbered:
             ids[row] = flat[start : (start := start + len(grams))]
     return _indicator_rows(ids, scratch), numbers
 
 
-def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch | None = None) -> np.ndarray:
+def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch) -> np.ndarray:
     """One boolean row per array of gram ids, over the distinct ids in ascending order.
 
     The ids present are marked in one table over the index's ids, whose
@@ -244,9 +238,8 @@ def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch | None = None) -
     entry twice.  Rows stay boolean (one byte per entry) so that a step can
     gather and join them cheaply; ``_row_distances`` takes them to float32
     for the product.  The rows are ``scratch``'s "rows" array, valid until
-    its next ``_indicator_rows``; a call without a scratch uses a new one.
+    its next ``_indicator_rows``.
     """
-    scratch = scratch or Scratch()
     lengths = [len(i) for i in ids]
     # As intp, so that no indexing below makes an intp copy of the ids.
     flat = np.concatenate(ids, out=scratch.take("even", (sum(lengths),), np.intp))
@@ -267,7 +260,7 @@ def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch | None = None) -
     return m
 
 
-def _row_distances(m: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
+def _row_distances(m: np.ndarray, scratch: Scratch) -> np.ndarray:
     """Pairwise symmetric-difference counts of boolean rows, |A| + |B| - 2 |A & B|, as integers.
 
     The rows are taken to float32 for one BLAS product, whose diagonal holds
@@ -284,7 +277,6 @@ def _row_distances(m: np.ndarray, scratch: Scratch | None = None) -> np.ndarray:
         top = m.sum(axis=1).max(initial=0)
         if top >= 2**24:  # float32 counts exactly only up to 2^24
             raise ValueError(f"exact float32 products need rows of fewer than 2^24 grams, got {top}")
-    scratch = scratch or Scratch()
     u = len(m)
     f = scratch.take("odd", m.shape, np.float32)
     np.copyto(f, m)
@@ -499,13 +491,12 @@ def _step_capacities(
     so a window is extracted once per run, not once per step, and no gram
     string of the index's sets is read; sets from another index or from
     ``ngram_set`` are numbered on first sight.  A step whose first set has
-    no index with ``cfg``'s n-gram settings numbers its sets through a local
-    map, or, in concat mode, through a new index that also cuts its windows.
-    That concat identity holds only when every gram set was built from its
-    source under ``cfg``'s n-gram settings, as ``run_simulation`` builds
-    every set of a run; ``join`` makes no such assumption and is the
-    oracle.  Union mode has 7 distinct families (xy+z = xz+y = xyz), concat
-    mode 8.
+    no index with ``cfg``'s n-gram settings takes a new one, which numbers
+    its sets and cuts its windows by the same code.  That concat identity
+    holds only when every gram set was built from its source under
+    ``cfg``'s n-gram settings, as ``run_simulation`` builds every set of a
+    run; ``join`` makes no such assumption and is the oracle.  Union mode
+    has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
 
     Each family keys its members by their parts' row numbers (xy+z and
     xz+y by xy's or xz's distinct-member number and the rest), mixed-radix
@@ -522,7 +513,7 @@ def _step_capacities(
     being built, O(u * V_step) bytes of boolean rows and float32 and
     O(u * n) integer distances and kernel values; the product is exact while
     every joined set holds fewer than 2^24 grams.  These arrays live in the
-    ``Scratch`` on the index (a new one if the step's sets have none): four
+    ``Scratch`` on the index: four
     buffers, each at most 1.5 times the largest request of its role so far,
     that stay for the index's lifetime, so that steps after the first reuse
     them instead of mapping new pages.  The one-entry memo lets
@@ -534,7 +525,6 @@ def _step_capacities(
     index = _index_for(triplets[0].x, cfg)
     families = [[getattr(t, c) for t in triplets] for c in "xyz"]
     if cfg.joint_mode == "concat" and cfg.include_space:
-        index = index or cfg.gram_index()  # the seam windows need one
         reach = cfg.n_max - 1
         sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
         x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a

@@ -9,9 +9,10 @@ of the metric space regardless of how they were written down.
 one ``GramIndex`` instead, which gives every gram of the run an int id and
 memoizes the grams of each distinct space-free piece (token memo, bounded
 by the corpus vocabulary) and of each distinct seam window (window memo,
-bounded by the distinct windows).  A set is then the union of its pieces'
-grams and of the windows between them, and carries its gram ids, from
-which the estimator builds its rows without looking at a gram string; its
+bounded by the distinct windows).  One method, ``GramIndex.segments``,
+builds every such set as the union of its pieces' grams and of the
+windows between them; the set carries its gram ids, from which the
+estimator builds its rows without looking at a gram string, and its
 grams are derived from the ids only when read.
 """
 
@@ -129,22 +130,23 @@ def join(
 class GramIndex:
     """Gram ids and memoized gram sets for one run's n-gram settings.
 
-    Calling the index on a text returns a set equal to ``ngram_set(text,
-    n_min, n_max, include_space)`` that carries its gram ids.  Without
-    ``include_space`` it is the union of the grams of ``text.split()``.  With
-    it, the text is cut at each space into pieces, each scanned whole (a
-    piece may hold tabs or newlines), and a gram that holds a space is
-    found in the window between the text before its last space and the
-    piece after it: a gram of at most ``n_max`` characters starts at most
-    ``n_max - 1`` characters before that space and ends inside that piece.
-    The pieces (a token memo, bounded by the distinct tokens) and the
-    windows (bounded by the distinct windows) are memoized for as long as
-    the index lives, and so is ``vocab``, which numbers every gram on first
-    sight, with its inverse, through which a built set's grams are derived
-    when first read.  ``segments`` builds the sets of texts given as tokens
-    from token positions instead.  ``scratch`` holds the estimator's step
-    buffers (``density.Scratch``) from the first step on, for as long as the
-    index lives.  Every memoized set points back to the index, so an index
+    ``segments`` builds the set of each text from the text's ``pieces``: a
+    set equal to ``ngram_set(text, n_min, n_max, include_space)`` that
+    carries its gram ids; calling the index on one text is ``segments`` of
+    that text.  Without ``include_space`` a set is the union of the grams
+    of ``text.split()``.  With it, the text is cut at each space into
+    pieces, each scanned whole (a piece may be empty, or hold tabs or
+    newlines), and a gram that holds a space is found in the window
+    between the text before its last space and the piece after it: a gram
+    of at most ``n_max`` characters starts at most ``n_max - 1`` characters
+    before that space and ends inside that piece.  The pieces (a token
+    memo, bounded by the distinct pieces) and the windows (bounded by the
+    distinct windows) are memoized for as long as the index lives, and so
+    is ``vocab``, which numbers every gram on first sight, with its
+    inverse, through which a built set's grams are derived when first
+    read.  ``scratch`` holds the estimator's step buffers
+    (``density.Scratch``) from the first step on, for as long as the index
+    lives.  Every memoized set points back to the index, so an index
     with memos lives until a cyclic collection; ``clear`` drops the memos
     and the scratch, after which the index dies with its last outside
     reference.  Nothing here is locked: an index, and the steps that use
@@ -190,13 +192,13 @@ class GramIndex:
     def _scan(self, text: str, spaced: bool) -> LingSet:
         """``text``'s grams, only those holding a space if ``spaced``, kept as ids only."""
         n_min, n_max, _ = self.settings
-        grams = ngram_set(text, n_min, n_max, True).grams
+        grams = ngram_set(text, n_min, n_max, True).grams if text else frozenset()
         if spaced:
             grams = (g for g in grams if " " in g)
         return LingSet(None, text, self, self.number(grams))
 
     def _token(self, token: str) -> int:
-        """The id of a space-free piece in the token memo, scanned on first sight."""
+        """The id of a space-free piece in the token memo, scanned on first sight; "" has no grams."""
         i = self._token_ids.get(token)
         if i is None:
             scanned = self._scan(token, False)
@@ -221,42 +223,27 @@ class GramIndex:
             found = self._windows[key] = self._scan(key, True)
         return found
 
+    def pieces(self, text: str) -> list[str]:
+        """How ``text`` is cut: at each space with ``include_space``, else at every whitespace run."""
+        return text.split(" ") if self.settings[2] else text.split()
+
     def __call__(self, text: str) -> LingSet:
         if not text:
             raise EmptyText("cannot build an n-gram set from empty text")
-        tokens = self._tokens
-        if not self.settings[2]:
-            parts = [tokens[self._token(p)] for p in text.split()]
-            if not parts:
-                return LingSet(frozenset(), text, self, np.zeros(0, dtype=np.int32))
-        else:
-            first, *rest = text.split(" ")
-            parts = [tokens[self._token(first)]] if first else []
-            if not rest:
-                return parts[0]
-            reach = self.settings[1] - 1
-            tail = first  # of the text before the next space, as far as a window reaches
-            for piece in rest:
-                parts.append(self.window(tail, piece))
-                if piece:
-                    parts.append(tokens[self._token(piece)])
-                tail += " " + piece
-                tail = tail[max(len(tail) - reach, 0) :]
-        return LingSet(None, text, self, np.concatenate([p.ids for p in parts]))
+        return self.segments([text], [self.pieces(text)])[0]
 
     def segments(self, texts: Sequence[str], tokens: Sequence[Sequence[str]]) -> list[LingSet]:
-        """The set of each text, given as its tokens: ``texts[i] == " ".join(tokens[i])``.
+        """The set of each text, given as its pieces: ``tokens[i] == self.pieces(texts[i])``.
 
-        Each set equals ``self(texts[i])`` but is built from token positions.
-        The tokens (nonempty, without whitespace) are numbered through the
-        token memo.  With ``include_space``, the seam window before token t
-        is keyed by the id pair (token t-1, token t), since the window holds
+        Each set equals ``ngram_set(texts[i], n_min, n_max, include_space)``.
+        The pieces are numbered through the token memo, an empty one as the
+        empty set.  With ``include_space``, the seam window before piece t
+        is keyed by the id pair (piece t-1, piece t), since the window holds
         the last ``n_max - 1`` characters of the text before the space, all
-        inside token t-1, unless token t-1 is shorter; only then is the
-        window keyed by that text's tail, cut at the start of the text, as
-        the fold keys it.  The gram ids of all the sets are held in one
-        array, each set's as one contiguous slice, and the sets' grams are
-        not built.
+        inside piece t-1, unless piece t-1 is shorter; only then is the
+        window keyed by that text's tail, cut at the start of the text.  The
+        gram ids of all the sets are held in one array, each set's as one
+        contiguous slice, and the sets' grams are not built.
         """
         token_ids, memo, pairs = self._token_ids, self._tokens, self._pairs
         parts: list[LingSet] = []
@@ -282,9 +269,9 @@ class GramIndex:
         ]
 
     def _seam(self, seg: Sequence[str], ids: list[int], t: int) -> LingSet:
-        """The window before token t of ``seg``, memoized by id pair if token t-1 spans it."""
+        """The window before piece t of ``seg``, memoized by id pair if piece t-1 spans it."""
         reach = self.settings[1] - 1
-        if len(seg[t - 1]) < reach:  # reach tokens of one or more characters span reach characters
-            return self.window(" ".join(seg[max(t - reach, 0) : t]), seg[t])
+        if len(seg[t - 1]) < reach:  # reach + 1 pieces span reach characters: the spaces between them
+            return self.window(" ".join(seg[max(t - reach - 1, 0) : t]), seg[t])
         window = self._pairs[ids[t - 1], ids[t]] = self.window(seg[t - 1], seg[t])
         return window

@@ -40,7 +40,7 @@ from .config import (
     load_config,
     require_file,
 )
-from .corpus import DocumentCollection, load_documents
+from .corpus import DocumentCollection, load_documents, normalize_text
 from .density import EstimatorConfig, MiRecord, compute_mi_record, joint_mass_monitor
 from .reward import demarcken_check, reward
 
@@ -314,20 +314,34 @@ def rolling_mean(series: Sequence[float], window: int) -> list[float]:
 
 
 def grammar_from_file(path: str | Path) -> SynthGrammar:
-    """Read phrase pools and preferences from a flat grammar config file."""
+    """Read phrase pools and preferences from a flat grammar config file.
+
+    Every phrase is normalized as ``load_triplets`` normalizes a gold surface,
+    so the synthetic gold a run replays is the gold that ``gen-synthetic``
+    writes and a ``gold_file`` agent reads back.  ``grammar.preferred.<verb>``
+    names the verb as the file writes it; two verbs that normalize to one are
+    rejected.
+    """
     values = load_config(path)
     for key in ("grammar.subjects", "grammar.verbs", "grammar.objects"):
         if key not in values:
             raise ConfigInvalid(f"grammar file is missing {key}")
-    verbs = tuple(as_phrases(values["grammar.verbs"]))
+
+    def phrases(key: str) -> tuple[str, ...]:
+        return tuple(map(normalize_text, as_phrases(values[key])))
+
+    written = as_phrases(values["grammar.verbs"])
+    verbs = phrases("grammar.verbs")
     preferred: dict[str, tuple[str, ...]] = {}
-    for verb in verbs:
-        key = f"grammar.preferred.{verb}"
+    for verb, name in zip(verbs, written):
+        if verb in preferred:
+            raise ConfigInvalid(f"grammar.verbs: {name!r} is an earlier verb once normalized")
+        key = f"grammar.preferred.{name}"
         if key not in values:
             raise ConfigInvalid(f"grammar file is missing {key}")
-        preferred[verb] = tuple(as_phrases(values[key]))
+        preferred[verb] = phrases(key)
     allowed = {"grammar.subjects", "grammar.verbs", "grammar.objects", "grammar.p_pref"}
-    unknown = sorted(set(values) - allowed - {f"grammar.preferred.{verb}" for verb in verbs})
+    unknown = sorted(set(values) - allowed - {f"grammar.preferred.{name}" for name in written})
     if unknown:
         raise ConfigInvalid(f"unknown grammar key(s): {', '.join(unknown)}")
     optional = {}
@@ -335,9 +349,9 @@ def grammar_from_file(path: str | Path) -> SynthGrammar:
         optional["p_pref"] = as_float(values["grammar.p_pref"], "grammar.p_pref")
     try:
         return SynthGrammar(
-            subjects=tuple(as_phrases(values["grammar.subjects"])),
+            subjects=phrases("grammar.subjects"),
             verbs=verbs,
-            objects=tuple(as_phrases(values["grammar.objects"])),
+            objects=phrases("grammar.objects"),
             preferred=preferred,
             **optional,
         )

@@ -3,6 +3,7 @@ from __future__ import annotations
 import inspect
 import json
 import tracemalloc
+from dataclasses import replace
 from itertools import chain
 from unittest import mock
 
@@ -198,15 +199,20 @@ class TestSynthCorpus:
         assert one_object_per_value(gold)
 
     def test_grammar_file_documents_are_the_sentences_joined_then_split(self, tmp_path):
-        # Phrases share words ("the", "red", "drone") across and within pools,
-        # and one holds a run of spaces, which the text keeps and the split drops.
-        # Object phrases read apart from each pool line are one phrase by value.
-        docs, gold = synth_corpus(300, np.random.default_rng(2), shared_word_grammar(tmp_path), 20)
+        # Phrases share words ("the", "red", "drone") across and within pools.
+        # The file's "a red  drone" is normalized, as a gold surface is; a
+        # grammar made in code keeps its run of spaces, which the text keeps
+        # and the split drops.  Object phrases read apart from each pool line
+        # are one phrase by value.
+        from_file = shared_word_grammar(tmp_path)
+        assert "a red drone" in from_file.subjects
+        for grammar in (from_file, replace(from_file, subjects=("a red  drone", *from_file.subjects))):
+            docs, gold = synth_corpus(300, np.random.default_rng(2), grammar, 20)
+            assert one_object_per_value(gold)
+            texts = joined_sentences(gold, 20)
+            assert [d.text for d in docs] == texts
+            assert docs.token_lists == [text.split() for text in texts]
         assert any("a red  drone" in triple for triple in gold)
-        assert one_object_per_value(gold)
-        texts = joined_sentences(gold, 20)
-        assert [d.text for d in docs] == texts
-        assert docs.token_lists == [text.split() for text in texts]
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_tokens_are_one_object_per_distinct_token(self, tmp_path, from_file):
@@ -562,11 +568,7 @@ class TestBuildStepSamples:
         # Each distinct segment text of the returned samples is built once per
         # call, by the given index, and every triplet holding it shares it.
         class RecordingIndex(GramIndex):
-            """Records the text of every set it builds, one by one or as segments."""
-
-            def __call__(self, text):
-                calls.append(text)
-                return super().__call__(text)
+            """Records the text of every set it builds."""
 
             def segments(self, texts, tokens):
                 calls.extend(texts)
@@ -583,8 +585,23 @@ class TestBuildStepSamples:
             assert set(calls) == {s.source for s in sets}
             shared = {}
             for s in sets:
-                assert s == gram_set(s.source)
+                assert s == ngram_set(s.source, 1, 4, False) and s.index is gram_set
                 assert shared.setdefault(s.source, s) is s
+
+    @pytest.mark.parametrize("include_space", [True, False])
+    def test_pool_texts_with_runs_of_spaces_and_tabs_equal_ngram_set(self, include_space):
+        # A pool is read as given: its texts may hold doubled, leading and
+        # trailing spaces, which cut empty pieces, and tabs inside a piece.
+        pool = [("the  lab robot", "lifts\tup", " a b "), ("a\tb", "ab    c", "x  ")]
+        cfg = EstimatorConfig(n_max=4, include_space=include_space)
+        index = cfg.gram_index()
+        samples = build_step_samples("gold_file", pool, 3, 20, np.random.default_rng(2), 10, index)
+        sets = {s.source: s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)}
+        assert sets.keys() == set(chain.from_iterable(pool))
+        for text, s in sets.items():
+            want = ngram_set(text, cfg.n_min, cfg.n_max, include_space)
+            assert s == want and s.index is index
+            assert set(s.ids.tolist()) == {index.vocab[g] for g in want.grams}
 
     def test_random_context_shorter_than_three_rejected(self):
         # Two tokens cannot be cut into three nonempty segments.

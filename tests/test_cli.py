@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from setinfo import RunConfig, load_documents, read_csv
+from setinfo import RunConfig, load_documents, load_triplets, read_csv
 from setinfo.cli import cli
 from setinfo.trajectory import synthetic_inputs
 
@@ -78,14 +78,23 @@ class TestGenSynthetic:
         ).read_bytes()
 
     def test_written_corpus_loads_back_to_the_run_tokens(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        write_run_config(cfg)
-        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
-        loaded = load_documents(tmp_path / "data" / "corpus.jsonl")
-        docs, _ = synthetic_inputs(RunConfig.from_file(cfg))
-        assert loaded.documents == docs.documents
-        assert loaded.token_lists == docs.token_lists
-        assert one_object_per_value(chain.from_iterable(loaded.token_lists))
+        # With the built-in grammar and with a grammar file in mixed case and
+        # doubled spaces, whose phrases are normalized as a gold file's are:
+        # the written gold reads back as the gold that the run replays.
+        grammar = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        grammar.write_text(text.replace("the lab robot", "The Lab  Robot").replace("lifts", "Lifts"))
+        for tag, extra in [("built-in", ""), ("mixed-case", f"synthetic.grammar = {grammar}")]:
+            cfg, out = tmp_path / f"{tag}.cfg", tmp_path / tag
+            write_run_config(cfg, extra=extra)
+            assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(out)]) == 0
+            loaded = load_documents(out / "corpus.jsonl")
+            docs, gold = synthetic_inputs(RunConfig.from_file(cfg))
+            assert loaded.documents == docs.documents
+            assert loaded.token_lists == docs.token_lists
+            assert one_object_per_value(chain.from_iterable(loaded.token_lists))
+            assert load_triplets(out / "gold.jsonl") == gold
+        assert {"the lab robot", "lifts"} <= set(chain.from_iterable(gold))
 
     def test_non_synthetic_corpus_fails_validation(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

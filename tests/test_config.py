@@ -80,6 +80,14 @@ class TestShippedConfigs:
         with pytest.raises(ConfigInvalid, match=named):
             grammar_from_file(path)
 
+    def test_grammar_verbs_equal_once_normalized_rejected(self, tmp_path):
+        path = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        text = text.replace("grammar.verbs = lifts |", "grammar.verbs = lifts | Lifts |")
+        path.write_text(f"{text}\ngrammar.preferred.Lifts = a fuel cell\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=r"^grammar\.verbs: 'Lifts'"):
+            grammar_from_file(path)
+
     @pytest.mark.parametrize("p_pref", ["2", "-0.5", "nan"])
     def test_grammar_p_pref_out_of_range_rejected(self, tmp_path, p_pref):
         path = tmp_path / "grammar.cfg"

@@ -165,8 +165,8 @@ class TestDistanceMatrix:
     def test_equals_pairwise_hamming(self, sets):
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
-        index = GramIndex(1, 3, True)
-        got = _row_distances(_indicator_rows([index.number(s.grams) for s in sets]))
+        index, scratch = GramIndex(1, 3, True), Scratch()
+        got = _row_distances(_indicator_rows([index.number(s.grams) for s in sets], scratch), scratch)
         assert np.array_equal(got, expected)
 
     @settings(deadline=None, max_examples=60)
@@ -184,7 +184,7 @@ class TestDistanceMatrix:
         rng = np.random.default_rng(seed)
         m = rng.random((n, v)) < density_
         m[rng.random(n) < zero_share] = False  # all-zero rows
-        got = _row_distances(m)
+        got = _row_distances(m, Scratch())
         f = m.astype(np.float64)
         sizes = f.sum(axis=1)
         assert np.array_equal(got, sizes[:, None] + sizes[None, :] - 2.0 * (f @ f.T))
@@ -197,7 +197,7 @@ class TestDistanceMatrix:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=r"fewer than 2\^24"):
-                _row_distances(m)
+                _row_distances(m, Scratch())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -641,15 +641,16 @@ class TestRowKeys:
     def test_equal_gram_sets_of_two_texts_match_the_grams_keyed_path(self, cfg):
         # "aaa" and "aaaa" are two texts with one gram set under n_max = 3.
         # The index's sets of them get two equal rows; plain sets, keyed by
-        # their grams, share one.  The capacities must not tell the difference.
+        # their grams in another index, share one.  The capacities must not
+        # tell the difference.
         texts = [("aaa", "b c", "dd"), ("aaaa", "b c", "dd"), ("aaa", "c", "e f"), ("b", "aaaa", "c d")]
         index = cfg.gram_index()
         built: dict[str, LingSet] = {}
         by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
         by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
         assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
-        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index)
-        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], None)
+        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
+        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
         assert (len(identity_rows), len(grams_rows)) == (3, 2)
         _step_capacities.cache_clear()
         for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
@@ -676,14 +677,26 @@ class TestRowKeys:
         assert t.x.grams == ngram_set(t.x.source, cfg.n_min, cfg.n_max, cfg.include_space).grams
         assert derived
 
-    def test_sets_without_an_index_take_a_local_map(self, monkeypatch):
+    def test_sets_without_an_index_are_numbered_by_a_new_one(self, monkeypatch):
         made = []
-        monkeypatch.setattr(EstimatorConfig, "gram_index", lambda est: made.append(est))
+        gram_index = EstimatorConfig.gram_index
+        monkeypatch.setattr(EstimatorConfig, "gram_index", lambda est: made.append(gram_index(est)) or made[-1])
         sets = [ngram_set(t, 1, 3, True) for t in ("the cat", "a dog", "the cat", "cats")]
-        assert entropy(sets, UNION) == pytest.approx(oracle_entropy(sets, UNION), rel=1e-12)
-        _step_capacities.cache_clear()
-        _step_capacities(tuple(triplet("the cat", "sat", "on it") for _ in range(3)), UNION)
-        assert made == []
+        texts = [("the cat", "sat", "on it"), ("a dog", "sat", "by it")] * 2
+        for cfg in (UNION, CONCAT):
+            made.clear()
+            assert entropy(sets, cfg) == pytest.approx(oracle_entropy(sets, cfg), rel=1e-12)
+            assert len(made) == 1 and set(made[0].vocab) == frozenset().union(*(s.grams for s in sets))
+            triplets = tuple(triplet(*t, cfg) for t in texts)
+            xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
+            xy, xz = joined(xs, ys, cfg), joined(xs, zs, cfg)
+            families = [xs, ys, zs, xy, joined(ys, zs, cfg), xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
+            _step_capacities.cache_clear()
+            got = _step_capacities(triplets, cfg)
+            assert len(made) == 2 and made[1].scratch is not None
+            for vector, family in zip(got, families, strict=True):
+                h = density._entropy_from_masses(vector, cfg.entropy_mode)
+                assert h == pytest.approx(oracle_entropy(family, cfg), rel=1e-12)
 
 
 def full_matrix_capacities(family: list[LingSet], bandwidth: float) -> np.ndarray:
@@ -818,7 +831,7 @@ class TestScratch:
             expected[row, np.searchsorted(columns, i)] = True
         got = _indicator_rows(ids, scratch)
         assert np.array_equal(got, expected)
-        assert np.array_equal(_row_distances(got, scratch), _row_distances(expected))
+        assert np.array_equal(_row_distances(got, scratch), _row_distances(expected, Scratch()))
 
     @staticmethod
     def steps(index: GramIndex, per_step: int = 40) -> dict[str, tuple[Triplet, ...]]:
