@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -321,7 +321,8 @@ def _lemire(u: np.ndarray, n: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]
 
     Returns ``(u * n) >> 32`` and whether each draw is rejected, i.e. its
     low 32 bits fall below ``(2**32 - n) % n``; the generator would then
-    discard it and draw again.  Needs ``1 < n <= 2**32``.
+    discard it and draw again.  Needs ``1 <= n <= 2**32``; for n = 1, for
+    which numpy takes no draw, every value decodes as 0 and none is rejected.
     """
     n = np.asarray(n, dtype=np.uint64)
     m = np.multiply(u, n, dtype=np.uint64)
@@ -428,44 +429,71 @@ def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:
 Cut = tuple[Sequence[str], int, int]  # a context's tokens and its cut indices i < j
 
 
-def _step_cuts(docs: DocumentCollection, length: int, n: int, rng: np.random.Generator) -> list[Cut]:
+def _eligible(token_lists: Sequence[Sequence[str]], length: int) -> list[Sequence[str]]:
+    """The token lists a context of ``length`` tokens can be cut from, in order.
+
+    ContextTooShort below three tokens, CorpusTooSmall if no list is that long.
+    """
+    if length < 3:
+        raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
+    eligible = [toks for toks in token_lists if len(toks) >= length]
+    if not eligible:
+        raise CorpusTooSmall(f"no document has >= {length} tokens")
+    return eligible
+
+
+def _step_cuts(eligible: Sequence[Sequence[str]], length: int, n: int, rng: np.random.Generator) -> list[Cut]:
     """One random step's contexts and cut indices, as ``sample_contexts`` and ``_cuts`` draw them.
 
-    The result, the draws and the state ``rng`` is left in are those of
-    ``[(ctx.tokens, *_cuts(length, rng)) for ctx in sample_contexts(docs,
-    length, n, rng)]``, for any bit generator.  Every draw reads 32-bit
-    ``next_uint32`` values:
-    - a document and an offset per context.  Each offset's bound depends on
-      the document drawn, so all 2n values are taken in one
-      ``integers(2**32, dtype=uint32)`` call and decoded by Lemire's rule.
-      Where a range has one value, for which numpy draws nothing, or a draw
-      is rejected, the pairs are drawn one by one from the starting state;
+    ``eligible`` are the token lists of at least ``length`` tokens
+    (``_eligible``).  The result, the draws and the state ``rng`` is left in
+    are those of ``[(ctx.tokens, *_cuts(length, rng)) for ctx in
+    sample_contexts(docs, length, n, rng)]``, for any bit generator.  Every
+    draw reads 32-bit ``next_uint32`` values:
+    - a document and an offset per context.  numpy takes no value for a
+      range of one value: the document of a one-document corpus, or the
+      offset in a document of exactly ``length`` tokens.  So a context takes
+      two values, one or none, and which depends on the document drawn.
+      The 2n values the n contexts can take at most are drawn in one
+      ``integers(2**32, dtype=uint32)`` call, each is decoded by Lemire's
+      rule as if it were a document draw, and the contexts are walked in
+      order to find the value each one starts at.  If they took fewer than
+      2n values, the generator is rewound and takes exactly as many.  Where
+      a draw is rejected, the pairs are drawn one by one from the starting
+      state;
     - ``permutation(n)``'s, decoded by ``_permutation``;
     - per context, in the permuted order, ``choice(L-1, 2, replace=False)``'s.
       That is Floyd's algorithm: a draw below L-2, a draw below L-1 that
       becomes L-2 if it repeats the first, and a draw below 2 that only
       shuffles the two picks.  numpy takes these itself, in one call.
     """
-    if length < 3:
-        raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
-    eligible = [toks for toks in docs.token_lists if len(toks) >= length]
-    if not eligible:
-        raise CorpusTooSmall(f"no document has >= {length} tokens")
-    starts = np.array([len(toks) - length + 1 for toks in eligible], dtype=np.int64)
+    starts = np.fromiter(map(len, eligible), dtype=np.int64, count=len(eligible)) - (length - 1)
     start = rng.bit_generator.state
-    batch = len(eligible) > 1 and starts.min() > 1
-    if batch:
-        u = rng.integers(2**32, size=2 * n, dtype=np.uint32)
-        pick, rej_d = _lemire(u[0::2], len(eligible))
-        offset, rej_o = _lemire(u[1::2], starts[pick.astype(np.intp)])
-        batch = not (rej_d | rej_o).any()
-        pick, offset = pick.tolist(), offset.tolist()
-    if not batch:
+    u = rng.integers(2**32, size=2 * n, dtype=np.uint32)
+    # Each value read as a document draw (all 0 for one document, which
+    # takes none), and how many values a context whose draws start there takes.
+    document, rej_d = _lemire(u, len(eligible))
+    document = document.astype(np.intp)
+    lead = int(len(eligible) > 1)
+    takes = (lead + (starts[document] > 1)).tolist()
+    at, taken = [], 0
+    for _ in range(n):
+        at.append(taken)
+        taken += takes[taken]
+    at = np.array(at, dtype=np.intp)
+    pick = document[at]
+    offset, rej_o = _lemire(u[at + lead], starts[pick])
+    if (rej_d[at] | rej_o).any():
         rng.bit_generator.state = start
         pick, offset = [], []
         for _ in range(n):
             pick.append(int(rng.integers(len(eligible))))
             offset.append(int(rng.integers(starts[pick[-1]])))
+    else:
+        pick, offset = pick.tolist(), offset.tolist()
+        if taken < 2 * n:
+            rng.bit_generator.state = start
+            rng.integers(2**32, size=taken, dtype=np.uint32)
     order = _permutation(n, rng)
     first, second, _ = rng.integers(0, (length - 2, length - 1, 2), size=(n, 3)).T
     second = np.where(second == first, length - 2, second)
@@ -499,40 +527,55 @@ def _permutation(n: int, rng: np.random.Generator) -> list[int]:
 
 def build_step_samples(
     kind: str,
-    source: DocumentCollection | Sequence[Surfaces],
+    source: Sequence[Sequence[str]],
     k_max: int,
     per_step: int,
     rng: np.random.Generator,
     context_length: int,
     gram_set: GramIndex,
-) -> list[StepSample]:
-    """Produce k_max step samples of exactly per_step triplets each.
+) -> Iterator[StepSample]:
+    """Yield k_max step samples of exactly per_step triplets each, one at a time.
 
-    A ``random`` agent's ``source`` is the corpus it cuts contexts of; any
-    other kind's is its resolved, nonempty pool of surface triples, sampled
-    with replacement.  Every step draws from its own generator spawned off
-    ``rng``, so the sequence is reproducible regardless of how steps are
-    later scheduled.  A random step's draws are those of ``sample_contexts``
-    and ``random_split_agent``, taken by ``_step_cuts``.  This is the one
-    place text becomes gram sets: each distinct segment text of the
-    returned samples is turned into a ``LingSet`` once, by ``gram_set`` (in
-    a run, the run's index), and every triplet holding that text shares it.
-    Each step's new texts are built in one ``GramIndex.segments`` call: a
-    random step's from the tokens it cut, a pool step's from their ``pieces``.
+    A ``random`` agent's ``source`` is the token lists of the corpus it
+    cuts contexts of (``DocumentCollection.token_lists``); any other kind's
+    is its resolved pool of surface triples, sampled with replacement.  The
+    source is checked here, before the first sample is asked for: a context
+    shorter than three tokens raises ContextTooShort, a corpus without a
+    list that long CorpusTooSmall, and an empty pool ValueError.  Every
+    step draws from its own generator spawned off ``rng``, which is spawned
+    as the step is built, so the sequence is that of ``rng.spawn(k_max)``
+    as long as nothing else spawns off ``rng`` in between.  A random step's
+    draws are those of ``sample_contexts`` and ``random_split_agent``, taken
+    by ``_step_cuts``.  This is the one place text becomes gram sets: each
+    distinct segment text of a step is turned into a ``LingSet`` once, by
+    ``gram_set`` (in a run, the run's index), and every triplet of the step
+    holding that text shares it.  A step's sets are built in one
+    ``GramIndex.segments`` call: a random step's from the tokens it cut, a
+    pool step's from their ``pieces``.  Nothing is kept from one step to
+    the next but the index's memos, so a step's sample is freed once its
+    caller drops it.
     """
-    sets: dict[str, LingSet] = {}
-    samples: list[StepSample] = []
-    for k, step_rng in enumerate(rng.spawn(k_max), start=1):
+    if kind == "random":
+        eligible = _eligible(source, context_length)
+    elif not source:
+        raise ValueError(f"a {kind} agent needs a nonempty pool of triples")
+
+    pool_sets: dict[str, LingSet] = {}  # at most one per text of the pool
+
+    def build(k: int, step_rng: np.random.Generator) -> StepSample:
         if kind == "random":
-            cuts = _step_cuts(source, context_length, per_step, step_rng)
+            cuts = _step_cuts(eligible, context_length, per_step, step_rng)
             segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
             texts = [" ".join(seg) for seg in segments]
-            new = {text: seg for text, seg in zip(texts, segments) if text not in sets}
+            sets: dict[str, LingSet] = {}
+            new = dict(zip(texts, segments))
         else:
             picks = step_rng.integers(len(source), size=per_step).tolist()
             texts = [text for i in picks for text in source[i]]
+            sets = pool_sets
             new = {text: gram_set.pieces(text) for text in dict.fromkeys(texts) if text not in sets}
         sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
-        flat = [sets[text] for text in texts]
-        samples.append(StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3]))))
-    return samples
+        flat = list(map(sets.__getitem__, texts))
+        return StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3])))
+
+    return (build(k, rng.spawn(1)[0]) for k in range(1, k_max + 1))

@@ -19,8 +19,7 @@ grams are derived from the ids only when read.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from itertools import islice
-from operator import attrgetter
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -54,19 +53,19 @@ class LingSet:
         ids: np.ndarray | None = None,
     ) -> None:
         if grams is not None:
-            object.__setattr__(self, "grams", grams)
+            _set_grams(self, grams)
         elif index is None or ids is None:
             raise ValueError("a LingSet without grams needs its gram ids and their index")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "ids", ids)
+        _set_source(self, source)
+        _set_index(self, index)
+        _set_ids(self, ids)
 
     def __getattr__(self, name: str) -> frozenset[str]:
         # Reached only for an unset slot, and only ``grams`` is ever left unset.
         if name != "grams":
             raise AttributeError(name)
         grams = self.index.grams_of(self.ids)
-        object.__setattr__(self, "grams", grams)
+        _set_grams(self, grams)
         return grams
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -82,6 +81,13 @@ class LingSet:
 
     def __repr__(self) -> str:
         return f"LingSet(grams={self.grams!r}, source={self.source!r})"
+
+
+# The slots' own setters, which ``__setattr__`` does not reach; a step builds
+# hundreds of sets, and these take about half the time of object.__setattr__.
+_set_grams, _set_source, _set_index, _set_ids = (
+    slot.__set__ for slot in (LingSet.grams, LingSet.source, LingSet.index, LingSet.ids)
+)
 
 
 def ngram_set(text: str, n_min: int, n_max: int, include_space: bool) -> LingSet:
@@ -141,16 +147,17 @@ class GramIndex:
     of at most ``n_max`` characters starts at most ``n_max - 1`` characters
     before that space and ends inside that piece.  The pieces (a token
     memo, bounded by the distinct pieces) and the windows (bounded by the
-    distinct windows) are memoized for as long as the index lives, and so
+    distinct windows) are memoized for as long as the index lives, each as
+    a numbered part whose gram ids sit in one store, part after part; so
     is ``vocab``, which numbers every gram on first sight, with its
     inverse, through which a built set's grams are derived when first
     read.  ``scratch`` holds the estimator's step buffers
     (``density.Scratch``) from the first step on, for as long as the index
-    lives.  Every memoized set points back to the index, so an index
-    with memos lives until a cyclic collection; ``clear`` drops the memos
-    and the scratch, after which the index dies with its last outside
-    reference.  Nothing here is locked: an index, and the steps that use
-    it, belong to one thread.
+    lives.  Every memoized window set points back to the index, so an
+    index with memos lives until a cyclic collection; ``clear`` drops the
+    memos and the scratch, after which the index dies with its last
+    outside reference.  Nothing here is locked: an index, and the steps
+    that use it, belong to one thread.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -160,22 +167,22 @@ class GramIndex:
         self.vocab: dict[str, int] = {}
         self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
         self.scratch: Scratch | None = None  # set by the estimator's first step on this index's sets
-        self._token_ids: dict[str, int] = {}
-        self._tokens: list[LingSet] = []  # the token memo, by token id
-        self._pairs: dict[tuple[int, int], LingSet] = {}  # windows, by token-id pair
-        self._windows: dict[str, LingSet] = {}
+        self.clear()
 
     def clear(self) -> None:
-        """Empty the token, pair and window memos and drop the scratch.
+        """Empty the token, pair and window memos and the part store, and drop the scratch.
 
         The vocabulary stays, so the sets built before can still read their
         grams; later calls fill the memos again.
         """
         self.scratch = None
-        self._token_ids.clear()
-        self._tokens.clear()
-        self._pairs.clear()
-        self._windows.clear()
+        self._token_ids: dict[str, int] = {}  # the token memo: each piece's part
+        self._pairs: dict[int, int] = {}  # windows' parts, by the pieces around them (``_seams``)
+        self._windows: dict[str, tuple[LingSet, int]] = {}  # each window's set and part
+        # Part p's gram ids are _store[_offsets[p] : _offsets[p + 1]]; part 0 is empty.
+        self._store = np.zeros(0, dtype=np.int32)
+        self._offsets = np.zeros(2, dtype=np.intp)
+        self._parts = 1
 
     def number(self, grams: Iterable[str]) -> np.ndarray:
         """The ids of ``grams``, numbering the ones not seen before."""
@@ -189,22 +196,41 @@ class GramIndex:
             inverse.extend(islice(self.vocab, len(inverse), None))
         return frozenset(map(inverse.__getitem__, ids.tolist()))
 
-    def _scan(self, text: str, spaced: bool) -> LingSet:
-        """``text``'s grams, only those holding a space if ``spaced``, kept as ids only."""
+    def _scan(self, text: str, spaced: bool) -> np.ndarray:
+        """The ids of ``text``'s grams, only those holding a space if ``spaced``."""
         n_min, n_max, _ = self.settings
         grams = ngram_set(text, n_min, n_max, True).grams if text else frozenset()
         if spaced:
             grams = (g for g in grams if " " in g)
-        return LingSet(None, text, self, self.number(grams))
+        return self.number(grams)
+
+    def _part(self, ids: np.ndarray) -> int:
+        """Append ``ids`` to the store as a new part; return its number."""
+        p, start = self._parts, int(self._offsets[self._parts])
+        end = start + len(ids)
+        self._store = _fit(self._store, end)
+        self._offsets = _fit(self._offsets, p + 2)
+        self._store[start:end] = ids
+        self._offsets[p + 1] = end
+        self._parts = p + 1
+        return p
 
     def _token(self, token: str) -> int:
-        """The id of a space-free piece in the token memo, scanned on first sight; "" has no grams."""
-        i = self._token_ids.get(token)
-        if i is None:
-            scanned = self._scan(token, False)
-            i = self._token_ids[token] = len(self._tokens)
-            self._tokens.append(scanned)
-        return i
+        """The part of a space-free piece in the token memo, scanned on first sight; "" has no grams."""
+        p = self._token_ids.get(token)
+        if p is None:
+            p = self._token_ids[token] = self._part(self._scan(token, False))
+        return p
+
+    def _window(self, a: str, b: str) -> tuple[LingSet, int]:
+        """``window(a, b)`` and its part."""
+        reach = self.settings[1] - 1  # a[-0:] would be all of a
+        key = a[max(len(a) - reach, 0) :] + " " + b[:reach]
+        found = self._windows.get(key)
+        if found is None:
+            ids = self._scan(key, True)
+            found = self._windows[key] = (LingSet(None, key, self, ids), self._part(ids))
+        return found
 
     def window(self, a: str, b: str) -> LingSet:
         """The grams holding a space of ``a[-(n_max-1):] + " " + b[:n_max-1]``, scanned once per window.
@@ -216,12 +242,7 @@ class GramIndex:
         ``include_space`` no gram crosses a space, and a concat join equals
         the union.
         """
-        reach = self.settings[1] - 1  # a[-0:] would be all of a
-        key = a[max(len(a) - reach, 0) :] + " " + b[:reach]
-        found = self._windows.get(key)
-        if found is None:
-            found = self._windows[key] = self._scan(key, True)
-        return found
+        return self._window(a, b)[0]
 
     def pieces(self, text: str) -> list[str]:
         """How ``text`` is cut: at each space with ``include_space``, else at every whitespace run."""
@@ -236,42 +257,95 @@ class GramIndex:
         """The set of each text, given as its pieces: ``tokens[i] == self.pieces(texts[i])``.
 
         Each set equals ``ngram_set(texts[i], n_min, n_max, include_space)``.
-        The pieces are numbered through the token memo, an empty one as the
-        empty set.  With ``include_space``, the seam window before piece t
-        is keyed by the id pair (piece t-1, piece t), since the window holds
-        the last ``n_max - 1`` characters of the text before the space, all
-        inside piece t-1, unless piece t-1 is shorter; only then is the
-        window keyed by that text's tail, cut at the start of the text.  The
-        gram ids of all the sets are held in one array, each set's as one
-        contiguous slice, and the sets' grams are not built.
+        The pieces of all the texts are numbered in one pass through the
+        token memo, an empty one as the empty set, and with
+        ``include_space`` the windows between them are looked up in one
+        pass too (``_seams``).  Each text's parts, its pieces and the
+        windows between them, lie next to each other in one sequence, and
+        one gather from the store lays all their gram ids out in one array;
+        each set's ids are one contiguous slice of it, and the sets' grams
+        are not built.
         """
-        token_ids, memo, pairs = self._token_ids, self._tokens, self._pairs
-        parts: list[LingSet] = []
-        ends = []
-        for seg in tokens:
-            ids = list(map(token_ids.get, seg))
-            if None in ids:
-                ids = list(map(self._token, seg))
-            parts += map(memo.__getitem__, ids)
-            if self.settings[2]:
-                windows = list(map(pairs.get, zip(ids, ids[1:])))
-                for t, window in enumerate(windows, 1):
-                    if window is None:
-                        windows[t - 1] = self._seam(seg, ids, t)
-                parts += windows
-            ends.append(len(parts))
-        arrays = list(map(attrgetter("ids"), parts))
-        flat = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int32)
-        bounds = np.cumsum([0, *map(len, arrays)])[[0, *ends]].tolist()
-        return [
-            LingSet(None, text, self, flat[start:end])
-            for text, start, end in zip(texts, bounds, bounds[1:])
-        ]
+        if not texts:  # a pool step whose texts are all built already
+            return []
+        pieces = list(chain.from_iterable(tokens))
+        parts = list(map(self._token_ids.get, pieces))
+        if None in parts:
+            parts = list(map(self._token, pieces))
+        counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        # Part k of the sequence is piece k/2 for even k, and for odd k the
+        # window between pieces (k-1)/2 and (k+1)/2: empty where they belong
+        # to two texts, or without include_space.
+        sequence = np.zeros(max(2 * len(parts) - 1, 0), dtype=np.intp)
+        sequence[0::2] = parts
+        if self.settings[2] and len(parts) > 1:
+            sequence[1::2] = self._seams(sequence[0::2], pieces, tokens, starts, ends)
+        first = self._offsets[sequence]
+        sizes = self._offsets[sequence + 1] - first
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        # The store position of each id laid out, as one running sum of
+        # steps: 1 inside a part, and at the start of each part the jump
+        # from the end of the part before it.  Besides ``flat``, no other
+        # array of that length is made: a step's transient arrays raised a
+        # short run's peak RSS.
+        filled = sizes > 0
+        first, last = first[filled], first[filled] + sizes[filled] - 1
+        at = np.ones(bounds[-1], dtype=np.intp)
+        at[bounds[:-1][filled]] = first - np.concatenate(([0], last[:-1]))
+        flat = self._store[np.cumsum(at, out=at)]
+        lo = bounds[2 * starts].tolist()
+        hi = bounds[np.maximum(2 * ends - 1, 2 * starts)].tolist()
+        return [LingSet(None, text, self, flat[a:b]) for text, a, b in zip(texts, lo, hi)]
 
-    def _seam(self, seg: Sequence[str], ids: list[int], t: int) -> LingSet:
-        """The window before piece t of ``seg``, memoized by id pair if piece t-1 spans it."""
+    def _seams(
+        self,
+        parts: np.ndarray,
+        pieces: list[str],
+        tokens: Sequence[Sequence[str]],
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ) -> np.ndarray:
+        """The part of the window between each two pieces of ``pieces``, 0 where they belong to two texts.
+
+        ``pieces`` are the pieces of ``tokens``, text after text, each text
+        holding one or more, numbered ``parts``; text i's are
+        ``pieces[starts[i]:ends[i]]``.  The window before piece t of a text
+        holds the last ``n_max - 1`` characters of the text before the
+        space.  They lie inside piece t-1, unless piece t-1 is shorter and
+        follows another piece of the text; then they end with the space
+        before piece t-1 and that piece, and reach further back only if
+        piece t-1 is shorter than ``n_max - 2`` characters.  So the window
+        is keyed by the part pair (piece t-1, piece t) and whether piece
+        t-1 is short and follows another, and found for all the pieces in
+        one lookup; a window that reaches further back is cut from the
+        text's pieces, from at most ``n_max`` pieces before piece t, each
+        time (reach + 1 pieces span reach characters: the spaces between
+        them), and memoized by its text only.  A key packs both parts in
+        one int64, which needs fewer than 2**30 parts in the store.
+        """
         reach = self.settings[1] - 1
-        if len(seg[t - 1]) < reach:  # reach + 1 pieces span reach characters: the spaces between them
-            return self.window(" ".join(seg[max(t - reach - 1, 0) : t]), seg[t])
-        window = self._pairs[ids[t - 1], ids[t]] = self.window(seg[t - 1], seg[t])
-        return window
+        follows = np.ones(len(pieces), dtype=bool)
+        follows[starts] = False
+        behind = (np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces)) < reach) & follows
+        keys = ((parts[:-1] << 33) | (parts[1:] << 1) | behind[:-1]).tolist()
+        windows = np.fromiter(map(self._pairs.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
+        windows[ends[:-1] - 1] = 0
+        missing = np.flatnonzero(windows < 0)
+        for q, i in zip(missing.tolist(), np.searchsorted(ends, missing, side="right").tolist()):
+            seg, t = tokens[i], q + 1 - int(starts[i])
+            first = max(t - reach - 1, 0) if behind[q] else t - 1
+            windows[q] = self._window(" ".join(seg[first:t]), seg[t])[1]
+            if not behind[q] or len(seg[t - 1]) + 1 >= reach:
+                self._pairs[keys[q]] = int(windows[q])
+        return windows
+
+
+def _fit(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy of it twice as long, if it is shorter than ``size``."""
+    if len(array) >= size:
+        return array
+    grown = np.empty(max(size, 2 * len(array)), dtype=array.dtype)
+    grown[: len(array)] = array
+    return grown

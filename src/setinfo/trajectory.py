@@ -22,7 +22,6 @@ import numpy as np
 from .agents import (
     SENTENCES_PER_DOC,
     AgentSpec,
-    StepSample,
     Surfaces,
     SynthGrammar,
     build_step_samples,
@@ -271,8 +270,9 @@ class TrajectoryResult:
     ``spec`` is the agent as configured.  Rewards, rolling means and the CSV
     metadata are derived from these fields where they are read.
     ``wall_time_s`` is the agent's whole time, of which ``build_time_s``
-    went to ``build_step_samples`` and the rest to the estimator steps;
-    neither is written to the CSV.
+    went to ``build_step_samples``, summed over the call and each sample it
+    yielded, and the rest to the estimator steps; neither is written to the
+    CSV.
     """
 
     cfg: RunConfig
@@ -413,27 +413,25 @@ def resolve_inputs(cfg: RunConfig) -> tuple[DocumentCollection, dict[str, list[S
     return docs, pools
 
 
-def _compute_step(sample: StepSample, est: EstimatorConfig) -> tuple[MiRecord, int, int]:
-    rec = compute_mi_record(sample.k, sample.triplets, est)
-    violations, comparisons = joint_mass_monitor(sample.triplets, est)
-    return rec, violations, comparisons
-
-
 def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     """Simulate every configured agent and return one trajectory per agent.
 
     Every input is read by ``resolve_inputs`` before the first agent's
-    steps, so a bad one fails the run at once.  Every gram set of the run is
-    built by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
-    made for this call, whose gram ids and window memo every step then uses.
-    The steps run one after another on the calling thread, which the index
-    requires.  An agent's step samples are dropped once its steps are
-    measured, before the next agent's are built, and the index's memos and
-    scratch are cleared before the call returns, so the index is freed with
-    the call, without waiting for a cyclic collection.  Results are keyed by
-    agent name in configuration order.
+    steps, so a bad one fails the run at once; of the documents, only their
+    token lists are kept from then on.  Every gram set of the run is built
+    by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
+    made for this call, whose gram ids and memos every step then uses.  The
+    steps run one after another on the calling thread, which the index
+    requires.  Each step's sample is measured as it is built and dropped
+    before the next one is built, so the run holds one step's sample at a
+    time, whatever ``k_max``.  The index's memos and scratch are cleared
+    before the call returns, so the index is freed with the call, without
+    waiting for a cyclic collection.  Results are keyed by agent name in
+    configuration order.
     """
     docs, pools = resolve_inputs(cfg)
+    token_lists = docs.token_lists
+    del docs
     est = cfg.estimator
     gram_index = est.gram_index()
     # Child 0 of the master seed is the synthetic corpus's generator.
@@ -444,24 +442,35 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
         started = time.perf_counter()
         samples = build_step_samples(
             spec.kind,
-            docs if spec.kind == "random" else pools[spec.name],
+            token_lists if spec.kind == "random" else pools[spec.name],
             k_max=cfg.k_max,
             per_step=cfg.per_step,
             rng=agent_rng,
             context_length=cfg.context_length,
             gram_set=gram_index,
         )
-        built = time.perf_counter()
-        stepped = [_compute_step(s, est) for s in samples]
-        del samples
+        build_time_s = time.perf_counter() - started
+        records: list[MiRecord] = []
+        violations = comparisons = 0
+        while True:
+            building = time.perf_counter()
+            sample = next(samples, None)
+            build_time_s += time.perf_counter() - building
+            if sample is None:
+                break
+            records.append(compute_mi_record(sample.k, sample.triplets, est))
+            step_violations, step_comparisons = joint_mass_monitor(sample.triplets, est)
+            violations += step_violations
+            comparisons += step_comparisons
+            del sample  # freed before the next one is built
         results[spec.name] = TrajectoryResult(
             cfg=cfg,
             spec=spec,
-            records=tuple(rec for rec, _, _ in stepped),
-            violations=sum(v for _, v, _ in stepped),
-            comparisons=sum(c for _, _, c in stepped),
+            records=tuple(records),
+            violations=violations,
+            comparisons=comparisons,
             wall_time_s=time.perf_counter() - started,
-            build_time_s=built - started,
+            build_time_s=build_time_s,
         )
     gram_index.clear()
     return results

@@ -16,6 +16,7 @@ from setinfo import (
     AgentSpec,
     Context,
     ContextTooShort,
+    CorpusTooSmall,
     Document,
     DocumentCollection,
     EstimatorConfig,
@@ -67,7 +68,7 @@ class TestRandomSplitAgent:
         # The agent's cuts reach the step samples as the gram sets of exactly
         # those surfaces, each a split of one context of the corpus.
         docs = DocumentCollection([Document(id="d", text=" ".join(f"t{i}" for i in range(6)))])
-        samples = build_step_samples("random", docs, 2, 10, np.random.default_rng(1), 6, GRAM_SET)
+        samples = build_step_samples("random", docs.token_lists, 2, 10, np.random.default_rng(1), 6, GRAM_SET)
         for t in (t for s in samples for t in s.triplets):
             assert f"{t.x.source} {t.y.source} {t.z.source}" == docs.documents[0].text
             assert t.x.grams == ngram_set(t.x.source, 1, 3, True).grams
@@ -415,21 +416,35 @@ def seeded(bitgen, seed: int, half_used: bool) -> np.random.Generator:
 
 def lemire_spy(flagged: str | None, decoded: list[int]):
     """``_lemire`` that records how many draws each call decodes and, on the
-    call for the ``flagged`` draws (documents, then offsets), reports one
-    draw as rejected and changes its value to another in range, so a batch
-    that used the flagged value would differ from the loop."""
+    call for the ``flagged`` draws (documents, then offsets), reports the
+    first context's draw as rejected and, where its range has two values or
+    more, changes its value to another in range, so a batch that used the
+    flagged value would differ from the loop."""
     lemire = agents._lemire
 
     def spy(u, n):
         values, rejected = lemire(u, n)
         decoded.append(len(u))
         if len(decoded) == [None, "document", "offset"].index(flagged) and len(u):
-            k = len(u) // 2
-            rejected[k] = True
-            values[k] = values[k] == 0  # 0 <-> nonzero; every range decoded has >= 2 values
+            rejected[0] = True
+            if np.broadcast_to(n, len(u))[0] > 1:
+                values[0] = values[0] == 0  # 0 <-> nonzero
         return values, rejected
 
     return spy
+
+
+class CountingGenerator:
+    """A generator's ``integers`` and ``bit_generator``, counting the draws taken one at a time."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.bit_generator = rng.bit_generator
+        self.rng = rng
+        self.scalar_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.scalar_calls += kwargs.get("size") is None
+        return self.rng.integers(*args, **kwargs)
 
 
 class TestBatchStep:
@@ -447,6 +462,8 @@ class TestBatchStep:
     )
     @example([12], 10, 40, 1, False, np.random.PCG64, None)  # one eligible document
     @example([10, 14, 30], 10, 40, 2, True, np.random.PCG64, None)  # one of exactly L
+    @example([10], 10, 40, 8, True, np.random.MT19937, None)  # one of exactly L, and no other
+    @example([10, 14, 30], 10, 40, 9, True, np.random.SFC64, "offset")  # one of exactly L, a rejected draw
     @example([9, 14, 30], 3, 40, 3, True, np.random.SFC64, "offset")  # L = 3: Floyd draws nothing first
     @example([9, 14, 30], 4, 1, 4, True, np.random.Philox, "document")
     @example([9, 14, 30], 10, 100, 5, False, np.random.MT19937, "offset")
@@ -460,19 +477,21 @@ class TestBatchStep:
         want = [(ctx.tokens, *agents._cuts(length, reference)) for ctx in contexts]
         decoded = []
         with mock.patch.object(agents, "_lemire", lemire_spy(flagged, decoded)):
-            got = agents._step_cuts(docs, length, per_step, rng)
+            got = agents._step_cuts(agents._eligible(docs.token_lists, length), length, per_step, rng)
         assert plain(got) == plain(want)
         assert bit_state(rng) == bit_state(reference)
-        # Only a range of one value skips the batch decode.
-        eligible = [n for n in lengths if n >= length]
-        assert decoded == ([per_step, per_step] if len(eligible) > 1 and min(eligible) > length else [])
+        # Every step is decoded in one batch, ranges of one value included:
+        # the 2n values a step can take as documents, then its n offsets.
+        assert decoded == [2 * per_step, per_step]
 
         # The contexts, their order, the cuts and the surfaces of a whole
         # build equal the loop's.
         def surfaces(samples):
             return [[(t.x.source, t.y.source, t.z.source) for t in s.triplets] for s in samples]
 
-        built = build_step_samples("random", docs, 3, per_step, seeded(bitgen, seed, half_used), length, GRAM_SET)
+        built = build_step_samples(
+            "random", docs.token_lists, 3, per_step, seeded(bitgen, seed, half_used), length, GRAM_SET
+        )
         reference = [
             [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, length, per_step, step_rng)]
             for step_rng in seeded(bitgen, seed, half_used).spawn(3)
@@ -501,11 +520,23 @@ class TestBatchStep:
         docs = TestBuildStepSamples().make_corpus()
         decoded = []
         monkeypatch.setattr(agents, "_lemire", lemire_spy(flagged, decoded))
-        samples = build_step_samples("random", docs, 1, 50, np.random.default_rng(9), 10, GRAM_SET)
-        assert decoded == [50, 50]
+        (sample,) = build_step_samples("random", docs.token_lists, 1, 50, np.random.default_rng(9), 10, GRAM_SET)
+        assert decoded == [100, 50]
         (step_rng,) = np.random.default_rng(9).spawn(1)
         want = [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, 10, 50, step_rng)]
-        assert [(t.x.source, t.y.source, t.z.source) for t in samples[0].triplets] == want
+        assert [(t.x.source, t.y.source, t.z.source) for t in sample.triplets] == want
+
+    @pytest.mark.parametrize("lengths", [[40], [10, 40, 60]], ids=["one-document", "one-of-exactly-L"])
+    def test_one_value_ranges_take_no_draw_one_at_a_time(self, lengths):
+        # A range of one value, for which numpy takes no draw, keeps the step
+        # on the batch decode: no document or offset is drawn alone.
+        docs = token_corpus(lengths)
+        rng, reference = CountingGenerator(np.random.default_rng(3)), np.random.default_rng(3)
+        got = agents._step_cuts(agents._eligible(docs.token_lists, 10), 10, 100, rng)
+        want = [(ctx.tokens, *agents._cuts(10, reference)) for ctx in sample_contexts(docs, 10, 100, reference)]
+        assert plain(got) == plain(want)
+        assert bit_state(rng.rng) == bit_state(reference)
+        assert rng.scalar_calls == 0
 
 
 class TestBuildStepSamples:
@@ -514,17 +545,17 @@ class TestBuildStepSamples:
         return docs
 
     def test_random_agent_counts(self):
-        samples = build_step_samples(
-            "random", self.make_corpus(), k_max=5, per_step=7,
+        samples = list(build_step_samples(
+            "random", self.make_corpus().token_lists, k_max=5, per_step=7,
             rng=np.random.default_rng(0), context_length=10, gram_set=GRAM_SET,
-        )
+        ))
         assert len(samples) == 5
         assert all(len(s.triplets) == 7 for s in samples)
         assert [s.k for s in samples] == [1, 2, 3, 4, 5]
 
     def test_singleton_steps(self):
         samples = build_step_samples(
-            "random", self.make_corpus(), k_max=3, per_step=1,
+            "random", self.make_corpus().token_lists, k_max=3, per_step=1,
             rng=np.random.default_rng(0), context_length=10, gram_set=GRAM_SET,
         )
         assert all(len(s.triplets) == 1 for s in samples)
@@ -535,7 +566,7 @@ class TestBuildStepSamples:
             for i in range(50):
                 fh.write(json.dumps({"x": f"s{i}", "y": f"v{i}", "z": f"o{i}"}) + "\n")
         pool = load_triplets(path)
-        samples = build_step_samples("gold_file", pool, 4, 30, np.random.default_rng(8), 10, GRAM_SET)
+        samples = list(build_step_samples("gold_file", pool, 4, 30, np.random.default_rng(8), 10, GRAM_SET))
         assert all(len(s.triplets) == 30 for s in samples)
         # 30 draws from 50 distinct triples repeat one only when drawn with
         # replacement; without, every step would hold 30 distinct triples.
@@ -550,7 +581,7 @@ class TestBuildStepSamples:
         pool = load_triplets(path)
         a = build_step_samples("gold_file", pool, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
         b = build_step_samples("gold_file", pool, 3, 20, np.random.default_rng(5), 10, GRAM_SET)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_extractor_mines_corpus_sentences(self):
         docs = DocumentCollection(
@@ -565,28 +596,38 @@ class TestBuildStepSamples:
         assert ("the cat", "is", "on the mat.") in surfaces
 
     def test_one_gram_set_per_distinct_text(self):
-        # Each distinct segment text of the returned samples is built once per
-        # call, by the given index, and every triplet holding it shares it.
+        # Each distinct segment text is built once, by the given index, in one
+        # call per step, and every triplet holding it shares it: within its
+        # step for a random agent, whose texts never stop being new, and
+        # across the steps for a pool agent, whose texts are the pool's.
         class RecordingIndex(GramIndex):
-            """Records the text of every set it builds."""
+            """Records the texts of every ``segments`` call."""
 
             def segments(self, texts, tokens):
-                calls.extend(texts)
+                calls.append(list(texts))
                 return super().segments(texts, tokens)
 
         gram_set = RecordingIndex(*EstimatorConfig(n_max=4, include_space=False).gram_index().settings)
         docs, gold = synth_corpus(400, np.random.default_rng(11))
         mined = resolve_pool(AgentSpec(kind="extractor"), docs)
-        for kind, source in [("random", docs), ("extractor", mined), ("gold_file", gold)]:
+        for kind, source in [("random", docs.token_lists), ("extractor", mined), ("gold_file", gold)]:
             calls = []
-            samples = build_step_samples(kind, source, 3, 40, np.random.default_rng(6), 10, gram_set)
-            sets = [s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)]
-            assert len(calls) == len(set(calls))
-            assert set(calls) == {s.source for s in sets}
-            shared = {}
-            for s in sets:
-                assert s == ngram_set(s.source, 1, 4, False) and s.index is gram_set
-                assert shared.setdefault(s.source, s) is s
+            steps = [
+                [s for t in sample.triplets for s in (t.x, t.y, t.z)]
+                for sample in build_step_samples(kind, source, 3, 40, np.random.default_rng(6), 10, gram_set)
+            ]
+            assert len(calls) == len(steps)
+            scopes = steps if kind == "random" else [[s for sets in steps for s in sets]]
+            built = calls if kind == "random" else [[text for texts in calls for text in texts]]
+            for sets, texts in zip(scopes, built, strict=True):
+                assert len(texts) == len(set(texts))
+                assert set(texts) == {s.source for s in sets}
+                shared = {}
+                for s in sets:
+                    assert s == ngram_set(s.source, 1, 4, False) and s.index is gram_set
+                    assert shared.setdefault(s.source, s) is s
+            if kind == "random":
+                assert set(calls[0]) & set(calls[1])  # a text that recurs is built again
 
     @pytest.mark.parametrize("include_space", [True, False])
     def test_pool_texts_with_runs_of_spaces_and_tabs_equal_ngram_set(self, include_space):
@@ -606,7 +647,17 @@ class TestBuildStepSamples:
     def test_random_context_shorter_than_three_rejected(self):
         # Two tokens cannot be cut into three nonempty segments.
         with pytest.raises(ContextTooShort):
-            build_step_samples("random", self.make_corpus(), 1, 5, np.random.default_rng(0), 2, GRAM_SET)
+            build_step_samples("random", self.make_corpus().token_lists, 1, 5, np.random.default_rng(0), 2, GRAM_SET)
+
+    @pytest.mark.parametrize(
+        "kind,source,length,error",
+        [("random", [["a", "b", "c"]], 4, CorpusTooSmall), ("gold_file", [], 10, ValueError)],
+        ids=["corpus-too-small", "empty-pool"],
+    )
+    def test_bad_source_raises_at_the_call(self, kind, source, length, error):
+        # Before the first sample is asked for, as a context too short does.
+        with pytest.raises(error):
+            build_step_samples(kind, source, 1, 5, np.random.default_rng(0), length, GRAM_SET)
 
     def test_bad_agent_kind_rejected(self):
         with pytest.raises(ValueError):

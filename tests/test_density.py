@@ -599,7 +599,7 @@ class TestStepCapacities:
         calls = self.scans(monkeypatch)
         docs, _ = synth_corpus(300, np.random.default_rng(3))
         samples = build_step_samples(
-            "random", docs, k_max=2, per_step=40, rng=np.random.default_rng(4),
+            "random", docs.token_lists, k_max=2, per_step=40, rng=np.random.default_rng(4),
             context_length=10, gram_set=CONCAT.gram_index(),
         )
         reach = CONCAT.n_max - 1
@@ -664,7 +664,7 @@ class TestRowKeys:
         docs, gold = synth_corpus(300, np.random.default_rng(3))
         index = cfg.gram_index()
         samples = [
-            *build_step_samples("random", docs, 2, 40, np.random.default_rng(4), 10, index),
+            *build_step_samples("random", docs.token_lists, 2, 40, np.random.default_rng(4), 10, index),
             *build_step_samples("gold_file", gold, 1, 40, np.random.default_rng(5), 10, index),
         ]
         _step_capacities.cache_clear()
@@ -772,7 +772,7 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
     # (24 n^2), plus 1 MB for its id arrays, n-vectors and Python objects.
     docs, _ = synth_corpus(2000, np.random.default_rng(5))
     (sample,) = build_step_samples(
-        "random", docs, k_max=1, per_step=800, rng=np.random.default_rng(9),
+        "random", docs.token_lists, k_max=1, per_step=800, rng=np.random.default_rng(9),
         context_length=10, gram_set=UNION.gram_index(),
     )
     triplets = sample.triplets
@@ -837,11 +837,11 @@ class TestScratch:
     def steps(index: GramIndex, per_step: int = 40) -> dict[str, tuple[Triplet, ...]]:
         docs, gold = synth_corpus(400, np.random.default_rng(5))
         return {
-            label: build_step_samples(
+            label: next(build_step_samples(
                 kind, source, k_max=1, per_step=per_step, rng=np.random.default_rng(9),
                 context_length=10, gram_set=index,
-            )[0].triplets
-            for label, kind, source in [("random", "random", docs), ("pool", "gold_file", gold)]
+            )).triplets
+            for label, kind, source in [("random", "random", docs.token_lists), ("pool", "gold_file", gold)]
         }
 
     @staticmethod
@@ -894,11 +894,11 @@ def pinned_steps() -> dict[str, tuple[Triplet, ...]]:
     """One random-agent step and one pool step of 30 triplets each."""
     docs, gold = synth_corpus(400, np.random.default_rng(5))
     return {
-        label: build_step_samples(
+        label: next(build_step_samples(
             kind, source, k_max=1, per_step=30, rng=np.random.default_rng(9),
             context_length=10, gram_set=UNION.gram_index(),
-        )[0].triplets
-        for label, kind, source in [("random", "random", docs), ("pool", "gold_file", gold)]
+        )).triplets
+        for label, kind, source in [("random", "random", docs.token_lists), ("pool", "gold_file", gold)]
     }
 
 

@@ -95,18 +95,23 @@ class TestGramIndex:
 
     @settings(deadline=None, max_examples=200)
     @given(
-        st.lists(st.text(alphabet="ab.", min_size=1, max_size=4), min_size=1, max_size=9),
+        st.lists(st.text(alphabet="ab.", max_size=4), min_size=1, max_size=9),
         st.lists(st.tuples(st.integers(0, 8), st.integers(1, 9)), min_size=1, max_size=6),
         st.sampled_from([(a, b) for b in range(1, 6) for a in range(1, b + 1)]),
         st.booleans(),
     )
     @example(["a", "b", "ab", "a", "bab"], [(0, 5), (1, 4), (3, 5)], (1, 5), True)  # 1-character tokens
     @example(["ab", "a", "b", "a"], [(2, 4), (0, 2)], (2, 4), True)
+    @example(["ab", "", "a", "", "", "b"], [(0, 6), (1, 5), (2, 6), (3, 6)], (1, 4), True)  # empty pieces
+    @example(["ab", "a", "b"], [(1, 3), (0, 3)], (1, 3), True)  # one short piece, first and after another
     def test_segments_equal_ngram_set(self, tokens, bounds, lengths, include_space):
         # Segments of one context, starting at its first token or mid-way,
         # built twice through one index, so the second pass meets memoized
-        # tokens, pair-keyed windows and tail-keyed windows.
-        segments = [tokens[start:end] for start, end in bounds if start < end <= len(tokens)]
+        # tokens, pair-keyed windows and windows cut from the pieces before
+        # a short one.  An empty token stands for a doubled space.
+        segments = [
+            tokens[start:end] for start, end in bounds if start < end <= len(tokens) and " ".join(tokens[start:end])
+        ]
         n_min, n_max = lengths
         index = GramIndex(n_min, n_max, include_space)
         for batch in (segments, segments[::-1]):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 from dataclasses import replace
 from statistics import fmean
@@ -41,11 +42,22 @@ def rebuilt_samples(cfg: RunConfig, gram_set) -> dict:
     _, *agent_rngs = np.random.default_rng(cfg.seed).spawn(1 + len(cfg.agents))
     return {
         spec.name: build_step_samples(
-            spec.kind, pools.get(spec.name, docs),
+            spec.kind, pools.get(spec.name, docs.token_lists),
             cfg.k_max, cfg.per_step, agent_rng, cfg.context_length, gram_set,
         )
         for spec, agent_rng in zip(cfg.agents, agent_rngs)
     }
+
+
+def yielding(record):
+    """``build_step_samples`` that calls ``record(sample)`` on each sample before yielding it."""
+
+    def build(*args, **kw):
+        for sample in build_step_samples(*args, **kw):
+            record(sample)
+            yield sample
+
+    return build
 
 
 def small_config(**overrides) -> RunConfig:
@@ -326,14 +338,54 @@ class TestRunSimulation:
 
         def recording(*args, **kw):
             alive_at_entry.append([ref() is not None for ref in built])
-            samples = build_step_samples(*args, **kw)
-            built.extend(map(weakref.ref, samples))
-            return samples
+            return yielding(lambda sample: built.append(weakref.ref(sample)))(*args, **kw)
 
         monkeypatch.setattr(trajectory, "build_step_samples", recording)
         with collector_disabled():
             run_simulation(small_config(k_max=2, window=2))
         assert alive_at_entry == [[], [False, False]]
+
+    def test_a_step_is_dead_once_the_next_two_are_built(self, monkeypatch):
+        # Each sample is measured as it is built and dropped before the next
+        # is built, so when step k + 2 is built neither step k nor the array
+        # its gram ids were sliced from (a random step's own) is alive.
+        built = []
+
+        def record(sample):
+            alive = [(ref() is not None, ids() is not None) for ref, ids in built[:-1]]
+            built.append((weakref.ref(sample), weakref.ref(sample.triplets[0].x.ids.base)))
+            seen.append(alive)
+
+        seen = []
+        monkeypatch.setattr(trajectory, "build_step_samples", yielding(record))
+        with collector_disabled():
+            run_simulation(small_config(k_max=5, window=2, agents=(AgentSpec(kind="random"),)))
+        assert seen == [[(False, False)] * max(k - 1, 0) for k in range(5)]
+
+    def test_steps_memory_does_not_grow_with_k_max(self, monkeypatch):
+        # The run's traced peak, counted from the moment its inputs are read,
+        # stays within one bound at 10 and at 40 steps: one step's sample,
+        # the index's memos and scratch, and the records, about 0.7 MB.  A
+        # run holding every sample at once took 0.9 MB at 10 steps and
+        # 1.8 MB at 40.  A first run fills the process's caches.
+        resolve = trajectory.resolve_inputs
+
+        def resolved(cfg):
+            inputs = resolve(cfg)
+            tracemalloc.reset_peak()
+            return inputs
+
+        monkeypatch.setattr(trajectory, "resolve_inputs", resolved)
+        run_simulation(small_config(k_max=2, per_step=30))
+        peaks = {}
+        for k_max in (10, 40):
+            tracemalloc.start()
+            try:
+                run_simulation(small_config(k_max=k_max, per_step=30))
+                _, peaks[k_max] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 2**20, peaks
 
     def test_a_finished_run_frees_its_step_scratch_at_once(self, monkeypatch):
         # The step buffers are freed at the return by reference counting
@@ -363,8 +415,7 @@ class TestRunSimulation:
         monkeypatch.setattr(
             trajectory,
             "build_step_samples",
-            lambda *args, **kw: built.append((kw["gram_set"], build_step_samples(*args, **kw)))
-            or built[-1][1],
+            lambda *args, **kw: built.append((kw["gram_set"], [])) or yielding(built[-1][1].append)(*args, **kw),
         )
         est = EstimatorConfig(n_min=2, n_max=4, include_space=False)
         cfg = small_config(k_max=2, window=2, estimator=est)
@@ -374,7 +425,7 @@ class TestRunSimulation:
         assert index.settings == (2, 4, False)
         assert len(built) == len(cfg.agents)
         for gram_set, samples in built:
-            assert gram_set is index
+            assert gram_set is index and len(samples) == cfg.k_max
             for s in (s for sample in samples for t in sample.triplets for s in (t.x, t.y, t.z)):
                 assert s.index is index
                 assert s == ngram_set(s.source, 2, 4, False)
