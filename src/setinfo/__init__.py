@@ -23,7 +23,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 from .agents import (  # noqa: E402 - the thread pin must precede numpy's import
     AgentSpec,
     ContextTooShort,
-    MalformedLine,
     StepSample,
     SynthGrammar,
     Triplet,
@@ -36,13 +35,12 @@ from .agents import (  # noqa: E402 - the thread pin must precede numpy's import
     synth_corpus,
     write_triplets,
 )
-from .config import ConfigInvalid, load_config, parse_config_text
+from .config import ConfigInvalid, MalformedLine, load_config, parse_config_text
 from .corpus import (
     Context,
     CorpusTooSmall,
     Document,
     DocumentCollection,
-    MalformedManifest,
     load_documents,
     normalize_text,
     sample_contexts,

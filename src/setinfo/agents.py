@@ -12,7 +12,6 @@ self-contained corpus whose structured triples are known exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config import ConfigInvalid, require_file
+from .config import ConfigInvalid, MalformedLine, read_jsonl, require_file, write_jsonl
 from .corpus import (
     Context,
     CorpusTooSmall,
@@ -36,16 +35,9 @@ class ContextTooShort(ValueError):
     """A context has too few tokens to cut into three nonempty segments."""
 
 
-class MalformedLine(ValueError):
-    """A gold-triple line could not be turned into a triplet."""
-
-    def __init__(self, message: str, line_no: int) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 AGENT_KINDS = ("random", "extractor", "gold_file")
 SENTENCES_PER_DOC = 50  # synthetic corpus: sentences packed into one document
+_PREFERRED_SIZE = 4  # built-in grammar: objects in each verb's preferred subset
 
 _DATA_DIR = Path(__file__).parent / "data"
 DEFAULT_LEXICON_PATH = _DATA_DIR / "verb_lexicon.txt"
@@ -153,39 +145,21 @@ def load_triplets(path: str | Path) -> list[Surfaces]:
     """Read gold triples from JSONL ({"x","y","z"} strings per line).
 
     Surfaces are normalized; a line whose fields are missing, non-string,
-    or empty after normalization is rejected with its line number.
+    or empty after normalization raises MalformedLine.
     """
     triplets: list[Surfaces] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise MalformedLine("line is not a JSON object", line_no)
-            surfaces = []
-            for fieldname in ("x", "y", "z"):
-                value = obj.get(fieldname)
-                if not isinstance(value, str):
-                    raise MalformedLine(f"missing or non-string {fieldname!r} field", line_no)
-                text = normalize_text(value)
-                if not text:
-                    raise MalformedLine(f"empty {fieldname!r} field", line_no)
-                surfaces.append(text)
-            triplets.append(tuple(surfaces))
+    for line_no, obj in read_jsonl(path, ("x", "y", "z")):
+        surfaces = tuple(normalize_text(obj[name]) for name in "xyz")
+        for name, text in zip("xyz", surfaces):
+            if not text:
+                raise MalformedLine(path, line_no, f"empty {name!r} field")
+        triplets.append(surfaces)
     return triplets
 
 
 def write_triplets(triplets: Iterable[Surfaces], path: str | Path) -> None:
     """Write surface triples as JSONL, the same shape load_triplets reads."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
-        for x, y, z in triplets:
-            fh.write(json.dumps({"x": x, "y": y, "z": z}, sort_keys=True) + "\n")
+    write_jsonl((dict(zip("xyz", t)) for t in triplets), path)
 
 
 @dataclass(frozen=True)
@@ -239,14 +213,14 @@ _OBJECTS = (
 )
 
 
-def default_grammar(p_pref: float = SynthGrammar.p_pref, preferred_size: int = 4) -> SynthGrammar:
+def default_grammar(p_pref: float = SynthGrammar.p_pref) -> SynthGrammar:
     """Built-in pools; preferred subsets tile the object pool round-robin so
     the marginal object distribution stays uniform."""
     preferred: dict[str, tuple[str, ...]] = {}
     n_obj = len(_OBJECTS)
     for i, verb in enumerate(_VERBS):
-        start = (i * preferred_size) % n_obj
-        subset = tuple(_OBJECTS[(start + j) % n_obj] for j in range(preferred_size))
+        start = (i * _PREFERRED_SIZE) % n_obj
+        subset = tuple(_OBJECTS[(start + j) % n_obj] for j in range(_PREFERRED_SIZE))
         preferred[verb] = subset
     return SynthGrammar(
         subjects=_SUBJECTS,

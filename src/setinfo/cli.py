@@ -169,8 +169,8 @@ _HANDLERS = {
     "check": cmd_check,
 }
 
-# ValueError covers ConfigInvalid, MalformedManifest, MalformedLine,
-# CorpusTooSmall and EmptySelection.
+# ValueError covers ConfigInvalid, MalformedLine, CorpusTooSmall and
+# EmptySelection.
 _VALIDATION_ERRORS = (ValueError, FileNotFoundError)
 
 

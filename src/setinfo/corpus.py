@@ -9,25 +9,18 @@ collection, so one loaded collection can feed any number of runs.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .config import MalformedLine, read_jsonl, write_jsonl
+
 
 class CorpusTooSmall(ValueError):
     """No document is long enough to supply a context window."""
-
-
-class MalformedManifest(ValueError):
-    """A manifest line could not be turned into a document."""
-
-    def __init__(self, message: str, line_no: int) -> None:
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 _WHITESPACE = re.compile(r"\s+")
@@ -154,29 +147,11 @@ def sample_contexts(
 
 def _load_manifest(path: Path, strip_headers: bool) -> list[Document]:
     documents: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedManifest(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise MalformedManifest("line is not a JSON object", line_no)
-            for field in ("id", "text"):
-                if field not in obj or not isinstance(obj[field], str):
-                    raise MalformedManifest(f"missing or non-string {field!r} field", line_no)
-            text = normalize_text(obj["text"], strip_headers)
-            if not text:
-                raise MalformedManifest("text is empty after normalization", line_no)
-            documents.append(
-                Document(
-                    id=obj["id"],
-                    text=text,
-                    source_label=str(obj.get("source_label", "")),
-                )
-            )
+    for line_no, obj in read_jsonl(path, ("id", "text"), optional=("source_label",)):
+        text = normalize_text(obj["text"], strip_headers)
+        if not text:
+            raise MalformedLine(path, line_no, "text is empty after normalization")
+        documents.append(Document(id=obj["id"], text=text, source_label=obj.get("source_label", "")))
     return documents
 
 
@@ -216,17 +191,7 @@ def load_documents(
 
 def write_manifest(docs: DocumentCollection, path: str | Path) -> None:
     """Write a collection back out as a JSONL manifest (one doc per line)."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            fh.write(
-                json.dumps(
-                    {"id": doc.id, "text": doc.text, "source_label": doc.source_label},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(map(asdict, docs), path)
 
 
 def iter_sentences(docs: DocumentCollection) -> Iterator[str]:

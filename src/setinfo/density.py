@@ -57,7 +57,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .ngrams import GramIndex, LingSet, hamming, join
+from .ngrams import GramIndex, LingSet, hamming, join, ngram_set
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import Triplet
@@ -197,17 +197,18 @@ def _scratch(index: GramIndex) -> Scratch:
 
 def _set_rows(
     families: Iterable[Iterable[LingSet]], index: GramIndex, scratch: Scratch
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], list[LingSet]]:
     """One boolean row per distinct set of ``families``, and each family's row numbers.
 
     A set that ``index`` built is told apart by identity and brings its
     ids, so no gram string is read; every other set is told apart by its
-    grams, which are numbered in one ``index.number`` call.  Two sets with
-    equal grams may thus get two equal rows.  The rows are ``scratch``'s.
+    grams, which are numbered in one ``index.number`` call, and returned
+    third, one per distinct gram set.  Two sets with equal grams may thus
+    get two equal rows.  The rows are ``scratch``'s.
     """
     rows: dict[object, int] = {}
     ids: list[np.ndarray | None] = []
-    unnumbered: list[tuple[int, frozenset[str]]] = []
+    unnumbered: list[tuple[int, LingSet]] = []
     numbers = []
     for sets in families:
         out = []
@@ -219,15 +220,15 @@ def _set_rows(
                 row = rows[key] = len(ids)
                 ids.append(s.ids if own else None)
                 if not own:
-                    unnumbered.append((row, key))
+                    unnumbered.append((row, s))
             out.append(row)
         numbers.append(np.array(out, dtype=np.intp))
     if unnumbered:
-        flat = index.number(chain.from_iterable(grams for _, grams in unnumbered))
+        flat = index.number(chain.from_iterable(s.grams for _, s in unnumbered))
         start = 0
-        for row, grams in unnumbered:
-            ids[row] = flat[start : (start := start + len(grams))]
-    return _indicator_rows(ids, scratch), numbers
+        for row, s in unnumbered:
+            ids[row] = flat[start : (start := start + len(s.grams))]
+    return _indicator_rows(ids, scratch), numbers, [s for _, s in unnumbered]
 
 
 def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch) -> np.ndarray:
@@ -343,7 +344,7 @@ def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarra
     """Resubstitution capacity of every member within its own sample."""
     index = _index_for(sets[0], cfg)
     scratch = _scratch(index)
-    table, (rows,) = _set_rows([sets], index, scratch)
+    table, (rows,), _ = _set_rows([sets], index, scratch)
     return _family_capacities(rows, table, [rows], cfg.bandwidth, scratch)[0]
 
 
@@ -495,8 +496,9 @@ def _step_capacities(
     its sets and cuts its windows by the same code.  That concat identity
     holds only when every gram set was built from its source under
     ``cfg``'s n-gram settings, as ``run_simulation`` builds every set of a
-    run; ``join`` makes no such assumption and is the oracle.  Union mode
-    has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
+    run; ``join`` makes no such assumption and is the oracle, so in concat
+    mode every set that ``_set_rows`` numbers by its grams is checked.
+    Union mode has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
 
     Each family keys its members by their parts' row numbers (xy+z and
     xz+y by xy's or xz's distinct-member number and the rest), mixed-radix
@@ -537,7 +539,16 @@ def _step_capacities(
         ):
             families.append(list(map(index.window, tails, heads)))
     scratch = _scratch(index)
-    table, (ix, iy, iz, *seams) = _set_rows(families, index, scratch)
+    table, (ix, iy, iz, *seams), numbered = _set_rows(families, index, scratch)
+    if cfg.joint_mode == "concat":
+        n_min, n_max, include_space = index.settings
+        for s in numbered:
+            built = ngram_set(s.source, n_min, n_max, include_space).grams if s.source else frozenset()
+            if s.grams != built:
+                raise ValueError(
+                    f"a concat join re-extracts grams from the sources, but the set of {s.source!r} is not "
+                    f"its set under n_min={n_min}, n_max={n_max}, include_space={include_space}"
+                )
     # Each seam is a list of zero (union, or no spaces) or one row-number array.
     s_xy, s_yz, s_xz, s_xy_z, s_xz_y = ([s] for s in seams) if seams else ([],) * 5
     radix = max(len(table), len(triplets))

@@ -20,6 +20,7 @@ _PALETTE = (
     "#d4870f", "#16848c", "#a6325b", "#556b2f",
 )
 
+_WIDTH, _HEIGHT = 900, 480  # the figure's size in pixels
 _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 180
 _MARGIN_TOP = 40
@@ -52,8 +53,6 @@ def write_svg(
     results: Mapping[str, Mapping[str, Sequence[float]]],
     series: Sequence[str] | str,
     path: str | Path,
-    width: int = 900,
-    height: int = 480,
     title: str = "",
 ) -> None:
     """Render the selected series of every agent into one SVG.
@@ -87,8 +86,8 @@ def write_svg(
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def sx(i: int) -> float:
         frac = i / (x_max - 1) if x_max > 1 else 0.5
@@ -99,13 +98,13 @@ def write_svg(
         return _MARGIN_TOP + (1.0 - frac) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
             f'font-size="15">{_esc(title)}</text>'
         )
 
@@ -128,7 +127,7 @@ def write_svg(
             f'<text x="{x0 - 8}" y="{ty + 4:.1f}" text-anchor="end">{tick:.3g}</text>'
         )
     parts.append(
-        f'<text x="{x0 + plot_w / 2:.1f}" y="{height - 14}" text-anchor="middle">step k</text>'
+        f'<text x="{x0 + plot_w / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle">step k</text>'
     )
     parts.append(
         f'<text x="20" y="{_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '

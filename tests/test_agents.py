@@ -137,12 +137,14 @@ class TestLoadTriplets:
         with pytest.raises(MalformedLine) as err:
             load_triplets(path)
         assert err.value.line_no == 2
+        assert str(err.value) == f"{path}: line 2: empty 'y' field"
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "gold.jsonl"
         path.write_text(json.dumps({"x": "a", "z": "c"}) + "\n")
-        with pytest.raises(MalformedLine):
+        with pytest.raises(MalformedLine) as err:
             load_triplets(path)
+        assert str(err.value) == f"{path}: line 1: missing or non-string 'y' field"
 
     def test_empty_file_gives_empty_list(self, tmp_path):
         path = tmp_path / "gold.jsonl"

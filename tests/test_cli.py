@@ -77,6 +77,19 @@ class TestGenSynthetic:
             tmp_path / "b" / "gold.jsonl"
         ).read_bytes()
 
+    def test_bytes_pinned(self, tmp_path):
+        # SHA-256 of both files at seed 42, recorded before their two
+        # writers became one: any change to a written byte shows here.
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        out = tmp_path / "data"
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(out), "--seed", "42"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("corpus.jsonl", "gold.jsonl")}
+        assert digests == {
+            "corpus.jsonl": "05493d6e984441e28119da1e5a22876ecdabc56d44167d8630370e45b7d09d72",
+            "gold.jsonl": "96c186152f41a9a4c1e6501155faf800ef98bbc18ad4a3811ccfec545beb82bf",
+        }
+
     def test_written_corpus_loads_back_to_the_run_tokens(self, tmp_path):
         # With the built-in grammar and with a grammar file in mixed case and
         # doubled spaces, whose phrases are normalized as a gold file's are:
@@ -222,6 +235,32 @@ class TestSimulate:
         capsys.readouterr()
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert f"setinfo simulate: {extra.split(' =')[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name,line,cause",
+        [
+            ("gold.jsonl", '{"x": "a", "y": " ", "z": "c"}', "empty 'y' field"),
+            ("corpus.jsonl", "not json", "invalid JSON (Expecting value)"),
+            ("corpus.jsonl", '{"id": "d", "text": "t", "source_label": null}', "non-string 'source_label' field"),
+        ],
+        ids=["gold", "manifest", "manifest-label"],
+    )
+    def test_malformed_input_line_named_by_its_file(self, tmp_path, capsys, name, line, cause):
+        # The files gen-synthetic writes, read back by a run with line 2 of one replaced.
+        cfg, data = tmp_path / "run.cfg", tmp_path / "data"
+        write_run_config(cfg)
+        assert cli(["gen-synthetic", "--config", str(cfg), "--out", str(data)]) == 0
+        bad = data / name
+        lines = bad.read_text(encoding="utf-8").splitlines()
+        lines[1] = line
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_run_config(
+            cfg, corpus=data / "corpus.jsonl", extra=f"agent.structured.path = {data / 'gold.jsonl'}"
+        )
+        capsys.readouterr()
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"setinfo simulate: {bad}: line 2: {cause}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", ["run.kmax = 5", "agent.ghost.kind = random"])

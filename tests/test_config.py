@@ -11,7 +11,17 @@ import pytest
 
 from setinfo import CSV_HEADER, AgentSpec, ConfigInvalid, EstimatorConfig, RunConfig, parse_config_text
 from setinfo.cli import _build_parser
-from setinfo.config import as_bool, as_float, as_int, as_list, as_phrases, load_config
+from setinfo.config import (
+    MalformedLine,
+    as_bool,
+    as_float,
+    as_int,
+    as_list,
+    as_phrases,
+    load_config,
+    read_jsonl,
+    write_jsonl,
+)
 from setinfo.trajectory import AGENT_KEYS, CONFIG_SCHEMA, grammar_from_file
 
 REPO = Path(__file__).resolve().parents[1]
@@ -54,6 +64,35 @@ class TestAccessors:
     def test_lists(self):
         assert as_list("a, b , c") == ["a", "b", "c"]
         assert as_phrases("the cat | a dog") == ["the cat", "a dog"]
+
+
+class TestJsonl:
+    def test_written_lines_read_back(self, tmp_path):
+        path = tmp_path / "made" / "records.jsonl"
+        write_jsonl([{"b": "\u00e9", "a": "1"}, {"a": "2"}], path)
+        assert path.read_bytes() == b'{"a": "1", "b": "\\u00e9"}\n{"a": "2"}\n'
+        records = list(read_jsonl(path, ("a",), optional=("b",)))
+        assert records == [(1, {"a": "1", "b": "\u00e9"}), (2, {"a": "2"})]
+
+    @pytest.mark.parametrize(
+        "line,cause",
+        [
+            (b'{"a": ', "invalid JSON (Expecting value)"),
+            (b'{"a": "caf\xe9"}', "invalid UTF-8 (invalid continuation byte)"),
+            (b'["a"]', "line is not a JSON object"),
+            (b'{"a": 1}', "missing or non-string 'a' field"),
+            (b'{"b": "x"}', "missing or non-string 'a' field"),
+            (b'{"a": "x", "b": null}', "non-string 'b' field"),
+        ],
+        ids=["json", "utf-8", "not-object", "non-string", "missing", "optional-null"],
+    )
+    def test_malformed_line_named_by_its_file_and_number(self, tmp_path, line, cause):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"a": "ok"}\n\n  \n' + line + b"\n")  # blank lines count
+        with pytest.raises(MalformedLine) as err:
+            list(read_jsonl(path, ("a",), optional=("b",)))
+        assert (err.value.path, err.value.line_no) == (path, 4)
+        assert str(err.value) == f"{path}: line 4: {cause}"
 
 
 def _load(name: str) -> dict[str, str]:

@@ -11,7 +11,7 @@ from setinfo import (
     CorpusTooSmall,
     Document,
     DocumentCollection,
-    MalformedManifest,
+    MalformedLine,
     load_documents,
     normalize_text,
     sample_contexts,
@@ -166,16 +166,32 @@ class TestLoadDocuments:
             + json.dumps({"id": "broken"})
             + "\n"
         )
-        with pytest.raises(MalformedManifest) as err:
+        with pytest.raises(MalformedLine) as err:
             load_documents(path)
         assert err.value.line_no == 2
+        assert str(err.value) == f"{path}: line 2: missing or non-string 'text' field"
 
     def test_manifest_invalid_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"id": "a", "text": "x"}\nnot json\n')
-        with pytest.raises(MalformedManifest) as err:
+        with pytest.raises(MalformedLine) as err:
             load_documents(path)
         assert err.value.line_no == 2
+        assert str(err.value) == f"{path}: line 2: invalid JSON (Expecting value)"
+
+    @pytest.mark.parametrize("label", [None, 3, ["g"]], ids=["null", "number", "list"])
+    def test_manifest_non_string_source_label(self, tmp_path, label):
+        # Absent, a label is ""; present, it must be a string, or a null
+        # would have become the label "None".
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps({"id": "a", "text": "x"}) + "\n")
+        assert [d.source_label for d in load_documents(path)] == [""]
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"id": "b", "text": "y", "source_label": label}) + "\n")
+        with pytest.raises(MalformedLine) as err:
+            load_documents(path, groups=["None"])
+        assert (err.value.path, err.value.line_no) == (path, 2)
+        assert str(err.value) == f"{path}: line 2: non-string 'source_label' field"
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +540,25 @@ class TestStepCapacities:
         self.assert_equals_join_built(build(texts, index, plain), cfg)
         self.assert_equals_join_built(build(more_texts, plain, index), cfg)
 
+    def test_concat_rejects_sets_not_built_under_its_settings(self):
+        # Sets of n_max = 4 with spaces, under concat configs of other
+        # settings: a step joins them from their grams and seam windows cut
+        # under the config's settings, and its i_xy drifted 3.6% from
+        # ``mutual_information``, which joins them from their sources.
+        texts = [
+            ("on sat", "mat a", "the dog"), ("a", "ran", "sat"), ("sat the", "dog", "cat"), ("on", "sat mat", "on"),
+        ]
+        wide = [Triplet(*(ngram_set(t, 1, 4, True) for t in tt)) for tt in texts]
+        _step_capacities.cache_clear()
+        for cfg in (CONCAT, replace(CONCAT, n_max=4, include_space=False)):
+            settings_ = f"n_min=1, n_max={cfg.n_max}, include_space={cfg.include_space}"
+            with pytest.raises(ValueError, match=rf"the set of 'on sat' is not its set under {settings_}$"):
+                compute_mi_record(1, wide, cfg)
+        pairs = [(t.x, t.y) for t in wide]
+        for cfg in (UNION, replace(CONCAT, n_max=4)):
+            want = mutual_information(pairs, cfg)
+            assert compute_mi_record(1, wide, cfg).i_xy == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize(
         "cfg,distinct",
         [(UNION, [2, 3, 4, 6, 12, 4, 12]), (CONCAT, [2, 3, 4, 6, 12, 4, 12, 12])],
@@ -649,8 +669,8 @@ class TestRowKeys:
         by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
         by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
         assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
-        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
-        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
+        identity_rows, _, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
+        grams_rows, _, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
         assert (len(identity_rows), len(grams_rows)) == (3, 2)
         _step_capacities.cache_clear()
         for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
