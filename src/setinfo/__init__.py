@@ -31,13 +31,11 @@ from .agents import (  # noqa: E402 - the thread pin must precede numpy's import
     heuristic_extract,
     load_triplets,
     load_verb_lexicon,
-    random_split_agent,
     synth_corpus,
     write_triplets,
 )
 from .config import ConfigInvalid, MalformedLine, load_config, parse_config_text
 from .corpus import (
-    Context,
     CorpusTooSmall,
     Document,
     DocumentCollection,

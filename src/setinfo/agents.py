@@ -21,12 +21,13 @@ import numpy as np
 
 from .config import ConfigInvalid, MalformedLine, read_jsonl, require_file, write_jsonl
 from .corpus import (
-    Context,
-    CorpusTooSmall,
     Document,
     DocumentCollection,
+    _eligible,
+    _lemire,
     iter_sentences,
     normalize_text,
+    sample_contexts,
 )
 from .ngrams import GramIndex, LingSet
 
@@ -85,25 +86,6 @@ class AgentSpec:
             )
         if not self.name:
             object.__setattr__(self, "name", self.kind)
-
-
-def random_split_agent(ctx: Context, rng: np.random.Generator) -> Surfaces:
-    """Cut a context at a uniformly chosen pair of indices 1 <= i < j <= L-1.
-
-    All C(L-1, 2) index pairs are equally likely, and each of the three
-    segments is nonempty by construction.
-    """
-    tokens = ctx.tokens
-    i, j = _cuts(len(tokens), rng)
-    return " ".join(tokens[:i]), " ".join(tokens[i:j]), " ".join(tokens[j:])
-
-
-def _cuts(length: int, rng: np.random.Generator) -> tuple[int, int]:
-    """The cut indices ``random_split_agent`` draws for a context of ``length`` tokens."""
-    if length < 3:
-        raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
-    cuts = rng.choice(length - 1, size=2, replace=False) + 1
-    return int(cuts.min()), int(cuts.max())
 
 
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
@@ -290,19 +272,6 @@ def _scalar_triples(n_sentences: int, rng: np.random.Generator, grammar: SynthGr
     return gold
 
 
-def _lemire(u: np.ndarray, n: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode 32-bit draws ``u`` as ``Generator.integers(n)`` does (Lemire's method).
-
-    Returns ``(u * n) >> 32`` and whether each draw is rejected, i.e. its
-    low 32 bits fall below ``(2**32 - n) % n``; the generator would then
-    discard it and draw again.  Needs ``1 <= n <= 2**32``; for n = 1, for
-    which numpy takes no draw, every value decodes as 0 and none is rejected.
-    """
-    n = np.asarray(n, dtype=np.uint64)
-    m = np.multiply(u, n, dtype=np.uint64)
-    return m >> np.uint64(32), (m & np.uint64(0xFFFFFFFF)) < (2**32 - n) % n
-
-
 def _batch_triples(n_sentences: int, rng: np.random.Generator, grammar: SynthGrammar) -> list[Surfaces] | None:
     """``_scalar_triples``' result from one ``random_raw`` call, or None where it cannot.
 
@@ -400,105 +369,6 @@ def resolve_pool(spec: AgentSpec, corpus: DocumentCollection) -> list[Surfaces]:
     return pool
 
 
-Cut = tuple[Sequence[str], int, int]  # a context's tokens and its cut indices i < j
-
-
-def _eligible(token_lists: Sequence[Sequence[str]], length: int) -> list[Sequence[str]]:
-    """The token lists a context of ``length`` tokens can be cut from, in order.
-
-    ContextTooShort below three tokens, CorpusTooSmall if no list is that long.
-    """
-    if length < 3:
-        raise ContextTooShort(f"need >= 3 tokens to split, got {length}")
-    eligible = [toks for toks in token_lists if len(toks) >= length]
-    if not eligible:
-        raise CorpusTooSmall(f"no document has >= {length} tokens")
-    return eligible
-
-
-def _step_cuts(eligible: Sequence[Sequence[str]], length: int, n: int, rng: np.random.Generator) -> list[Cut]:
-    """One random step's contexts and cut indices, as ``sample_contexts`` and ``_cuts`` draw them.
-
-    ``eligible`` are the token lists of at least ``length`` tokens
-    (``_eligible``).  The result, the draws and the state ``rng`` is left in
-    are those of ``[(ctx.tokens, *_cuts(length, rng)) for ctx in
-    sample_contexts(docs, length, n, rng)]``, for any bit generator.  Every
-    draw reads 32-bit ``next_uint32`` values:
-    - a document and an offset per context.  numpy takes no value for a
-      range of one value: the document of a one-document corpus, or the
-      offset in a document of exactly ``length`` tokens.  So a context takes
-      two values, one or none, and which depends on the document drawn.
-      The 2n values the n contexts can take at most are drawn in one
-      ``integers(2**32, dtype=uint32)`` call, each is decoded by Lemire's
-      rule as if it were a document draw, and the contexts are walked in
-      order to find the value each one starts at.  If they took fewer than
-      2n values, the generator is rewound and takes exactly as many.  Where
-      a draw is rejected, the pairs are drawn one by one from the starting
-      state;
-    - ``permutation(n)``'s, decoded by ``_permutation``;
-    - per context, in the permuted order, ``choice(L-1, 2, replace=False)``'s.
-      That is Floyd's algorithm: a draw below L-2, a draw below L-1 that
-      becomes L-2 if it repeats the first, and a draw below 2 that only
-      shuffles the two picks.  numpy takes these itself, in one call.
-    """
-    starts = np.fromiter(map(len, eligible), dtype=np.int64, count=len(eligible)) - (length - 1)
-    start = rng.bit_generator.state
-    u = rng.integers(2**32, size=2 * n, dtype=np.uint32)
-    # Each value read as a document draw (all 0 for one document, which
-    # takes none), and how many values a context whose draws start there takes.
-    document, rej_d = _lemire(u, len(eligible))
-    document = document.astype(np.intp)
-    lead = int(len(eligible) > 1)
-    takes = (lead + (starts[document] > 1)).tolist()
-    at, taken = [], 0
-    for _ in range(n):
-        at.append(taken)
-        taken += takes[taken]
-    at = np.array(at, dtype=np.intp)
-    pick = document[at]
-    offset, rej_o = _lemire(u[at + lead], starts[pick])
-    if (rej_d[at] | rej_o).any():
-        rng.bit_generator.state = start
-        pick, offset = [], []
-        for _ in range(n):
-            pick.append(int(rng.integers(len(eligible))))
-            offset.append(int(rng.integers(starts[pick[-1]])))
-    else:
-        pick, offset = pick.tolist(), offset.tolist()
-        if taken < 2 * n:
-            rng.bit_generator.state = start
-            rng.integers(2**32, size=taken, dtype=np.uint32)
-    order = _permutation(n, rng)
-    first, second, _ = rng.integers(0, (length - 2, length - 1, 2), size=(n, 3)).T
-    second = np.where(second == first, length - 2, second)
-    low = (np.minimum(first, second) + 1).tolist()
-    high = (np.maximum(first, second) + 1).tolist()
-    return [
-        (eligible[pick[c]][offset[c] : offset[c] + length], i, j)
-        for c, i, j in zip(order, low, high)
-    ]
-
-
-def _permutation(n: int, rng: np.random.Generator) -> list[int]:
-    """``rng.permutation(n)``, with the same draws and final state.
-
-    numpy shuffles ``arange(n)`` from the back: for i = n-1 .. 1 it takes
-    32-bit draws, masked to i's bit length, until one is at most i, and
-    swaps positions i and that one.  Every position left takes at least one
-    draw, so the draws are taken as many at a time as positions are left,
-    which never reads past the shuffle's last draw.
-    """
-    order = list(range(n))
-    i = n - 1
-    while i > 0:
-        for u in rng.integers(2**32, size=i, dtype=np.uint32).tolist():
-            j = u & ((1 << i.bit_length()) - 1)
-            if j <= i:
-                order[i], order[j] = order[j], order[i]
-                i -= 1
-    return order
-
-
 def build_step_samples(
     kind: str,
     source: Sequence[Sequence[str]],
@@ -518,10 +388,16 @@ def build_step_samples(
     list that long CorpusTooSmall, and an empty pool ValueError.  Every
     step draws from its own generator spawned off ``rng``, which is spawned
     as the step is built, so the sequence is that of ``rng.spawn(k_max)``
-    as long as nothing else spawns off ``rng`` in between.  A random step's
-    draws are those of ``sample_contexts`` and ``random_split_agent``, taken
-    by ``_step_cuts``.  This is the one place text becomes gram sets: each
-    distinct segment text of a step is turned into a ``LingSet`` once, by
+    as long as nothing else spawns off ``rng`` in between.  A random step
+    draws its contexts in one ``sample_contexts`` call, then cuts each, in
+    the order returned, at a uniformly chosen pair of indices
+    1 <= i < j <= L-1: each of the three segments is nonempty, and all
+    C(L-1, 2) pairs are equally likely.  A cut takes the draws of
+    ``choice(L-1, 2, replace=False)``, which is Floyd's algorithm: a draw
+    below L-2, a draw below L-1 that becomes L-2 if it repeats the first,
+    and a draw below 2 that only shuffles the two picks.  The step's cuts
+    are drawn in one ``integers`` call.  This is the one place text becomes
+    gram sets: each distinct segment text of a step is turned into a ``LingSet`` once, by
     ``gram_set`` (in a run, the run's index), and every triplet of the step
     holding that text shares it.  A step's sets are built in one
     ``GramIndex.segments`` call: a random step's from the tokens it cut, a
@@ -530,7 +406,10 @@ def build_step_samples(
     caller drops it.
     """
     if kind == "random":
-        eligible = _eligible(source, context_length)
+        if context_length < 3:
+            raise ContextTooShort(f"need >= 3 tokens to split, got {context_length}")
+        _eligible(source, context_length)
+        floyd = (context_length - 2, context_length - 1, 2)  # the bounds of a cut's three draws
     elif not source:
         raise ValueError(f"a {kind} agent needs a nonempty pool of triples")
 
@@ -538,8 +417,12 @@ def build_step_samples(
 
     def build(k: int, step_rng: np.random.Generator) -> StepSample:
         if kind == "random":
-            cuts = _step_cuts(eligible, context_length, per_step, step_rng)
-            segments = [seg for toks, i, j in cuts for seg in (toks[:i], toks[i:j], toks[j:])]
+            windows = sample_contexts(source, context_length, per_step, step_rng)
+            first, second, _ = step_rng.integers(0, floyd, size=(per_step, 3)).T
+            second = np.where(second == first, context_length - 2, second)
+            low = (np.minimum(first, second) + 1).tolist()
+            high = (np.maximum(first, second) + 1).tolist()
+            segments = [seg for toks, i, j in zip(windows, low, high) for seg in (toks[:i], toks[i:j], toks[j:])]
             texts = [" ".join(seg) for seg in segments]
             sets: dict[str, LingSet] = {}
             new = dict(zip(texts, segments))

@@ -392,8 +392,10 @@ def resolve_inputs(cfg: RunConfig) -> tuple[DocumentCollection, dict[str, list[S
     The one place an agent's source is decided: a ``gold_file`` agent reads
     its ``path``, or without one replays the ``synthetic_inputs`` gold; an
     extractor mines the documents; a random agent cuts contexts of them and
-    has no pool.  A missing file, an empty pool, or a ``context.length`` no
-    document fills for a random agent is a ConfigInvalid naming its key.
+    has no pool.  A missing file, a corpus without documents (``corpus.path``,
+    or ``corpus.groups`` when its filter kept none), an empty pool, or a
+    ``context.length`` no document fills for a random agent is a
+    ConfigInvalid naming its key.
     """
     cfg.validate()
     gold: list[Surfaces] = []
@@ -402,6 +404,10 @@ def resolve_inputs(cfg: RunConfig) -> tuple[DocumentCollection, dict[str, list[S
     else:
         corpus_path = require_file(cfg.corpus_path, "corpus.path", dir_ok=True)
         docs = load_documents(corpus_path, cfg.strip_headers, cfg.groups)
+        if not docs:
+            if cfg.groups is not None and load_documents(corpus_path, cfg.strip_headers):
+                raise ConfigInvalid(f"corpus.groups: no document of {corpus_path} is in groups {', '.join(cfg.groups)}")
+            raise ConfigInvalid(f"corpus.path: {corpus_path} holds no document")
     longest = max(map(len, docs.token_lists), default=0)
     if longest < cfg.context_length and any(spec.kind == "random" for spec in cfg.agents):
         raise ConfigInvalid(f"context.length: no document has >= {cfg.context_length} tokens")

@@ -19,7 +19,7 @@ from setinfo import (
     AgentSpec,
     EstimatorConfig,
     RunConfig,
-    random_split_agent,
+    build_step_samples,
     run_simulation,
     write_all_csv,
 )
@@ -30,7 +30,6 @@ from setinfo.checks import (
     metric_axioms,
     reward_consistency,
 )
-from setinfo.corpus import Context
 from setinfo.trajectory import read_csv
 
 
@@ -97,16 +96,18 @@ def test_criterion_4_entropy_range():
 
 
 def test_criterion_5_splitter_uniformity():
+    # The cuts a run draws: one random step over a corpus of one context.
     length = 10
     draws = 36000
-    ctx = Context(tokens=tuple(f"t{i}" for i in range(length)), doc_id="d", offset=0)
-    rng = np.random.default_rng(2024)
+    tokens = [f"t{i}" for i in range(length)]
+    gram_set = EstimatorConfig().gram_index()
+    (sample,) = build_step_samples("random", [tokens], 1, draws, np.random.default_rng(2024), length, gram_set)
     counts: dict[tuple[int, int], int] = {}
-    for _ in range(draws):
-        x, y, _ = random_split_agent(ctx, rng)
-        i = len(x.split())
-        j = i + len(y.split())
+    for t in sample.triplets:
+        i = len(t.x.source.split())
+        j = i + len(t.y.source.split())
         counts[(i, j)] = counts.get((i, j), 0) + 1
+    assert sum(counts.values()) == draws
     cells = [(i, j) for i in range(1, length) for j in range(i + 1, length)]
     assert len(cells) == 36
     expected = draws / len(cells)

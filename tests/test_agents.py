@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from setinfo import (
     AgentSpec,
-    Context,
     ContextTooShort,
     CorpusTooSmall,
     Document,
@@ -28,41 +27,46 @@ from setinfo import (
     heuristic_extract,
     load_triplets,
     load_verb_lexicon,
-    random_split_agent,
     sample_contexts,
     synth_corpus,
 )
-from setinfo import agents, ngrams
+from setinfo import agents, corpus, ngrams
 from setinfo.agents import resolve_pool
 from setinfo.ngrams import GramIndex, ngram_set
 from setinfo.trajectory import grammar_from_file
 
+import scalar_draws
 from conftest import one_object_per_value
 
 
 GRAM_SET = EstimatorConfig().gram_index()
 
 
-def context(*tokens: str) -> Context:
-    return Context(tokens=tokens, doc_id="doc", offset=0)
+def random_surfaces(tokens: list[str], k_max: int, per_step: int, seed: int) -> list[tuple[str, str, str]]:
+    """The surfaces of a random agent's k_max steps over one context of ``tokens``."""
+    samples = build_step_samples(
+        "random", [tokens], k_max, per_step, np.random.default_rng(seed), len(tokens), GRAM_SET
+    )
+    return [(t.x.source, t.y.source, t.z.source) for s in samples for t in s.triplets]
 
 
 class TestRandomSplitAgent:
+    """The random agent's splitter, as a run's steps draw it."""
+
     def test_three_tokens_has_unique_split(self):
-        ctx = context("a", "b", "c")
-        assert random_split_agent(ctx, np.random.default_rng(0)) == ("a", "b", "c")
+        assert random_surfaces(["a", "b", "c"], 2, 5, 0) == [("a", "b", "c")] * 10
 
     def test_too_short(self):
         with pytest.raises(ContextTooShort):
-            random_split_agent(context("a", "b"), np.random.default_rng(0))
+            build_step_samples("random", [["a", "b"]], 1, 1, np.random.default_rng(0), 2, GRAM_SET)
 
     def test_segments_nonempty_and_reconstruct(self):
-        ctx = context(*[f"t{i}" for i in range(10)])
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            x, y, z = random_split_agent(ctx, rng)
+        tokens = [f"t{i}" for i in range(10)]
+        surfaces = random_surfaces(tokens, 2, 100, 5)
+        assert len(surfaces) == 200
+        for x, y, z in surfaces:
             assert x and y and z
-            assert f"{x} {y} {z}" == ctx.text
+            assert f"{x} {y} {z}" == " ".join(tokens)
 
     def test_gram_sets_match_surfaces(self):
         # The agent's cuts reach the step samples as the gram sets of exactly
@@ -76,10 +80,8 @@ class TestRandomSplitAgent:
             assert t.z.grams == ngram_set(t.z.source, 1, 3, True).grams
 
     def test_determinism(self):
-        ctx = context(*[f"t{i}" for i in range(10)])
-        a = [random_split_agent(ctx, np.random.default_rng(9)) for _ in range(20)]
-        b = [random_split_agent(ctx, np.random.default_rng(9)) for _ in range(20)]
-        assert a == b
+        tokens = [f"t{i}" for i in range(10)]
+        assert random_surfaces(tokens, 4, 20, 9) == random_surfaces(tokens, 4, 20, 9)
 
 
 class TestHeuristicExtract:
@@ -359,7 +361,7 @@ class TestBatchDraw:
         u = np.empty(1000, dtype=np.uint64)
         u[0::2] = words[:500] & np.uint64(0xFFFFFFFF)  # the order Generator.integers reads halves in
         u[1::2] = words[:500] >> np.uint64(32)
-        values, rejected = agents._lemire(u, n)
+        values, rejected = corpus._lemire(u, n)
         assert 0.2 < rejected.mean() < 0.3
         assert np.array_equal(rejected, u % np.uint64(4) == 0)
         used = np.flatnonzero(~rejected)[-1] + 1  # draws up to the last accepted one
@@ -402,10 +404,6 @@ def token_corpus(lengths: list[int]) -> DocumentCollection:
     )
 
 
-def plain(cuts) -> list[tuple[tuple[str, ...], int, int]]:
-    return [(tuple(tokens), i, j) for tokens, i, j in cuts]
-
-
 BIT_GENERATORS = (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)
 
 
@@ -422,7 +420,7 @@ def lemire_spy(flagged: str | None, decoded: list[int]):
     first context's draw as rejected and, where its range has two values or
     more, changes its value to another in range, so a batch that used the
     flagged value would differ from the loop."""
-    lemire = agents._lemire
+    lemire = corpus._lemire
 
     def spy(u, n):
         values, rejected = lemire(u, n)
@@ -450,7 +448,7 @@ class CountingGenerator:
 
 
 class TestBatchStep:
-    """A random step's draws equal ``sample_contexts`` and ``random_split_agent``'s."""
+    """A random step's draws equal the scalar ones of ``scalar_draws``."""
 
     @settings(deadline=None, max_examples=150)
     @given(
@@ -475,12 +473,11 @@ class TestBatchStep:
         assume(max(lengths) >= length)
         docs = token_corpus(lengths)
         rng, reference = seeded(bitgen, seed, half_used), seeded(bitgen, seed, half_used)
-        contexts = sample_contexts(docs, length, per_step, reference)
-        want = [(ctx.tokens, *agents._cuts(length, reference)) for ctx in contexts]
+        want = scalar_draws.sample_contexts(docs.token_lists, length, per_step, reference)
         decoded = []
-        with mock.patch.object(agents, "_lemire", lemire_spy(flagged, decoded)):
-            got = agents._step_cuts(agents._eligible(docs.token_lists, length), length, per_step, rng)
-        assert plain(got) == plain(want)
+        with mock.patch.object(corpus, "_lemire", lemire_spy(flagged, decoded)):
+            got = sample_contexts(docs.token_lists, length, per_step, rng)
+        assert list(map(tuple, got)) == want
         assert bit_state(rng) == bit_state(reference)
         # Every step is decoded in one batch, ranges of one value included:
         # the 2n values a step can take as documents, then its n offsets.
@@ -495,7 +492,7 @@ class TestBatchStep:
             "random", docs.token_lists, 3, per_step, seeded(bitgen, seed, half_used), length, GRAM_SET
         )
         reference = [
-            [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, length, per_step, step_rng)]
+            scalar_draws.random_step(docs.token_lists, length, per_step, step_rng)
             for step_rng in seeded(bitgen, seed, half_used).spawn(3)
         ]
         assert surfaces(built) == reference
@@ -514,18 +511,18 @@ class TestBatchStep:
     @example(300, 5, True, np.random.SFC64)
     def test_permutation_equals_numpys(self, n, seed, half_used, bitgen):
         rng, reference = seeded(bitgen, seed, half_used), seeded(bitgen, seed, half_used)
-        assert agents._permutation(n, rng) == reference.permutation(n).tolist()
+        assert corpus._permutation(n, rng) == reference.permutation(n).tolist()
         assert bit_state(rng) == bit_state(reference)
 
     @pytest.mark.parametrize("flagged", ["document", "offset"])
     def test_rejected_draw_restores_state_and_runs_scalar_loop(self, monkeypatch, flagged):
         docs = TestBuildStepSamples().make_corpus()
         decoded = []
-        monkeypatch.setattr(agents, "_lemire", lemire_spy(flagged, decoded))
+        monkeypatch.setattr(corpus, "_lemire", lemire_spy(flagged, decoded))
         (sample,) = build_step_samples("random", docs.token_lists, 1, 50, np.random.default_rng(9), 10, GRAM_SET)
         assert decoded == [100, 50]
         (step_rng,) = np.random.default_rng(9).spawn(1)
-        want = [random_split_agent(ctx, step_rng) for ctx in sample_contexts(docs, 10, 50, step_rng)]
+        want = scalar_draws.random_step(docs.token_lists, 10, 50, step_rng)
         assert [(t.x.source, t.y.source, t.z.source) for t in sample.triplets] == want
 
     @pytest.mark.parametrize("lengths", [[40], [10, 40, 60]], ids=["one-document", "one-of-exactly-L"])
@@ -534,9 +531,9 @@ class TestBatchStep:
         # on the batch decode: no document or offset is drawn alone.
         docs = token_corpus(lengths)
         rng, reference = CountingGenerator(np.random.default_rng(3)), np.random.default_rng(3)
-        got = agents._step_cuts(agents._eligible(docs.token_lists, 10), 10, 100, rng)
-        want = [(ctx.tokens, *agents._cuts(10, reference)) for ctx in sample_contexts(docs, 10, 100, reference)]
-        assert plain(got) == plain(want)
+        got = sample_contexts(docs.token_lists, 10, 100, rng)
+        want = scalar_draws.sample_contexts(docs.token_lists, 10, 100, reference)
+        assert list(map(tuple, got)) == want
         assert bit_state(rng.rng) == bit_state(reference)
         assert rng.scalar_calls == 0
 

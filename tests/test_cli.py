@@ -243,8 +243,9 @@ class TestSimulate:
             ("gold.jsonl", '{"x": "a", "y": " ", "z": "c"}', "empty 'y' field"),
             ("corpus.jsonl", "not json", "invalid JSON (Expecting value)"),
             ("corpus.jsonl", '{"id": "d", "text": "t", "source_label": null}', "non-string 'source_label' field"),
+            ("corpus.jsonl", '{"id": "synthetic-0000", "text": "t"}', "duplicate document id 'synthetic-0000' (first on line 1)"),
         ],
-        ids=["gold", "manifest", "manifest-label"],
+        ids=["gold", "manifest", "manifest-label", "manifest-repeated-id"],
     )
     def test_malformed_input_line_named_by_its_file(self, tmp_path, capsys, name, line, cause):
         # The files gen-synthetic writes, read back by a run with line 2 of one replaced.
@@ -261,6 +262,29 @@ class TestSimulate:
         capsys.readouterr()
         assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"setinfo simulate: {bad}: line 2: {cause}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "files,groups,cause",
+        [
+            ({"corpus.jsonl": ""}, None, "corpus.path: {corpus} holds no document"),
+            ({"corpus/notes.md": "no text file here"}, None, "corpus.path: {corpus} holds no document"),
+            ({"corpus/a/one.txt": "a b c d e f g h i j k l"}, "b, c", "corpus.groups: no document of {corpus} is in groups b, c"),
+        ],
+        ids=["empty-manifest", "no-txt-files", "groups-keep-none"],
+    )
+    def test_corpus_without_documents_named_by_its_key(self, tmp_path, capsys, files, groups, cause):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        corpus = tmp_path / next(iter(files)).split("/")[0]
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text('{"x": "a", "y": "b", "z": "c"}\n', encoding="utf-8")
+        extra = f"agent.structured.path = {gold}" + ("" if groups is None else f"\ncorpus.groups = {groups}")
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg, corpus=corpus, extra=extra)
+        assert cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"setinfo simulate: {cause.format(corpus=corpus)}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("extra", ["run.kmax = 5", "agent.ghost.kind = random"])

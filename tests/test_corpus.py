@@ -91,38 +91,39 @@ def collection(*token_counts: int) -> DocumentCollection:
 
 
 class TestSampleContexts:
+    # Token "w{i}t{j}" is token j of list i, so a window names where it came from.
     def test_single_window_document(self):
         docs = collection(10)
         rng = np.random.default_rng(0)
-        contexts = sample_contexts(docs, 10, 3, rng)
-        assert len(contexts) == 3
-        assert all(ctx.offset == 0 and ctx.doc_id == "d0" for ctx in contexts)
-        assert all(len(ctx.tokens) == 10 for ctx in contexts)
+        windows = sample_contexts(docs.token_lists, 10, 3, rng)
+        assert len(windows) == 3
+        assert all(list(window) == docs.token_lists[0] for window in windows)
 
     def test_too_small_corpus(self):
         docs = collection(9)
         with pytest.raises(CorpusTooSmall):
-            sample_contexts(docs, 10, 1, np.random.default_rng(0))
+            sample_contexts(docs.token_lists, 10, 1, np.random.default_rng(0))
 
     def test_seeded_determinism(self):
         docs = collection(25, 40, 13)
-        first = sample_contexts(docs, 10, 50, np.random.default_rng(42))
-        second = sample_contexts(docs, 10, 50, np.random.default_rng(42))
+        first = sample_contexts(docs.token_lists, 10, 50, np.random.default_rng(42))
+        second = sample_contexts(docs.token_lists, 10, 50, np.random.default_rng(42))
         assert first == second
 
     def test_windows_map_back_to_documents(self):
         docs = collection(25, 40)
         rng = np.random.default_rng(7)
-        for ctx in sample_contexts(docs, 10, 100, rng):
-            idx = next(i for i, d in enumerate(docs.documents) if d.id == ctx.doc_id)
-            tokens = docs.token_lists[idx]
-            assert list(ctx.tokens) == tokens[ctx.offset : ctx.offset + 10]
+        windows = sample_contexts(docs.token_lists, 10, 100, rng)
+        assert len(windows) == 100
+        for window in windows:
+            idx, offset = map(int, window[0][1:].split("t"))
+            assert list(window) == docs.token_lists[idx][offset : offset + 10]
 
     def test_short_documents_never_sampled(self):
         docs = collection(5, 30)
         rng = np.random.default_rng(3)
         assert all(
-            ctx.doc_id == "d1" for ctx in sample_contexts(docs, 10, 200, rng)
+            window[0].startswith("w1t") for window in sample_contexts(docs.token_lists, 10, 200, rng)
         )
 
 
@@ -144,6 +145,17 @@ class TestLoadDocuments:
             (tmp_path / label / "doc.txt").write_text(f"text for {label}")
         docs = load_documents(tmp_path, groups=["beta"])
         assert [d.source_label for d in docs] == ["beta"]
+
+    def test_directory_bytes_that_are_not_utf8_become_replacement_characters(self, tmp_path):
+        # A directory corpus is read with errors="replace", since newsgroup
+        # dumps are commonly latin-1; a manifest rejects such a line instead.
+        (tmp_path / "latin.txt").write_bytes(b"caf\xe9 \xff end")
+        (doc,) = load_documents(tmp_path)
+        assert doc.text == "caf\ufffd \ufffd end"
+        manifest = tmp_path / "corpus.jsonl"
+        manifest.write_bytes(b'{"id": "a", "text": "\xff"}\n')
+        with pytest.raises(MalformedLine, match="line 1: invalid UTF-8"):
+            load_documents(manifest)
 
     def test_empty_directory_is_valid(self, tmp_path):
         docs = load_documents(tmp_path)
