@@ -15,16 +15,22 @@ sets over V distinct grams form a 0/1 matrix M, and |A ^ B| = |A| + |B| -
 2 (M M^T)_AB, with the sizes |A| on the product's diagonal.  The product
 runs in float32 and is exact: every partial sum is an integer no larger
 than the smaller set, and sets are required to hold fewer than 2^24 grams,
-below which float32 counts every integer.  Rows are built from gram ids, not
-gram strings, and every call numbers its grams through one ``GramIndex``:
-the one that built the sample's first set, if it has the call's n-gram
-settings, else a new one.  That index's sets carry their ids and are told
-apart by identity, the other sets of a sample are numbered in one call,
-and one scatter fills the boolean rows (``_set_rows``).  A step builds
-rows for its distinct marginals and, in concat mode, for its distinct seam
-windows, taken from the index's window memo, and builds every joined
-family's rows from theirs with OR (see ``_step_capacities``).  Only a
-family's u distinct members get rows and a product; the distances are exact
+below which float32 counts every integer.
+
+Every estimator takes its capacities from one function, ``_capacities``,
+which is handed one, two or three samples (``entropy``; the pair
+estimators; a step's x, y and z) and returns the capacities of each sample
+and of each of their joins.  Rows are built from gram ids, not gram
+strings, and every call numbers its grams through one ``GramIndex``: the
+one that built the first set, if it has the call's n-gram settings, else a
+new one.  That index's sets carry their ids and are told apart by
+identity, the other sets are numbered in one call, and one scatter fills
+the boolean rows of the distinct sets (``_set_rows``).  No joined set is
+built: a joined family's rows are the OR of its parts' rows.  A concat
+join, like ``join``, reads the sources: a set the index did not build
+enters it as the index's set of its source, and the seam grams across the
+joining space come from the index's window memo.  Only a family's u
+distinct members get rows and a product; the distances are exact
 integers, so each kernel value is read from one table over the distances
 0, 1, 2, ... instead of computed per pair, and each distinct member's kernel
 row is spread over all n members before its mean, so that every capacity
@@ -57,7 +63,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .ngrams import GramIndex, LingSet, hamming, join, ngram_set
+from .ngrams import GramIndex, LingSet, hamming, join
 
 if TYPE_CHECKING:  # pragma: no cover
     from .agents import Triplet
@@ -197,14 +203,13 @@ def _scratch(index: GramIndex) -> Scratch:
 
 def _set_rows(
     families: Iterable[Iterable[LingSet]], index: GramIndex, scratch: Scratch
-) -> tuple[np.ndarray, list[np.ndarray], list[LingSet]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """One boolean row per distinct set of ``families``, and each family's row numbers.
 
     A set that ``index`` built is told apart by identity and brings its
     ids, so no gram string is read; every other set is told apart by its
-    grams, which are numbered in one ``index.number`` call, and returned
-    third, one per distinct gram set.  Two sets with equal grams may thus
-    get two equal rows.  The rows are ``scratch``'s.
+    grams, which are numbered in one ``index.number`` call.  Two sets with
+    equal grams may thus get two equal rows.  The rows are ``scratch``'s.
     """
     rows: dict[object, int] = {}
     ids: list[np.ndarray | None] = []
@@ -228,7 +233,7 @@ def _set_rows(
         start = 0
         for row, s in unnumbered:
             ids[row] = flat[start : (start := start + len(s.grams))]
-    return _indicator_rows(ids, scratch), numbers, [s for _, s in unnumbered]
+    return _indicator_rows(ids, scratch), numbers
 
 
 def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch) -> np.ndarray:
@@ -340,12 +345,73 @@ def _family_capacities(
     return (means if u == n else means[inv]), inv
 
 
-def _capacity_vector(sets: Sequence[LingSet], cfg: EstimatorConfig) -> np.ndarray:
-    """Resubstitution capacity of every member within its own sample."""
-    index = _index_for(sets[0], cfg)
+def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> list[np.ndarray]:
+    """Capacity vectors of 1, 2 or 3 equal-length samples and of their joins.
+
+    The families are ``[a]``, ``[a, b, ab]`` or ``[x, y, z, xy, yz, xz,
+    xy+z, xz+y]``, each member's capacity taken within its own family.
+    Every member is a tuple of row numbers into one table (``_set_rows``)
+    of the samples' distinct sets and, in concat mode, the distinct seam
+    windows, and a joined member's row is the OR of its parts' rows.  A
+    union join is the OR of its components' own grams.  A concat join, as
+    ``join``, re-extracts grams from the space-joined sources: it is the OR
+    of the index's sets of its sources, which one ``segments`` call builds
+    for the sets that the index did not build, and, with ``include_space``,
+    of the window ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and
+    xz+y the tail is cut from ``x[-(n_max-1):] + " " + y`` (or ``z``)
+    without building the joined string.  ``run_simulation`` builds every
+    set through the run's index, so its steps build no source.  Without
+    seams, xy+z = xz+y = xyz, and one family serves both.
+
+    Each family keys its members by their parts' row numbers (xy+z and
+    xz+y by xy's or xz's distinct-member number and the rest), mixed-radix
+    over r = max(table rows, n), at most three digits, so keys stay exact
+    in int64 for any r below 2^21.  The distances equal those of
+    ``join``-built families exactly, and ``_family_capacities`` sums every
+    capacity over the same n kernel values in the same order, so each
+    vector is bit-identical to ``entropy``'s of its family.  The arrays
+    live in the ``Scratch`` on the index, so that later calls on its sets
+    reuse them; the vectors are new arrays, never views of the scratch.
+    """
+    k = len(samples)
+    index = _index_for(samples[0][0], cfg)
+    joins = [(0, 1), (1, 2), (0, 2)][: k * (k - 1) // 2]
+    families = [list(s) for s in samples]
+    concat = cfg.joint_mode == "concat" and k > 1
+    foreign = concat and list(dict.fromkeys(s.source for s in chain(*samples) if s.index is not index))
+    if foreign:
+        built = dict(zip(foreign, index.segments(foreign, [index.pieces(t) for t in foreign])))
+        families += [[s if s.index is index else built[s.source] for s in f] for f in samples]
+    if concat and cfg.include_space:
+        reach = cfg.n_max - 1
+        sources = [[s.source for s in f] for f in samples]
+        windows = [(sources[a], sources[b]) for a, b in joins]
+        if k == 3:
+            sx, sy, sz = sources
+            x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a
+            windows += [([a + " " + b for a, b in zip(x_tails, sy)], sz)]
+            windows += [([a + " " + b for a, b in zip(x_tails, sz)], sy)]
+        families += [list(map(index.window, tails, heads)) for tails, heads in windows]
     scratch = _scratch(index)
-    table, (rows,), _ = _set_rows([sets], index, scratch)
-    return _family_capacities(rows, table, [rows], cfg.bandwidth, scratch)[0]
+    table, numbers = _set_rows(families, index, scratch)
+    parts = numbers[k : 2 * k] if foreign else numbers[:k]  # the rows a join reads
+    # Each seam is a list of zero (union, or no spaces) or one row-number array.
+    seams = [[s] for s in numbers[2 * k if foreign else k :]] or [[]] * 5
+    radix = max(len(table), len(samples[0]))
+
+    def capacities(digits: list[np.ndarray], rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        key = digits[0]
+        for digit in digits[1:]:
+            key = key * radix + digit
+        return _family_capacities(key, table, rows, cfg.bandwidth, scratch)
+
+    joined = [[parts[a], parts[b], *seam] for (a, b), seam in zip(joins, seams)]
+    caps = [capacities(p, p) for p in [*([i] for i in numbers[:k]), *joined]]
+    if k == 3:
+        (_, jy, jz), (xy, _, xz), (s_xy_z, s_xz_y) = parts, joined, seams[3:]
+        caps.append(capacities([caps[3][1], jz, *s_xy_z], [*xy, jz, *s_xy_z]))
+        caps.append(capacities([caps[5][1], jy, *s_xz_y], [*xz, jy, *s_xz_y]) if s_xz_y else caps[-1])
+    return [p for p, _ in caps]
 
 
 def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -> float:
@@ -364,17 +430,26 @@ def _entropy_from_masses(p: np.ndarray, mode: str) -> float:
     return float(-(p * np.log(p)).sum())
 
 
+def _entropies(samples: list[list[LingSet]], cfg: EstimatorConfig, name: str) -> list[float]:
+    """The entropy of each of ``_capacities``' families; ``name`` is the caller, for an empty sample."""
+    if not samples[0]:
+        raise EmptySample(f"{name} needs a non-empty sample")
+    return [_entropy_from_masses(p, cfg.entropy_mode) for p in _capacities(samples, cfg)]
+
+
+def _pair_entropies(pairs: Iterable[tuple[LingSet, LingSet]], cfg: EstimatorConfig, name: str) -> list[float]:
+    """H(a), H(b) and H(a, b) over (a, b) pairs."""
+    pairs = list(pairs)
+    return _entropies([[a for a, _ in pairs], [b for _, b in pairs]], cfg, name)
+
+
 def entropy(values: Sequence[LingSet], cfg: EstimatorConfig) -> float:
     """Shannon entropy over the multiset of realizations.
 
     Duplicates each contribute their own term: a sample of n copies of one
     set has normalized entropy ln n, and a singleton sample has entropy 0.
     """
-    values = list(values)
-    if not values:
-        raise EmptySample("entropy needs a non-empty sample")
-    p = _capacity_vector(values, cfg)
-    return _entropy_from_masses(p, cfg.entropy_mode)
+    return _entropies([list(values)], cfg, "entropy")[0]
 
 
 def _join_pair(a: LingSet, b: LingSet, cfg: EstimatorConfig) -> LingSet:
@@ -382,34 +457,24 @@ def _join_pair(a: LingSet, b: LingSet, cfg: EstimatorConfig) -> LingSet:
 
 
 def joint_entropy(pairs: Sequence[tuple[LingSet, LingSet]], cfg: EstimatorConfig) -> float:
-    """Entropy of the per-pair joined realizations."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptySample("joint_entropy needs a non-empty sample")
-    return entropy([_join_pair(a, b, cfg) for a, b in pairs], cfg)
+    """Entropy of the per-pair joined realizations, equal to ``entropy`` of ``join``'s."""
+    return _pair_entropies(pairs, cfg, "joint_entropy")[2]
 
 
 def conditional_entropy(
     pairs: Sequence[tuple[LingSet, LingSet]], cfg: EstimatorConfig
 ) -> float:
     """H(target | cond) for (cond, target) pairs, via the chain rule H(joint) - H(cond)."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptySample("conditional_entropy needs a non-empty sample")
-    conds = [c for c, _ in pairs]
-    return joint_entropy(pairs, cfg) - entropy(conds, cfg)
+    h_cond, _, h_joint = _pair_entropies(pairs, cfg, "conditional_entropy")
+    return h_joint - h_cond
 
 
 def mutual_information(
     pairs: Sequence[tuple[LingSet, LingSet]], cfg: EstimatorConfig
 ) -> float:
     """I(A, B) = H(A) + H(B) - H(A, B) over paired realizations."""
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptySample("mutual_information needs a non-empty sample")
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
-    return entropy(firsts, cfg) + entropy(seconds, cfg) - joint_entropy(pairs, cfg)
+    h_a, h_b, h_ab = _pair_entropies(pairs, cfg, "mutual_information")
+    return h_a + h_b - h_ab
 
 
 def triplet_likelihood(t: "Triplet", sample: Sequence["Triplet"], cfg: EstimatorConfig) -> float:
@@ -477,95 +542,15 @@ class _LastStep:
 def _step_capacities(
     triplets: tuple["Triplet", ...], cfg: EstimatorConfig
 ) -> tuple[np.ndarray, ...]:
-    """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step.
+    """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step (``_capacities``).
 
-    The step's distinct marginals and, in concat mode, its distinct seam
-    windows become one table of boolean rows, built from their gram ids by
-    one scatter (``_set_rows``), and every member is a tuple of row numbers
-    into it.  A family's row is the elementwise OR of its parts' rows.  A
-    union join is the OR of its components.  A concat join adds the seam
-    grams of its sources, the grams of the window
-    ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and xz+y the tail is cut
-    from ``x[-(n_max-1):] + " " + y`` (or ``z``), the end of the joined
-    source, without building the joined string.  The ids and the windows
-    come from the ``GramIndex`` that built the first x set, the run's index,
-    so a window is extracted once per run, not once per step, and no gram
-    string of the index's sets is read; sets from another index or from
-    ``ngram_set`` are numbered on first sight.  A step whose first set has
-    no index with ``cfg``'s n-gram settings takes a new one, which numbers
-    its sets and cuts its windows by the same code.  That concat identity
-    holds only when every gram set was built from its source under
-    ``cfg``'s n-gram settings, as ``run_simulation`` builds every set of a
-    run; ``join`` makes no such assumption and is the oracle, so in concat
-    mode every set that ``_set_rows`` numbers by its grams is checked.
     Union mode has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
-
-    Each family keys its members by their parts' row numbers (xy+z and
-    xz+y by xy's or xz's distinct-member number and the rest), mixed-radix
-    over r = max(table rows, n), at most three digits, so keys stay exact in
-    int64 for any r below 2^21.  ``_family_capacities`` then builds, and
-    multiplies, the rows of the u distinct members only and reads the
-    kernel from a table over the integer distances; a pool step has a few
-    dozen distinct marginals among its n members.  The distances equal those
-    of ``_row_distances`` over ``join``-built families exactly, and every
-    capacity is the same n kernel values summed in the same order, so the
-    vectors are bit-identical to the per-family path over all n rows.
-    Memory is O(n * V_step) bytes for the table, where V_step counts the
-    step's distinct grams, seam grams included, plus, for the one family
-    being built, O(u * V_step) bytes of boolean rows and float32 and
-    O(u * n) integer distances and kernel values; the product is exact while
-    every joined set holds fewer than 2^24 grams.  These arrays live in the
-    ``Scratch`` on the index: four
-    buffers, each at most 1.5 times the largest request of its role so far,
-    that stay for the index's lifetime, so that steps after the first reuse
-    them instead of mapping new pages.  The one-entry memo lets
-    ``joint_mass_monitor`` reuse the vectors ``compute_mi_record`` computed
-    for the same tuple; they are new arrays, never views of the scratch, and
-    are returned read-only.  The memo holds the step's sets, and through
-    them the index and its scratch, only until that reuse.
+    The one-entry memo lets ``joint_mass_monitor`` reuse the vectors
+    ``compute_mi_record`` computed for the same tuple; they are returned
+    read-only.  The memo holds the step's sets, and through them the index
+    and its scratch, only until that reuse.
     """
-    index = _index_for(triplets[0].x, cfg)
-    families = [[getattr(t, c) for t in triplets] for c in "xyz"]
-    if cfg.joint_mode == "concat" and cfg.include_space:
-        reach = cfg.n_max - 1
-        sx, sy, sz = ([getattr(t, c).source for t in triplets] for c in "xyz")
-        x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a
-        for tails, heads in (
-            (sx, sy),
-            (sy, sz),
-            (sx, sz),
-            ((a + " " + b for a, b in zip(x_tails, sy)), sz),
-            ((a + " " + b for a, b in zip(x_tails, sz)), sy),
-        ):
-            families.append(list(map(index.window, tails, heads)))
-    scratch = _scratch(index)
-    table, (ix, iy, iz, *seams), numbered = _set_rows(families, index, scratch)
-    if cfg.joint_mode == "concat":
-        n_min, n_max, include_space = index.settings
-        for s in numbered:
-            built = ngram_set(s.source, n_min, n_max, include_space).grams if s.source else frozenset()
-            if s.grams != built:
-                raise ValueError(
-                    f"a concat join re-extracts grams from the sources, but the set of {s.source!r} is not "
-                    f"its set under n_min={n_min}, n_max={n_max}, include_space={include_space}"
-                )
-    # Each seam is a list of zero (union, or no spaces) or one row-number array.
-    s_xy, s_yz, s_xz, s_xy_z, s_xz_y = ([s] for s in seams) if seams else ([],) * 5
-    radix = max(len(table), len(triplets))
-
-    def capacities(digits: list[np.ndarray], parts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        key = digits[0]
-        for digit in digits[1:]:
-            key = key * radix + digit
-        return _family_capacities(key, table, parts, cfg.bandwidth, scratch)
-
-    x, y, z, xy, yz, xz = (
-        capacities(parts, parts)
-        for parts in ([ix], [iy], [iz], [ix, iy, *s_xy], [iy, iz, *s_yz], [ix, iz, *s_xz])
-    )
-    xy_z = capacities([xy[1], iz, *s_xy_z], [ix, iy, *s_xy, iz, *s_xy_z])
-    xz_y = capacities([xz[1], iy, *s_xz_y], [ix, iz, *s_xz, iy, *s_xz_y]) if seams else xy_z
-    caps = tuple(p for p, _ in (x, y, z, xy, yz, xz, xy_z, xz_y))
+    caps = tuple(_capacities([[getattr(t, c) for t in triplets] for c in "xyz"], cfg))
     for p in caps:
         p.flags.writeable = False
     return caps

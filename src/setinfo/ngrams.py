@@ -277,11 +277,12 @@ class GramIndex:
         starts = ends - counts
         # Part k of the sequence is piece k/2 for even k, and for odd k the
         # window between pieces (k-1)/2 and (k+1)/2: empty where they belong
-        # to two texts, or without include_space.
-        sequence = np.zeros(max(2 * len(parts) - 1, 0), dtype=np.intp)
+        # to two texts, after the last piece (where a trailing text without
+        # pieces starts), or without include_space.
+        sequence = np.zeros(2 * len(parts), dtype=np.intp)
         sequence[0::2] = parts
         if self.settings[2] and len(parts) > 1:
-            sequence[1::2] = self._seams(sequence[0::2], pieces, tokens, starts, ends)
+            sequence[1:-1:2] = self._seams(sequence[0::2], pieces, tokens, starts, ends)
         first = self._offsets[sequence]
         sizes = self._offsets[sequence + 1] - first
         bounds = np.concatenate(([0], np.cumsum(sizes)))

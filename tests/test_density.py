@@ -6,7 +6,6 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +36,8 @@ from setinfo import (
 from setinfo import density, ngrams
 from setinfo.agents import build_step_samples
 from setinfo.density import (
+    MiRecord,
     Scratch,
-    _capacity_vector,
     _indicator_rows,
     _row_distances,
     _step_capacities,
@@ -71,6 +70,11 @@ def joined(firsts, seconds, cfg: EstimatorConfig) -> list[LingSet]:
         join(a, b, cfg.joint_mode, cfg.n_min, cfg.n_max, cfg.include_space)
         for a, b in zip(firsts, seconds)
     ]
+
+
+def capacity_vector(family, cfg: EstimatorConfig) -> np.ndarray:
+    """One family's capacities, as ``entropy`` computes them."""
+    return density._capacities([list(family)], cfg)[0]
 
 
 def oracle_entropy(sets, cfg: EstimatorConfig) -> float:
@@ -487,8 +491,13 @@ class TestComputeMiRecord:
 segments = st.text(alphabet="ab c", min_size=1, max_size=6).map(lambda s: s.strip() or "a")
 
 
+# Sets of n_max = 4 with spaces that concat configs of other settings once
+# joined from their grams and seam windows, 3.6% away from ``join``'s i_xy.
+WIDE = [("on sat", "mat a", "the dog"), ("a", "ran", "sat"), ("sat the", "dog", "cat"), ("on", "sat mat", "on")]
+
+
 class TestStepCapacities:
-    """The one-pass step vectors against per-family ``join`` + ``_capacity_vector``."""
+    """The step and pair estimators against ``entropy`` of ``join``-built families."""
 
     @staticmethod
     def assert_equals_join_built(triplets: list[Triplet], cfg: EstimatorConfig) -> None:
@@ -500,7 +509,7 @@ class TestStepCapacities:
         got = _step_capacities(tuple(triplets), cfg)
         assert len(got) == len(families)
         for vector, family in zip(got, families):
-            assert np.array_equal(vector, _capacity_vector(family, cfg))
+            assert np.array_equal(vector, capacity_vector(family, cfg))
             assert not vector.flags.writeable
 
     @settings(deadline=None, max_examples=60)
@@ -540,24 +549,59 @@ class TestStepCapacities:
         self.assert_equals_join_built(build(texts, index, plain), cfg)
         self.assert_equals_join_built(build(more_texts, plain, index), cfg)
 
-    def test_concat_rejects_sets_not_built_under_its_settings(self):
-        # Sets of n_max = 4 with spaces, under concat configs of other
-        # settings: a step joins them from their grams and seam windows cut
-        # under the config's settings, and its i_xy drifted 3.6% from
-        # ``mutual_information``, which joins them from their sources.
-        texts = [
-            ("on sat", "mat a", "the dog"), ("a", "ran", "sat"), ("sat the", "dog", "cat"), ("on", "sat mat", "on"),
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(segments, segments, segments), min_size=1, max_size=6),
+        st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        st.sampled_from([(1, 1), (1, 3), (2, 4), (1, 2)]),
+        st.sampled_from([(1, 4, True), (2, 2, False), (1, 3, True)]),
+        st.sampled_from(["union", "concat"]),
+        st.booleans(),
+    )
+    @example(WIDE, [3], (1, 3), (1, 4, True), "concat", True)
+    @example(WIDE, [3], (1, 4), (1, 4, True), "concat", False)
+    @example(WIDE, [2, 0, 1], (1, 3), (1, 4, True), "concat", True)
+    def test_estimators_equal_entropy_of_join_built_families(
+        self, texts, picks, lengths, other, mode, include_space
+    ):
+        # Each set is built by the config's index, by plain ngram_set, or by
+        # an index or ngram_set of other n-gram settings, in any mix.  A
+        # concat join reads the sources, as ``join`` does, whatever built
+        # the sets; a set's own grams count only as a marginal.
+        n_min, n_max = lengths
+        cfg = EstimatorConfig(joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space)
+        builders = [
+            cfg.gram_index(),
+            lambda text: ngram_set(text, n_min, n_max, include_space),
+            GramIndex(*other),
+            lambda text: ngram_set(text, *other),
         ]
-        wide = [Triplet(*(ngram_set(t, 1, 4, True) for t in tt)) for tt in texts]
-        _step_capacities.cache_clear()
-        for cfg in (CONCAT, replace(CONCAT, n_max=4, include_space=False)):
-            settings_ = f"n_min=1, n_max={cfg.n_max}, include_space={cfg.include_space}"
-            with pytest.raises(ValueError, match=rf"the set of 'on sat' is not its set under {settings_}$"):
-                compute_mi_record(1, wide, cfg)
-        pairs = [(t.x, t.y) for t in wide]
-        for cfg in (UNION, replace(CONCAT, n_max=4)):
-            want = mutual_information(pairs, cfg)
-            assert compute_mi_record(1, wide, cfg).i_xy == pytest.approx(want, rel=1e-12)
+        triplets = [
+            Triplet(*(builders[picks[(3 * i + j) % len(picks)]](text) for j, text in enumerate(t)))
+            for i, t in enumerate(texts)
+        ]
+        triplets += triplets[:2]  # repeated members
+        xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
+        xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
+        h_x, h_y, h_z, h_xy, h_yz, h_xz, h_xy_z, h_xz_y = (
+            entropy(family, cfg) for family in (xs, ys, zs, xy, yz, xz, joined(xy, zs, cfg), joined(xz, ys, cfg))
+        )
+        pairs = list(zip(xs, ys))
+        assert joint_entropy(pairs, cfg) == h_xy
+        assert conditional_entropy(pairs, cfg) == h_xy - h_x
+        assert mutual_information(pairs, cfg) == h_x + h_y - h_xy
+        assert compute_mi_record(1, triplets, cfg) == MiRecord(
+            k=1,
+            i_xy=h_x + h_y - h_xy,
+            i_yz=h_y + h_z - h_yz,
+            i_xz=h_x + h_z - h_xz,
+            i_xy_z=h_xy + h_z - h_xy_z,
+            i_xz_y=h_xz + h_y - h_xz_y,
+            h_x=h_x,
+            h_y=h_y,
+            h_z=h_z,
+            sample_size=len(triplets),
+        )
 
     @pytest.mark.parametrize(
         "cfg,distinct",
@@ -605,43 +649,51 @@ class TestStepCapacities:
         monkeypatch.setattr(ngrams, "ngram_set", lambda text, *a: calls.append(text) or scan(text, *a))
         return calls
 
-    def test_copies_of_one_triplet_extract_each_seam_window_once(self, monkeypatch):
-        triplets = [triplet("the cat", "sat on", "the mat", CONCAT)] * 12
-        _step_capacities.cache_clear()
+    @staticmethod
+    def windows(monkeypatch) -> list[set[str]]:
+        """From here on, the text of every window each step reads; call ``append`` before each step."""
+        steps: list[set[str]] = []
+        window = GramIndex.window
+        monkeypatch.setattr(
+            GramIndex, "window", lambda self, a, b: steps[-1].add((w := window(self, a, b)).source) or w
+        )
+        return steps
+
+    def test_copies_of_one_triplet_scan_each_text_once(self, monkeypatch):
+        # Twelve copies of one triplet, as two steps of one index and as a
+        # step of plain sets, whose sources the step builds once each.
+        texts = ("the cat", "sat on", "the mat")
+        index = CONCAT.gram_index()
         calls = self.scans(monkeypatch)
-        _step_capacities(tuple(triplets), CONCAT)
-        assert len(calls) <= 5
+        steps = self.windows(monkeypatch)
+        copies = [Triplet(*map(index, texts))] * 12
+        _step_capacities.cache_clear()
+        for _ in range(2):
+            steps.append(set())
+            _step_capacities(tuple(copies), CONCAT)
+        assert steps[0] == steps[1]  # windows recur across steps
+        assert calls and max(Counter(calls).values()) == 1  # every scanned text is scanned once
+        calls.clear()
+        _step_capacities(tuple([triplet(*texts, CONCAT)] * 12), CONCAT)
+        assert calls and max(Counter(calls).values()) == 1
 
     def test_seam_grams_run_once_per_distinct_window(self, monkeypatch):
         # One index builds a run's sets and serves two of its steps.  Every
         # piece and every window, inside a segment or between two, is scanned
         # exactly once, including the windows the two steps share.
         calls = self.scans(monkeypatch)
+        steps = self.windows(monkeypatch)
         docs, _ = synth_corpus(300, np.random.default_rng(3))
         samples = build_step_samples(
             "random", docs.token_lists, k_max=2, per_step=40, rng=np.random.default_rng(4),
             context_length=10, gram_set=CONCAT.gram_index(),
         )
-        reach = CONCAT.n_max - 1
-
-        def window(a: str, b: str) -> str:  # from the joined sources, as ``join`` sees them
-            return a[max(len(a) - reach, 0) :] + " " + b[:reach]
-
-        step_windows = []
         for sample in samples:
-            windows = set()
-            for t in sample.triplets:
-                x, y, z = t.x.source, t.y.source, t.z.source
-                windows |= {
-                    window(x, y), window(y, z), window(x, z),
-                    window(x + " " + y, z), window(x + " " + z, y),
-                }
-            step_windows.append(windows)
+            steps.append(set())
             _step_capacities.cache_clear()
             _step_capacities(sample.triplets, CONCAT)
-        assert step_windows[0] & step_windows[1]  # windows recur across steps
-        assert set.union(*step_windows) <= set(calls)
-        assert max(Counter(calls).values()) == 1
+        assert steps[0] & steps[1]  # windows recur across steps
+        assert max(Counter(calls).values()) == 1  # every scanned text is scanned once
 
     def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
@@ -669,8 +721,8 @@ class TestRowKeys:
         by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
         by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
         assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
-        identity_rows, _, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
-        grams_rows, _, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
+        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
+        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
         assert (len(identity_rows), len(grams_rows)) == (3, 2)
         _step_capacities.cache_clear()
         for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
@@ -768,7 +820,7 @@ class TestDistinctRows:
         for vector, family in zip(got, families, strict=True):
             want = full_matrix_capacities(family, bandwidth)
             assert np.array_equal(vector, want)
-            assert np.array_equal(_capacity_vector(family, cfg), want)
+            assert np.array_equal(capacity_vector(family, cfg), want)
 
     @pytest.mark.parametrize("bandwidth", [0.7, 5.0, 40.0])
     def test_kernel_table_equals_elementwise_kernel(self, bandwidth):
@@ -890,7 +942,7 @@ class TestScratch:
         for got, want in zip(kept, copies, strict=True):
             assert np.array_equal(got, want)
         buffers = [*before.values(), *self.buffers(index).values()]
-        for vector in (*kept, *later, _capacity_vector(xs, cfg)):
+        for vector in (*kept, *later, capacity_vector(xs, cfg)):
             assert not any(np.shares_memory(vector, buffer) for buffer in buffers)
 
     @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])

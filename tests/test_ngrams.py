@@ -78,20 +78,25 @@ class TestGramIndex:
     @example(["a b c"], (1, 3), True)  # " b " lies across two seams
     @example([" a  b "], (1, 4), True)
     @example(["ab", "b a", "ab"], (1, 1), True)
+    @example(["a", "  "], (1, 3), False)  # a text without pieces after one with pieces
     def test_fold_equals_ngram_set(self, texts, lengths, include_space):
         # One index builds every text in turn, so later texts fold memoized
-        # pieces and windows; each set must equal the scan of its whole text,
-        # and its ids must be exactly the vocabulary ids of its grams.
+        # pieces and windows, and another builds them all in one ``segments``
+        # call; each set must equal the scan of its whole text, and its ids
+        # must be exactly the vocabulary ids of its grams.
         n_min, n_max = lengths
         index = GramIndex(n_min, n_max, include_space)
-        for text in texts:
-            got = index(text)
+        batch = GramIndex(n_min, n_max, include_space)
+        in_one_call = batch.segments(texts, [batch.pieces(text) for text in texts])
+        for text, together in zip(texts, in_one_call, strict=True):
             want = ngram_set(text, n_min, n_max, include_space)
-            assert got.grams == want.grams
-            assert got == want
-            assert got.index is index
-            assert set(got.ids.tolist()) == {index.vocab[g] for g in want.grams}
-        assert sorted(index.vocab.values()) == list(range(len(index.vocab)))
+            for got, built_by in ((index(text), index), (together, batch)):
+                assert got.grams == want.grams
+                assert got == want
+                assert got.index is built_by
+                assert set(got.ids.tolist()) == {built_by.vocab[g] for g in want.grams}
+        for built_by in (index, batch):
+            assert sorted(built_by.vocab.values()) == list(range(len(built_by.vocab)))
 
     @settings(deadline=None, max_examples=200)
     @given(
