@@ -27,7 +27,9 @@ class MalformedLine(ValueError):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
+    """The ``key = value`` pairs of ``text``; ConfigInvalid for a malformed line or a key set twice."""
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -38,6 +40,9 @@ def parse_config_text(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigInvalid(f"line {line_no}: empty key")
+        if key in lines:
+            raise ConfigInvalid(f"{key}: set on line {lines[key]} and again on line {line_no}")
+        lines[key] = line_no
         values[key] = value.strip()
     return values
 

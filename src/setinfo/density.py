@@ -24,12 +24,15 @@ and of each of their joins.  Rows are built from gram ids, not gram
 strings, and every call numbers its grams through one ``GramIndex``: the
 one that built the first set, if it has the call's n-gram settings, else a
 new one.  That index's sets carry their ids and are told apart by
-identity, the other sets are numbered in one call, and one scatter fills
-the boolean rows of the distinct sets (``_set_rows``).  No joined set is
-built: a joined family's rows are the OR of its parts' rows.  A concat
-join, like ``join``, reads the sources: a set the index did not build
-enters it as the index's set of its source, and the seam grams across the
-joining space come from the index's window memo.  Only a family's u
+identity, in one ``np.unique``; the other sets are numbered in one call,
+and one scatter fills the boolean rows of the distinct sets
+(``_set_rows``).  No joined set is built: a joined family's rows are the
+OR of its parts' rows.  A concat join, like ``join``, reads the sources:
+a set the index did not build enters it as the index's set of its source,
+and the seam grams across the joining space come from the index's window
+memo, all of a call's windows in one ``GramIndex.window_parts`` batch, as
+part numbers whose gram ids one gather takes from the index's store.
+Only a family's u
 distinct members get rows and a product; the distances are exact
 integers, so each kernel value is read from one table over the distances
 0, 1, 2, ... instead of computed per pair, and each distinct member's kernel
@@ -59,6 +62,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -202,66 +206,78 @@ def _scratch(index: GramIndex) -> Scratch:
 
 
 def _set_rows(
-    families: Iterable[Iterable[LingSet]], index: GramIndex, scratch: Scratch
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One boolean row per distinct set of ``families``, and each family's row numbers.
+    families: Sequence[Sequence[LingSet]],
+    windows: np.ndarray | None,
+    index: GramIndex,
+    scratch: Scratch,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """One boolean row per distinct set of ``families`` and distinct part of ``windows``, and their row numbers.
 
-    A set that ``index`` built is told apart by identity and brings its
-    ids, so no gram string is read; every other set is told apart by its
-    grams, which are numbered in one ``index.number`` call.  Two sets with
-    equal grams may thus get two equal rows.  The rows are ``scratch``'s.
+    The families are equal-length sequences of sets, and ``windows``, if
+    given, is an array of ``index``'s window parts, one seam family per
+    row.  A set that ``index`` built is told apart by identity, and brings
+    its ids, so no gram string is read; every other set is told apart by
+    its grams, which are numbered in one ``index.number`` call.  One
+    ``np.unique`` over the sets' keys numbers their rows in first-sight
+    order, and one over the window parts numbers the parts' rows after
+    them, whose ids come from one ``index.gather``.  Two sets with equal
+    grams may thus get two equal rows.  The rows are ``scratch``'s; the
+    row numbers come as one array per family and one per seam family.
     """
-    rows: dict[object, int] = {}
-    ids: list[np.ndarray | None] = []
-    unnumbered: list[tuple[int, LingSet]] = []
-    numbers = []
-    for sets in families:
-        out = []
-        for s in sets:
-            own = s.index is index
-            key = id(s) if own else s.grams
-            row = rows.get(key)
-            if row is None:
-                row = rows[key] = len(ids)
-                ids.append(s.ids if own else None)
-                if not own:
-                    unnumbered.append((row, s))
-            out.append(row)
-        numbers.append(np.array(out, dtype=np.intp))
+    sets = list(chain.from_iterable(families))
+    keys = np.fromiter(map(id, sets), dtype=np.intp, count=len(sets))
+    foreign = [i for i, s in enumerate(sets) if s.index is not index]
+    by_grams: dict[frozenset[str], int] = {}
+    for i in foreign:
+        keys[i] = by_grams.setdefault(sets[i].grams, keys[i])
+    # Every sort here is stable: numpy's default quicksort would map the
+    # pages of its SIMD sort, about 0.4 MB of RSS that a run uses nowhere else.
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    distinct = [sets[i] for i in first[order].tolist()]
+    ids = [s.ids if s.index is index else None for s in distinct]
+    unnumbered = [row for row, s in enumerate(distinct) if s.index is not index]
     if unnumbered:
-        flat = index.number(chain.from_iterable(s.grams for _, s in unnumbered))
+        flat = index.number(chain.from_iterable(distinct[row].grams for row in unnumbered))
         start = 0
-        for row, s in unnumbered:
-            ids[row] = flat[start : (start := start + len(s.grams))]
-    return _indicator_rows(ids, scratch), numbers
+        for row in unnumbered:
+            ids[row] = flat[start : (start := start + len(distinct[row].grams))]
+    lengths = np.fromiter(map(len, ids), dtype=np.intp, count=len(ids))
+    seams = None
+    if windows is not None:
+        parts, _, seams = np.unique(windows.ravel(), return_index=True, return_inverse=True)
+        window_ids, bounds = index.gather(parts)
+        ids.append(window_ids)
+        lengths = np.concatenate((lengths, np.diff(bounds)))
+        seams = (seams + len(distinct)).reshape(windows.shape)
+    numbers = rank[inverse].reshape(len(families), -1)
+    return _indicator_rows(ids, lengths, scratch), numbers, seams
 
 
-def _indicator_rows(ids: Sequence[np.ndarray], scratch: Scratch) -> np.ndarray:
-    """One boolean row per array of gram ids, over the distinct ids in ascending order.
+def _indicator_rows(ids: Sequence[np.ndarray], lengths: np.ndarray, scratch: Scratch) -> np.ndarray:
+    """One boolean row per length of ``lengths``, over the distinct ids in ascending order.
 
-    The ids present are marked in one table over the index's ids, whose
-    running count gives each one its column; a repeated id in a row sets its
-    entry twice.  Rows stay boolean (one byte per entry) so that a step can
-    gather and join them cheaply; ``_row_distances`` takes them to float32
-    for the product.  The rows are ``scratch``'s "rows" array, valid until
-    its next ``_indicator_rows``.
+    The rows' gram ids are the ids of ``ids`` laid end to end, row after
+    row; row r holds the next ``lengths[r]`` of them.  The ids present are
+    marked in one table over the index's ids, whose running count gives
+    each one its column; a repeated id in a row sets its entry twice.  Rows
+    stay boolean (one byte per entry) so that a step can gather and join
+    them cheaply; ``_row_distances`` takes them to float32 for the product.
+    The rows are ``scratch``'s "rows" array, valid until its next
+    ``_indicator_rows``.
     """
-    lengths = [len(i) for i in ids]
     # As intp, so that no indexing below makes an intp copy of the ids.
-    flat = np.concatenate(ids, out=scratch.take("even", (sum(lengths),), np.intp))
+    flat = np.concatenate(ids, out=scratch.take("even", (int(lengths.sum()),), np.intp))
     present = np.zeros(flat.max(initial=-1) + 1, dtype=bool)
     present[flat] = True
     column = np.cumsum(present) - 1
-    m = scratch.take("rows", (len(ids), int(present.sum())), bool)
+    m = scratch.take("rows", (len(lengths), int(present.sum())), bool)
     m.fill(False)
-    # Each id's offset in the flattened rows: its row's start, a running sum
-    # of one row width at the first id of every row, plus its column.
-    at, columns = scratch.take("odd", (2, len(flat)), np.intp)
-    at.fill(0)
-    starts = np.cumsum(lengths[:-1], dtype=np.intp)
-    np.add.at(at, starts[starts < len(flat)], m.shape[1])  # empty rows share a start
-    np.cumsum(at, out=at)
-    at += np.take(column, flat, out=columns, mode="clip")
+    # Each id's offset in the flattened rows: its column plus its row's start.
+    at = np.take(column, flat, out=scratch.take("odd", flat.shape, np.intp), mode="clip")
+    at += np.repeat(np.arange(len(lengths)) * m.shape[1], lengths)
     m.reshape(-1)[at] = True
     return m
 
@@ -359,7 +375,9 @@ def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> l
     for the sets that the index did not build, and, with ``include_space``,
     of the window ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and
     xz+y the tail is cut from ``x[-(n_max-1):] + " " + y`` (or ``z``)
-    without building the joined string.  ``run_simulation`` builds every
+    without building the joined string.  The 5 seam families' windows (1
+    for two samples) are found in one ``window_parts`` call, as parts of
+    the index's store.  ``run_simulation`` builds every
     set through the run's index, so its steps build no source.  Without
     seams, xy+z = xz+y = xyz, and one family serves both.
 
@@ -378,25 +396,27 @@ def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> l
     joins = [(0, 1), (1, 2), (0, 2)][: k * (k - 1) // 2]
     families = [list(s) for s in samples]
     concat = cfg.joint_mode == "concat" and k > 1
-    foreign = concat and list(dict.fromkeys(s.source for s in chain(*samples) if s.index is not index))
+    foreign = concat and list(dict.fromkeys([s.source for s in chain(*samples) if s.index is not index]))
     if foreign:
         built = dict(zip(foreign, index.segments(foreign, [index.pieces(t) for t in foreign])))
         families += [[s if s.index is index else built[s.source] for s in f] for f in samples]
+    windows = None
     if concat and cfg.include_space:
         reach = cfg.n_max - 1
         sources = [[s.source for s in f] for f in samples]
-        windows = [(sources[a], sources[b]) for a, b in joins]
+        tails = list(chain.from_iterable(sources[a] for a, _ in joins))
+        heads = list(chain.from_iterable(sources[b] for _, b in joins))
         if k == 3:
             sx, sy, sz = sources
             x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a
-            windows += [([a + " " + b for a, b in zip(x_tails, sy)], sz)]
-            windows += [([a + " " + b for a, b in zip(x_tails, sz)], sy)]
-        families += [list(map(index.window, tails, heads)) for tails, heads in windows]
+            tails += [f"{a} {b}" for a, b in zip(x_tails, sy)] + [f"{a} {b}" for a, b in zip(x_tails, sz)]
+            heads += sz + sy
+        windows = index.window_parts(tails, heads).reshape(-1, len(samples[0]))
     scratch = _scratch(index)
-    table, numbers = _set_rows(families, index, scratch)
+    table, numbers, seam_rows = _set_rows(families, windows, index, scratch)
     parts = numbers[k : 2 * k] if foreign else numbers[:k]  # the rows a join reads
     # Each seam is a list of zero (union, or no spaces) or one row-number array.
-    seams = [[s] for s in numbers[2 * k if foreign else k :]] or [[]] * 5
+    seams = [[s] for s in seam_rows] if seam_rows is not None else [[]] * 5
     radix = max(len(table), len(samples[0]))
 
     def capacities(digits: list[np.ndarray], rows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -550,7 +570,7 @@ def _step_capacities(
     read-only.  The memo holds the step's sets, and through them the index
     and its scratch, only until that reuse.
     """
-    caps = tuple(_capacities([[getattr(t, c) for t in triplets] for c in "xyz"], cfg))
+    caps = tuple(_capacities([list(map(attrgetter(c), triplets)) for c in "xyz"], cfg))
     for p in caps:
         p.flags.writeable = False
     return caps

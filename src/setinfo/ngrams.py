@@ -9,11 +9,15 @@ of the metric space regardless of how they were written down.
 one ``GramIndex`` instead, which gives every gram of the run an int id and
 memoizes the grams of each distinct space-free piece (token memo, bounded
 by the corpus vocabulary) and of each distinct seam window (window memo,
-bounded by the distinct windows).  One method, ``GramIndex.segments``,
+bounded by the distinct windows), each as a numbered part of one id
+store.  A memo is looked up a batch of texts at a time, and the texts it
+lacks are scanned and stored together.  One method, ``GramIndex.segments``,
 builds every such set as the union of its pieces' grams and of the
 windows between them; the set carries its gram ids, from which the
 estimator builds its rows without looking at a gram string, and its
-grams are derived from the ids only when read.
+grams are derived from the ids only when read.  One routine,
+``GramIndex.window_parts``, finds every seam window, for ``segments`` and
+for the estimator's concat joins alike.
 """
 
 from __future__ import annotations
@@ -146,18 +150,20 @@ class GramIndex:
     between the text before its last space and the piece after it: a gram
     of at most ``n_max`` characters starts at most ``n_max - 1`` characters
     before that space and ends inside that piece.  The pieces (a token
-    memo, bounded by the distinct pieces) and the windows (bounded by the
-    distinct windows) are memoized for as long as the index lives, each as
-    a numbered part whose gram ids sit in one store, part after part; so
-    is ``vocab``, which numbers every gram on first sight, with its
-    inverse, through which a built set's grams are derived when first
-    read.  ``scratch`` holds the estimator's step buffers
+    memo, bounded by the distinct pieces) and the windows (a window memo,
+    bounded by the distinct windows) are memoized for as long as the index
+    lives, each as a numbered part whose gram ids sit in one store, part
+    after part; so is ``vocab``, which numbers every gram on first sight,
+    with its inverse, through which a built set's grams are derived when
+    first read.  Both memos are looked up, and their misses scanned, a
+    batch at a time (``_lookup``); ``window_parts`` is the one routine that
+    finds seam windows.  ``scratch`` holds the estimator's step buffers
     (``density.Scratch``) from the first step on, for as long as the index
-    lives.  Every memoized window set points back to the index, so an
-    index with memos lives until a cyclic collection; ``clear`` drops the
-    memos and the scratch, after which the index dies with its last
-    outside reference.  Nothing here is locked: an index, and the steps
-    that use it, belong to one thread.
+    lives.  The sets that ``window`` memoizes point back to the index, so
+    an index that made one lives until a cyclic collection; ``clear``
+    drops the memos and the scratch, after which the index dies with its
+    last outside reference.  Nothing here is locked: an index, and the
+    steps that use it, belong to one thread.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -178,7 +184,8 @@ class GramIndex:
         self.scratch = None
         self._token_ids: dict[str, int] = {}  # the token memo: each piece's part
         self._pairs: dict[int, int] = {}  # windows' parts, by the pieces around them (``_seams``)
-        self._windows: dict[str, tuple[LingSet, int]] = {}  # each window's set and part
+        self._windows: dict[str, int] = {}  # the window memo: each window's part, by its text
+        self._window_sets: dict[str, LingSet] = {}  # ``window``'s sets, by the window's text
         # Part p's gram ids are _store[_offsets[p] : _offsets[p + 1]]; part 0 is empty.
         self._store = np.zeros(0, dtype=np.int32)
         self._offsets = np.zeros(2, dtype=np.intp)
@@ -196,41 +203,55 @@ class GramIndex:
             inverse.extend(islice(self.vocab, len(inverse), None))
         return frozenset(map(inverse.__getitem__, ids.tolist()))
 
-    def _scan(self, text: str, spaced: bool) -> np.ndarray:
-        """The ids of ``text``'s grams, only those holding a space if ``spaced``."""
+    def _lookup(self, memo: dict[str, int], texts: list[str], spaced: bool) -> list[int]:
+        """The part of each of ``texts`` in ``memo``; the ones not in it are scanned together first.
+
+        A missing text becomes a new part holding the ids of its distinct
+        grams (only those holding a space if ``spaced``; "" has none),
+        numbered as in ``number``; the parts of all the missing texts are
+        written to the store in one append.  Each text's gram set lives only
+        while it is numbered: holding them all at once raised a short run's
+        peak RSS.
+        """
+        parts = list(map(memo.get, texts))
+        if None not in parts:
+            return parts
+        missing = list(dict.fromkeys(t for t, p in zip(texts, parts) if p is None))
         n_min, n_max, _ = self.settings
-        grams = ngram_set(text, n_min, n_max, True).grams if text else frozenset()
-        if spaced:
-            grams = (g for g in grams if " " in g)
-        return self.number(grams)
+        vocab = self.vocab
+        found = [
+            [
+                vocab.setdefault(g, len(vocab))
+                for g in {t[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(t) - n + 1)}
+                if not spaced or " " in g
+            ]
+            for t in missing
+        ]
+        ids = np.fromiter(chain.from_iterable(found), dtype=np.int32)
+        first, start = self._parts, int(self._offsets[self._parts])
+        end = first + len(missing)
+        self._store = _fit(self._store, start + len(ids))
+        self._offsets = _fit(self._offsets, end + 1)
+        self._store[start : start + len(ids)] = ids
+        np.cumsum([start, *map(len, found)], out=self._offsets[first : end + 1])
+        self._parts = end
+        memo.update(zip(missing, range(first, end)))
+        return list(map(memo.get, texts))
 
-    def _part(self, ids: np.ndarray) -> int:
-        """Append ``ids`` to the store as a new part; return its number."""
-        p, start = self._parts, int(self._offsets[self._parts])
-        end = start + len(ids)
-        self._store = _fit(self._store, end)
-        self._offsets = _fit(self._offsets, p + 2)
-        self._store[start:end] = ids
-        self._offsets[p + 1] = end
-        self._parts = p + 1
-        return p
+    def _window_keys(self, tails: Sequence[str], heads: Sequence[str]) -> list[str]:
+        """Each window's text, ``a[-(n_max-1):] + " " + b[:n_max-1]``."""
+        reach = self.settings[1] - 1
+        if not reach:  # a[-0:] would be all of a
+            return [" "] * len(tails)
+        return [f"{a[-reach:]} {b[:reach]}" for a, b in zip(tails, heads)]
 
-    def _token(self, token: str) -> int:
-        """The part of a space-free piece in the token memo, scanned on first sight; "" has no grams."""
-        p = self._token_ids.get(token)
-        if p is None:
-            p = self._token_ids[token] = self._part(self._scan(token, False))
-        return p
+    def window_parts(self, tails: Sequence[str], heads: Sequence[str]) -> np.ndarray:
+        """The part of ``window(tails[i], heads[i])`` for each i, every window looked up in one batch.
 
-    def _window(self, a: str, b: str) -> tuple[LingSet, int]:
-        """``window(a, b)`` and its part."""
-        reach = self.settings[1] - 1  # a[-0:] would be all of a
-        key = a[max(len(a) - reach, 0) :] + " " + b[:reach]
-        found = self._windows.get(key)
-        if found is None:
-            ids = self._scan(key, True)
-            found = self._windows[key] = (LingSet(None, key, self, ids), self._part(ids))
-        return found
+        This is the one routine that finds seam windows: the windows that
+        the memo lacks are scanned together, each once per index.
+        """
+        return np.array(self._lookup(self._windows, self._window_keys(tails, heads), True), dtype=np.intp)
 
     def window(self, a: str, b: str) -> LingSet:
         """The grams holding a space of ``a[-(n_max-1):] + " " + b[:n_max-1]``, scanned once per window.
@@ -240,9 +261,34 @@ class GramIndex:
         ``n_max`` characters that covers the joining space lies inside this
         window, and one without a space lies inside ``a`` or ``b``.  Without
         ``include_space`` no gram crosses a space, and a concat join equals
-        the union.
+        the union.  The set is made from the window's part on first request
+        and memoized, so one window gives one object.
         """
-        return self._window(a, b)[0]
+        (key,) = self._window_keys([a], [b])
+        found = self._window_sets.get(key)
+        if found is None:
+            ids, _ = self.gather(np.array(self._lookup(self._windows, [key], True), dtype=np.intp))
+            found = self._window_sets[key] = LingSet(None, key, self, ids)
+        return found
+
+    def gather(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gram ids of ``parts``, part after part in one array, and where each part starts and ends in it.
+
+        Part i's ids are ``ids[bounds[i] : bounds[i + 1]]``.  Their store
+        positions are one running sum of steps, taken in place: 1 inside a
+        part, and at the start of each part the jump from the end of the
+        part before it.  Besides the positions and the ids, no other array
+        of their length is made: a step's transient arrays raised a short
+        run's peak RSS.
+        """
+        first = self._offsets[parts]
+        sizes = self._offsets[parts + 1] - first
+        bounds = np.concatenate(([0], np.cumsum(sizes)))
+        filled = sizes > 0
+        first, last = first[filled], first[filled] + sizes[filled] - 1
+        at = np.ones(bounds[-1], dtype=np.intp)
+        at[bounds[:-1][filled]] = first - np.concatenate(([0], last[:-1]))
+        return self._store[np.cumsum(at, out=at)], bounds
 
     def pieces(self, text: str) -> list[str]:
         """How ``text`` is cut: at each space with ``include_space``, else at every whitespace run."""
@@ -257,21 +303,18 @@ class GramIndex:
         """The set of each text, given as its pieces: ``tokens[i] == self.pieces(texts[i])``.
 
         Each set equals ``ngram_set(texts[i], n_min, n_max, include_space)``.
-        The pieces of all the texts are numbered in one pass through the
-        token memo, an empty one as the empty set, and with
-        ``include_space`` the windows between them are looked up in one
-        pass too (``_seams``).  Each text's parts, its pieces and the
-        windows between them, lie next to each other in one sequence, and
-        one gather from the store lays all their gram ids out in one array;
-        each set's ids are one contiguous slice of it, and the sets' grams
-        are not built.
+        The pieces of all the texts are numbered in one lookup in the token
+        memo, an empty one as the empty set, and with ``include_space`` the
+        windows between them are looked up in one batch too (``_seams``).
+        Each text's parts, its pieces and the windows between them, lie
+        next to each other in one sequence, and one ``gather`` from the
+        store lays all their gram ids out in one array; each set's ids are
+        one contiguous slice of it, and the sets' grams are not built.
         """
         if not texts:  # a pool step whose texts are all built already
             return []
         pieces = list(chain.from_iterable(tokens))
-        parts = list(map(self._token_ids.get, pieces))
-        if None in parts:
-            parts = list(map(self._token, pieces))
+        parts = self._lookup(self._token_ids, pieces, False)
         counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
         ends = np.cumsum(counts)
         starts = ends - counts
@@ -283,19 +326,7 @@ class GramIndex:
         sequence[0::2] = parts
         if self.settings[2] and len(parts) > 1:
             sequence[1:-1:2] = self._seams(sequence[0::2], pieces, tokens, starts, ends)
-        first = self._offsets[sequence]
-        sizes = self._offsets[sequence + 1] - first
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        # The store position of each id laid out, as one running sum of
-        # steps: 1 inside a part, and at the start of each part the jump
-        # from the end of the part before it.  Besides ``flat``, no other
-        # array of that length is made: a step's transient arrays raised a
-        # short run's peak RSS.
-        filled = sizes > 0
-        first, last = first[filled], first[filled] + sizes[filled] - 1
-        at = np.ones(bounds[-1], dtype=np.intp)
-        at[bounds[:-1][filled]] = first - np.concatenate(([0], last[:-1]))
-        flat = self._store[np.cumsum(at, out=at)]
+        flat, bounds = self.gather(sequence)
         lo = bounds[2 * starts].tolist()
         hi = bounds[np.maximum(2 * ends - 1, 2 * starts)].tolist()
         return [LingSet(None, text, self, flat[a:b]) for text, a, b in zip(texts, lo, hi)]
@@ -320,11 +351,12 @@ class GramIndex:
         piece t-1 is shorter than ``n_max - 2`` characters.  So the window
         is keyed by the part pair (piece t-1, piece t) and whether piece
         t-1 is short and follows another, and found for all the pieces in
-        one lookup; a window that reaches further back is cut from the
-        text's pieces, from at most ``n_max`` pieces before piece t, each
-        time (reach + 1 pieces span reach characters: the spaces between
-        them), and memoized by its text only.  A key packs both parts in
-        one int64, which needs fewer than 2**30 parts in the store.
+        one lookup.  The windows that lookup misses are cut from the text's
+        pieces, from at most ``n_max`` pieces before piece t (reach + 1
+        pieces span reach characters: the spaces between them), and found
+        in one ``window_parts`` call; one that reaches further back is
+        memoized by its text only.  A key packs both parts in one int64,
+        which needs fewer than 2**30 parts in the store.
         """
         reach = self.settings[1] - 1
         follows = np.ones(len(pieces), dtype=bool)
@@ -333,13 +365,21 @@ class GramIndex:
         keys = ((parts[:-1] << 33) | (parts[1:] << 1) | behind[:-1]).tolist()
         windows = np.fromiter(map(self._pairs.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
         windows[ends[:-1] - 1] = 0
-        missing = np.flatnonzero(windows < 0)
-        for q, i in zip(missing.tolist(), np.searchsorted(ends, missing, side="right").tolist()):
+        missing = np.flatnonzero(windows < 0).tolist()
+        if not missing:
+            return windows
+        tails, heads = [], []
+        for q, i in zip(missing, np.searchsorted(ends, missing, side="right").tolist()):
             seg, t = tokens[i], q + 1 - int(starts[i])
-            first = max(t - reach - 1, 0) if behind[q] else t - 1
-            windows[q] = self._window(" ".join(seg[first:t]), seg[t])[1]
-            if not behind[q] or len(seg[t - 1]) + 1 >= reach:
-                self._pairs[keys[q]] = int(windows[q])
+            tails.append(" ".join(seg[max(t - reach - 1, 0) if behind[q] else t - 1 : t]))
+            heads.append(seg[t])
+        found = self.window_parts(tails, heads)
+        windows[missing] = found
+        self._pairs.update(
+            (keys[q], p)
+            for q, p in zip(missing, found.tolist())
+            if not behind[q] or len(pieces[q]) + 1 >= reach
+        )
         return windows
 
 

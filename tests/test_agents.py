@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import inspect
 import json
 import tracemalloc
@@ -228,15 +229,21 @@ class TestSynthCorpus:
         assert one_object_per_value(tokens)
 
     def test_corpus_retains_one_reference_per_token(self):
-        # Measured about 1.4 MB retained: one 8-byte reference per token
-        # (84000 tokens, 0.69 MB), the 240 texts (0.51 MB), the gold list
-        # (0.11 MB) and its 2816 distinct tuples (at most 0.18 MB).  A tuple
-        # per sentence adds about 0.6 MB, and a new str per token about
-        # 4 MB.  The peak, about 1.8 MB, comes while the batch draw's arrays
-        # are alive.
+        # Measured 1.54 MB retained: one 8-byte reference per token (84000
+        # tokens, 0.69 MB), the 240 texts (0.51 MB), the gold list (0.11 MB)
+        # and its 2816 distinct tuples (at most 0.18 MB).  A tuple per
+        # sentence adds about 0.6 MB, and a new str per token about 4 MB.
+        # The peak, 1.94 MB, comes while the batch draw's arrays are alive.
+        # The generator is made, and the free lists emptied, before tracing
+        # starts: a traced first import of ``numpy.random`` read 2.26 MB
+        # retained and 2.66 MB peak, and a burst of freed tuples before the
+        # call hid some of the gold tuples (1.40 MB), so the figures
+        # depended on the tests run before.
+        rng = np.random.default_rng(5)
+        gc.collect()
         tracemalloc.start()
         try:
-            docs, gold = synth_corpus(12000, np.random.default_rng(5))
+            docs, gold = synth_corpus(12000, rng)
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

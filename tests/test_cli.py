@@ -18,20 +18,22 @@ REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_run_config(path, corpus="synthetic", extra=""):
-    path.write_text(
-        f"""
-corpus.path = {corpus}
-synthetic.sentences = 400
-context.length = 10
-context.per_step = 15
-run.k_max = 4
-run.window = 2
-run.seed = 11
-agents = random, structured
-agent.structured.kind = gold_file
-{extra}
-"""
-    )
+    """A small run config; each ``key = value`` line of ``extra`` replaces the base line of its key, or is added."""
+    lines = {
+        "corpus.path": corpus,
+        "synthetic.sentences": "400",
+        "context.length": "10",
+        "context.per_step": "15",
+        "run.k_max": "4",
+        "run.window": "2",
+        "run.seed": "11",
+        "agents": "random, structured",
+        "agent.structured.kind": "gold_file",
+    }
+    for line in extra.splitlines():
+        key, value = line.split("=", 1)
+        lines[key.strip()] = value.strip()
+    path.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
 
 
 class TestUsageErrors:

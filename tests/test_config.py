@@ -45,6 +45,17 @@ class TestParseConfigText:
         with pytest.raises(ConfigInvalid):
             parse_config_text("= value\n")
 
+    def test_repeated_key_rejected_naming_both_lines(self):
+        # Before, the last value won silently: this text ran with seed 2.
+        with pytest.raises(ConfigInvalid, match=r"^run\.seed: set on line 1 and again on line 3$"):
+            parse_config_text("run.seed = 1\n# a comment\nrun.seed = 2\n")
+
+    def test_repeated_key_in_a_run_config_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("run.k_max = 4\nrun.seed = 1\ncontext.per_step = 5\nrun.seed = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=r"^run\.seed: set on line 2 and again on line 4$"):
+            RunConfig.from_file(path)
+
 
 class TestAccessors:
     def test_bool(self):
@@ -117,6 +128,15 @@ class TestShippedConfigs:
         text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
         path.write_text(f"{text}\n{extra}\n", encoding="utf-8")
         with pytest.raises(ConfigInvalid, match=named):
+            grammar_from_file(path)
+
+    def test_grammar_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "grammar.cfg"
+        text = (REPO_CONFIGS / "grammar_example.cfg").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines, start=1) if line.startswith("grammar.p_pref ="))
+        path.write_text("\n".join([*lines, "grammar.p_pref = 0.3"]) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=rf"^grammar\.p_pref: set on line {first} and again on line {len(lines) + 1}$"):
             grammar_from_file(path)
 
     def test_grammar_verbs_equal_once_normalized_rejected(self, tmp_path):

@@ -33,7 +33,7 @@ from setinfo import (
     synth_corpus,
     triplet_likelihood,
 )
-from setinfo import density, ngrams
+from setinfo import density
 from setinfo.agents import build_step_samples
 from setinfo.density import (
     MiRecord,
@@ -171,7 +171,8 @@ class TestDistanceMatrix:
         sets = sets + sets[:3]  # repeated members
         expected = np.array([[hamming(a, b) for b in sets] for a in sets], dtype=np.float64)
         index, scratch = GramIndex(1, 3, True), Scratch()
-        got = _row_distances(_indicator_rows([index.number(s.grams) for s in sets], scratch), scratch)
+        ids = [index.number(s.grams) for s in sets]
+        got = _row_distances(_indicator_rows(ids, np.array([len(i) for i in ids]), scratch), scratch)
         assert np.array_equal(got, expected)
 
     @settings(deadline=None, max_examples=60)
@@ -643,20 +644,28 @@ class TestStepCapacities:
 
     @staticmethod
     def scans(monkeypatch) -> list[str]:
-        """The text of every ``ngram_set`` call from here on."""
+        """The text of every piece and window that an index scans from here on."""
         calls = []
-        scan = ngrams.ngram_set
-        monkeypatch.setattr(ngrams, "ngram_set", lambda text, *a: calls.append(text) or scan(text, *a))
+        scan = GramIndex._lookup
+
+        def spy(self, memo, texts, spaced):
+            calls.extend(dict.fromkeys(t for t in texts if t not in memo))
+            return scan(self, memo, texts, spaced)
+
+        monkeypatch.setattr(GramIndex, "_lookup", spy)
         return calls
 
     @staticmethod
     def windows(monkeypatch) -> list[set[str]]:
-        """From here on, the text of every window each step reads; call ``append`` before each step."""
+        """From here on, the text of every window each step looks up; call ``append`` before each step."""
         steps: list[set[str]] = []
-        window = GramIndex.window
-        monkeypatch.setattr(
-            GramIndex, "window", lambda self, a, b: steps[-1].add((w := window(self, a, b)).source) or w
-        )
+        find = GramIndex.window_parts
+
+        def spy(self, tails, heads):
+            steps[-1].update(self._window_keys(tails, heads))
+            return find(self, tails, heads)
+
+        monkeypatch.setattr(GramIndex, "window_parts", spy)
         return steps
 
     def test_copies_of_one_triplet_scan_each_text_once(self, monkeypatch):
@@ -665,35 +674,48 @@ class TestStepCapacities:
         texts = ("the cat", "sat on", "the mat")
         index = CONCAT.gram_index()
         calls = self.scans(monkeypatch)
-        steps = self.windows(monkeypatch)
         copies = [Triplet(*map(index, texts))] * 12
+        steps = self.windows(monkeypatch)
         _step_capacities.cache_clear()
         for _ in range(2):
             steps.append(set())
             _step_capacities(tuple(copies), CONCAT)
-        assert steps[0] == steps[1]  # windows recur across steps
+        assert steps[0] and steps[0] == steps[1]  # windows recur across steps
         assert calls and max(Counter(calls).values()) == 1  # every scanned text is scanned once
         calls.clear()
+        steps.append(set())
         _step_capacities(tuple([triplet(*texts, CONCAT)] * 12), CONCAT)
-        assert calls and max(Counter(calls).values()) == 1
+        assert steps[2] and calls and max(Counter(calls).values()) == 1
 
     def test_seam_grams_run_once_per_distinct_window(self, monkeypatch):
         # One index builds a run's sets and serves two of its steps.  Every
         # piece and every window, inside a segment or between two, is scanned
         # exactly once, including the windows the two steps share.
         calls = self.scans(monkeypatch)
-        steps = self.windows(monkeypatch)
         docs, _ = synth_corpus(300, np.random.default_rng(3))
-        samples = build_step_samples(
+        samples = list(build_step_samples(
             "random", docs.token_lists, k_max=2, per_step=40, rng=np.random.default_rng(4),
             context_length=10, gram_set=CONCAT.gram_index(),
-        )
+        ))
+        steps = self.windows(monkeypatch)
         for sample in samples:
             steps.append(set())
             _step_capacities.cache_clear()
             _step_capacities(sample.triplets, CONCAT)
-        assert steps[0] & steps[1]  # windows recur across steps
+        assert steps[0] and steps[1] and steps[0] & steps[1]  # windows recur across steps
         assert max(Counter(calls).values()) == 1  # every scanned text is scanned once
+
+    def test_a_step_finds_its_windows_in_one_batch(self, monkeypatch):
+        index = CONCAT.gram_index()
+        texts = [("the cat", "sat on", "the mat"), ("a dog", "ran to", "a door")] * 3
+        triplets = tuple(Triplet(*map(index, t)) for t in texts)
+        batches = []
+        find = GramIndex.window_parts
+        monkeypatch.setattr(GramIndex, "window", lambda *args: pytest.fail("a window looked up on its own"))
+        monkeypatch.setattr(GramIndex, "window_parts", lambda self, t, h: batches.append(len(t)) or find(self, t, h))
+        _step_capacities.cache_clear()
+        _step_capacities(triplets, CONCAT)
+        assert batches == [5 * len(triplets)]  # xy, yz, xz, xy+z and xz+y
 
     def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
@@ -721,8 +743,8 @@ class TestRowKeys:
         by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
         by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
         assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
-        identity_rows, _ = density._set_rows([[t.x for t in by_identity]], index, Scratch())
-        grams_rows, _ = density._set_rows([[t.x for t in by_grams]], cfg.gram_index(), Scratch())
+        identity_rows, _, _ = density._set_rows([[t.x for t in by_identity]], None, index, Scratch())
+        grams_rows, _, _ = density._set_rows([[t.x for t in by_grams]], None, cfg.gram_index(), Scratch())
         assert (len(identity_rows), len(grams_rows)) == (3, 2)
         _step_capacities.cache_clear()
         for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
@@ -901,7 +923,7 @@ class TestScratch:
         expected = np.zeros((len(ids), len(columns)), dtype=bool)
         for row, i in enumerate(ids):
             expected[row, np.searchsorted(columns, i)] = True
-        got = _indicator_rows(ids, scratch)
+        got = _indicator_rows(ids, np.array([len(i) for i in ids]), scratch)
         assert np.array_equal(got, expected)
         assert np.array_equal(_row_distances(got, scratch), _row_distances(expected, Scratch()))
 

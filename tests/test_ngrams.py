@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setinfo import EmptyText, LingSet, hamming, join, ngram_set
-from setinfo import ngrams
 from setinfo.ngrams import GramIndex
 
 from conftest import collector_disabled, lingsets, texts
@@ -155,19 +154,58 @@ class TestGramIndex:
 
     def test_window_extracted_once(self, monkeypatch):
         calls = []
-        scan = ngrams.ngram_set
-        monkeypatch.setattr(ngrams, "ngram_set", lambda text, *a: calls.append(text) or scan(text, *a))
+        scan = GramIndex._lookup
+
+        def spy(self, memo, texts, spaced):
+            calls.extend(t for t in texts if t not in memo)
+            return scan(self, memo, texts, spaced)
+
+        monkeypatch.setattr(GramIndex, "_lookup", spy)
         index = GramIndex(1, 3, True)
         assert index.window("the cat", "sat on") is index.window("a cat", "sat")
         assert calls == ["at sa"]
         assert index.window("the cat", "sat on").grams == {" ", "t ", " s", "at ", "t s", " sa"}
 
+    # Window sides: sources shorter than a window's reach, empty pieces
+    # (doubled spaces), and sides holding spaces, so that a key may hold
+    # more than one, as an xy+z tail does.
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(st.tuples(st.text(alphabet="ab ", max_size=6), st.text(alphabet="ab ", max_size=6)), min_size=1, max_size=8),
+        st.sampled_from(GRAM_LENGTHS),
+        st.integers(0, 8),
+    )
+    @example([("a", "b a"), ("a b", "a")], (1, 4), 0)  # one key, "a b a", from two splits
+    @example([("ab", "cd"), ("ab", "cd"), ("xab", "cde")], (1, 3), 1)  # repeated and memoized keys
+    @example([("ab", "cd")], (1, 1), 0)  # n_max = 1: every window is " "
+    @example([("x ab b", "z"), ("x ab", "b")], (1, 4), 0)  # an xy+z tail whose y is shorter than the reach
+    @example([("", ""), ("a  ", " b")], (1, 3), 0)
+    def test_window_parts_equal_window(self, pairs, lengths, memoized):
+        # Some keys are memoized by an earlier batch; the batch's parts must
+        # hold the grams that one-at-a-time ``window`` calls of a fresh index
+        # give, and with them ``ngram_set`` of the joined text is the union
+        # of its sides' and the window's grams.
+        n_min, n_max = lengths
+        index, one = GramIndex(n_min, n_max, True), GramIndex(n_min, n_max, True)
+        index.window_parts([a for a, _ in pairs[:memoized]], [b for _, b in pairs[:memoized]])
+        parts = index.window_parts([a for a, _ in pairs], [b for _, b in pairs])
+        assert parts.shape == (len(pairs),)
+
+        def grams(text: str) -> frozenset[str]:
+            return ngram_set(text, n_min, n_max, True).grams if text else frozenset()
+
+        for (a, b), part in zip(pairs, parts.tolist()):
+            window = index.grams_of(index.gather(np.array([part]))[0])
+            assert window == one.window(a, b).grams == index.window(a, b).grams
+            assert grams(a + " " + b) == grams(a) | grams(b) | window
+
     def test_clear_frees_the_index_without_the_collector(self):
-        # Every memoized set points back to the index, a cycle; clear drops
-        # them, so the index dies with its last reference.  Sets built
-        # before still read their grams, and later calls fold again.
+        # Every set ``window`` memoizes points back to the index, a cycle;
+        # clear drops them, so the index dies with its last reference.  Sets
+        # built before still read their grams, and later calls fold again.
         index = GramIndex(1, 3, True)
         (segment,) = index.segments(["cd ab"], [["cd", "ab"]])
+        index.window("cd", "ab")
         index.scratch = object()
         index.clear()
         assert index.scratch is None
