@@ -30,8 +30,11 @@ and one scatter fills the boolean rows of the distinct sets
 OR of its parts' rows.  A concat join, like ``join``, reads the sources:
 a set the index did not build enters it as the index's set of its source,
 and the seam grams across the joining space come from the index's window
-memo, all of a call's windows in one ``GramIndex.window_parts`` batch, as
-part numbers whose gram ids one gather takes from the index's store.
+memo, which ``GramIndex.segments`` fills by the same rule: the window at
+a space is the slice of its text ``n_max - 1`` characters either side of
+it.  All of a call's windows are looked up in one
+``GramIndex.window_parts`` batch, as part numbers whose gram ids one
+gather takes from the index's store.
 Only a family's u
 distinct members get rows and a product; the distances are exact
 integers, so each kernel value is read from one table over the distances
@@ -373,10 +376,10 @@ def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> l
     ``join``, re-extracts grams from the space-joined sources: it is the OR
     of the index's sets of its sources, which one ``segments`` call builds
     for the sets that the index did not build, and, with ``include_space``,
-    of the window ``a[-(n_max-1):] + " " + b[:n_max-1]``; for xy+z and
-    xz+y the tail is cut from ``x[-(n_max-1):] + " " + y`` (or ``z``)
-    without building the joined string.  The 5 seam families' windows (1
-    for two samples) are found in one ``window_parts`` call, as parts of
+    of the index's window at the joining space of ``a + " " + b``, the one
+    window rule of ``GramIndex``; for xy+z and xz+y the left side is the
+    joined source ``x + " " + y`` (or ``z``).  The 5 seam families' windows
+    (1 for two samples) are found in one ``window_parts`` call, as parts of
     the index's store.  ``run_simulation`` builds every
     set through the run's index, so its steps build no source.  Without
     seams, xy+z = xz+y = xyz, and one family serves both.
@@ -402,14 +405,12 @@ def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> l
         families += [[s if s.index is index else built[s.source] for s in f] for f in samples]
     windows = None
     if concat and cfg.include_space:
-        reach = cfg.n_max - 1
         sources = [[s.source for s in f] for f in samples]
         tails = list(chain.from_iterable(sources[a] for a, _ in joins))
         heads = list(chain.from_iterable(sources[b] for _, b in joins))
         if k == 3:
             sx, sy, sz = sources
-            x_tails = [a[max(len(a) - reach, 0) :] for a in sx]  # a[-0:] would be all of a
-            tails += [f"{a} {b}" for a, b in zip(x_tails, sy)] + [f"{a} {b}" for a, b in zip(x_tails, sz)]
+            tails += [f"{a} {b}" for a, b in zip(sx, sy)] + [f"{a} {b}" for a, b in zip(sx, sz)]
             heads += sz + sy
         windows = index.window_parts(tails, heads).reshape(-1, len(samples[0]))
     scratch = _scratch(index)

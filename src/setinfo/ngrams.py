@@ -15,15 +15,16 @@ lacks are scanned and stored together.  One method, ``GramIndex.segments``,
 builds every such set as the union of its pieces' grams and of the
 windows between them; the set carries its gram ids, from which the
 estimator builds its rows without looking at a gram string, and its
-grams are derived from the ids only when read.  One routine,
-``GramIndex.window_parts``, finds every seam window, for ``segments`` and
-for the estimator's concat joins alike.
+grams are derived from the ids only when read.  One rule cuts every seam
+window, for ``segments`` and for the estimator's concat joins
+(``GramIndex.window_parts``) alike: the window at a space of a text is
+the slice of the text ``n_max - 1`` characters either side of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -146,24 +147,24 @@ class GramIndex:
     that text.  Without ``include_space`` a set is the union of the grams
     of ``text.split()``.  With it, the text is cut at each space into
     pieces, each scanned whole (a piece may be empty, or hold tabs or
-    newlines), and a gram that holds a space is found in the window
-    between the text before its last space and the piece after it: a gram
-    of at most ``n_max`` characters starts at most ``n_max - 1`` characters
-    before that space and ends inside that piece.  The pieces (a token
+    newlines), and a gram that holds a space is found in the window of
+    that space.  One rule cuts every window: the window at a space ``p``
+    of a text is ``text[max(p - reach, 0) : p + 1 + reach]``, with
+    ``reach = n_max - 1``, since a gram of at most ``n_max`` characters
+    that holds that space lies inside it.  A join's window is the rule
+    applied to ``a + " " + b`` at the joining space.  The pieces (a token
     memo, bounded by the distinct pieces) and the windows (a window memo,
     bounded by the distinct windows) are memoized for as long as the index
     lives, each as a numbered part whose gram ids sit in one store, part
     after part; so is ``vocab``, which numbers every gram on first sight,
     with its inverse, through which a built set's grams are derived when
     first read.  Both memos are looked up, and their misses scanned, a
-    batch at a time (``_lookup``); ``window_parts`` is the one routine that
-    finds seam windows.  ``scratch`` holds the estimator's step buffers
-    (``density.Scratch``) from the first step on, for as long as the index
-    lives.  The sets that ``window`` memoizes point back to the index, so
-    an index that made one lives until a cyclic collection; ``clear``
-    drops the memos and the scratch, after which the index dies with its
-    last outside reference.  Nothing here is locked: an index, and the
-    steps that use it, belong to one thread.
+    batch at a time (``_lookup``).  ``scratch`` holds the estimator's step
+    buffers (``density.Scratch``) from the first step on, for as long as
+    the index lives.  The sets an index builds point to it, and nothing in
+    the index points to a set, so an index dies with its last reference.
+    Nothing here is locked: an index, and the steps that use it, belong to
+    one thread.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -173,19 +174,8 @@ class GramIndex:
         self.vocab: dict[str, int] = {}
         self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
         self.scratch: Scratch | None = None  # set by the estimator's first step on this index's sets
-        self.clear()
-
-    def clear(self) -> None:
-        """Empty the token, pair and window memos and the part store, and drop the scratch.
-
-        The vocabulary stays, so the sets built before can still read their
-        grams; later calls fill the memos again.
-        """
-        self.scratch = None
         self._token_ids: dict[str, int] = {}  # the token memo: each piece's part
-        self._pairs: dict[int, int] = {}  # windows' parts, by the pieces around them (``_seams``)
         self._windows: dict[str, int] = {}  # the window memo: each window's part, by its text
-        self._window_sets: dict[str, LingSet] = {}  # ``window``'s sets, by the window's text
         # Part p's gram ids are _store[_offsets[p] : _offsets[p + 1]]; part 0 is empty.
         self._store = np.zeros(0, dtype=np.int32)
         self._offsets = np.zeros(2, dtype=np.intp)
@@ -239,37 +229,24 @@ class GramIndex:
         return list(map(memo.get, texts))
 
     def _window_keys(self, tails: Sequence[str], heads: Sequence[str]) -> list[str]:
-        """Each window's text, ``a[-(n_max-1):] + " " + b[:n_max-1]``."""
+        """The window at the joining space of each ``a + " " + b``: ``a[max(len(a) - reach, 0):] + " " + b[:reach]``."""
         reach = self.settings[1] - 1
-        if not reach:  # a[-0:] would be all of a
-            return [" "] * len(tails)
-        return [f"{a[-reach:]} {b[:reach]}" for a, b in zip(tails, heads)]
+        starts = np.maximum(np.fromiter(map(len, tails), dtype=np.intp, count=len(tails)) - reach, 0).tolist()
+        return [f"{a[i:]} {b[:reach]}" for a, b, i in zip(tails, heads, starts)]
 
     def window_parts(self, tails: Sequence[str], heads: Sequence[str]) -> np.ndarray:
-        """The part of ``window(tails[i], heads[i])`` for each i, every window looked up in one batch.
+        """The part of the window at the joining space of each ``tails[i] + " " + heads[i]``.
 
-        This is the one routine that finds seam windows: the windows that
-        the memo lacks are scanned together, each once per index.
+        Every window is looked up in one batch, in the memo that
+        ``segments`` uses, and each is scanned once per index.  A window's
+        part holds the ids of its grams that hold any of its spaces: with
+        ``include_space``, ``ngram_set(a + " " + b)`` is exactly the union
+        of ``ngram_set(a)``, ``ngram_set(b)`` and the window's grams, since
+        a gram that holds no space lies inside ``a`` or ``b``.  Without
+        ``include_space`` no gram crosses a space, and a concat join equals
+        the union.
         """
         return np.array(self._lookup(self._windows, self._window_keys(tails, heads), True), dtype=np.intp)
-
-    def window(self, a: str, b: str) -> LingSet:
-        """The grams holding a space of ``a[-(n_max-1):] + " " + b[:n_max-1]``, scanned once per window.
-
-        With ``include_space``, ``ngram_set(a + " " + b)`` is exactly
-        ``ngram_set(a) | ngram_set(b) | window(a, b)``: a gram of at most
-        ``n_max`` characters that covers the joining space lies inside this
-        window, and one without a space lies inside ``a`` or ``b``.  Without
-        ``include_space`` no gram crosses a space, and a concat join equals
-        the union.  The set is made from the window's part on first request
-        and memoized, so one window gives one object.
-        """
-        (key,) = self._window_keys([a], [b])
-        found = self._window_sets.get(key)
-        if found is None:
-            ids, _ = self.gather(np.array(self._lookup(self._windows, [key], True), dtype=np.intp))
-            found = self._window_sets[key] = LingSet(None, key, self, ids)
-        return found
 
     def gather(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gram ids of ``parts``, part after part in one array, and where each part starts and ends in it.
@@ -304,8 +281,10 @@ class GramIndex:
 
         Each set equals ``ngram_set(texts[i], n_min, n_max, include_space)``.
         The pieces of all the texts are numbered in one lookup in the token
-        memo, an empty one as the empty set, and with ``include_space`` the
-        windows between them are looked up in one batch too (``_seams``).
+        memo, an empty one as the empty set.  With ``include_space`` the
+        window at each space inside a text is cut from one string of all
+        the pieces, at bounds computed in one pass and clipped to the text,
+        and all the windows are looked up in one batch in the window memo.
         Each text's parts, its pieces and the windows between them, lie
         next to each other in one sequence, and one ``gather`` from the
         store lays all their gram ids out in one array; each set's ids are
@@ -314,73 +293,31 @@ class GramIndex:
         if not texts:  # a pool step whose texts are all built already
             return []
         pieces = list(chain.from_iterable(tokens))
-        parts = self._lookup(self._token_ids, pieces, False)
         counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
         ends = np.cumsum(counts)
         starts = ends - counts
         # Part k of the sequence is piece k/2 for even k, and for odd k the
-        # window between pieces (k-1)/2 and (k+1)/2: empty where they belong
-        # to two texts, after the last piece (where a trailing text without
-        # pieces starts), or without include_space.
-        sequence = np.zeros(2 * len(parts), dtype=np.intp)
-        sequence[0::2] = parts
-        if self.settings[2] and len(parts) > 1:
-            sequence[1:-1:2] = self._seams(sequence[0::2], pieces, tokens, starts, ends)
+        # window at the space after piece (k-1)/2: empty where the next
+        # piece belongs to another text, after the last piece, or without
+        # include_space.
+        sequence = np.zeros(2 * len(pieces), dtype=np.intp)
+        sequence[0::2] = self._lookup(self._token_ids, pieces, False)
+        if self.settings[2] and len(pieces) > 1:
+            reach = self.settings[1] - 1
+            joined = " ".join(pieces)
+            lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
+            stops = np.cumsum(lengths + 1) - 1  # where each piece stops in ``joined``: at the space after it
+            owner = np.repeat(np.arange(len(tokens)), counts)
+            inner = np.flatnonzero(owner[1:] == owner[:-1])  # the pieces followed by a space of their text
+            at, first, last = stops[inner], starts[owner[inner]], ends[owner[inner]] - 1
+            begin = np.maximum(at - reach, stops[first] - lengths[first]).tolist()  # clipped to the text
+            end = np.minimum(at + 1 + reach, stops[last]).tolist()
+            keys = [joined[a:b] for a, b in zip(begin, end)]
+            sequence[2 * inner + 1] = self._lookup(self._windows, keys, True)
         flat, bounds = self.gather(sequence)
         lo = bounds[2 * starts].tolist()
         hi = bounds[np.maximum(2 * ends - 1, 2 * starts)].tolist()
         return [LingSet(None, text, self, flat[a:b]) for text, a, b in zip(texts, lo, hi)]
-
-    def _seams(
-        self,
-        parts: np.ndarray,
-        pieces: list[str],
-        tokens: Sequence[Sequence[str]],
-        starts: np.ndarray,
-        ends: np.ndarray,
-    ) -> np.ndarray:
-        """The part of the window between each two pieces of ``pieces``, 0 where they belong to two texts.
-
-        ``pieces`` are the pieces of ``tokens``, text after text, each text
-        holding one or more, numbered ``parts``; text i's are
-        ``pieces[starts[i]:ends[i]]``.  The window before piece t of a text
-        holds the last ``n_max - 1`` characters of the text before the
-        space.  They lie inside piece t-1, unless piece t-1 is shorter and
-        follows another piece of the text; then they end with the space
-        before piece t-1 and that piece, and reach further back only if
-        piece t-1 is shorter than ``n_max - 2`` characters.  So the window
-        is keyed by the part pair (piece t-1, piece t) and whether piece
-        t-1 is short and follows another, and found for all the pieces in
-        one lookup.  The windows that lookup misses are cut from the text's
-        pieces, from at most ``n_max`` pieces before piece t (reach + 1
-        pieces span reach characters: the spaces between them), and found
-        in one ``window_parts`` call; one that reaches further back is
-        memoized by its text only.  A key packs both parts in one int64,
-        which needs fewer than 2**30 parts in the store.
-        """
-        reach = self.settings[1] - 1
-        follows = np.ones(len(pieces), dtype=bool)
-        follows[starts] = False
-        behind = (np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces)) < reach) & follows
-        keys = ((parts[:-1] << 33) | (parts[1:] << 1) | behind[:-1]).tolist()
-        windows = np.fromiter(map(self._pairs.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
-        windows[ends[:-1] - 1] = 0
-        missing = np.flatnonzero(windows < 0).tolist()
-        if not missing:
-            return windows
-        tails, heads = [], []
-        for q, i in zip(missing, np.searchsorted(ends, missing, side="right").tolist()):
-            seg, t = tokens[i], q + 1 - int(starts[i])
-            tails.append(" ".join(seg[max(t - reach - 1, 0) if behind[q] else t - 1 : t]))
-            heads.append(seg[t])
-        found = self.window_parts(tails, heads)
-        windows[missing] = found
-        self._pairs.update(
-            (keys[q], p)
-            for q, p in zip(missing, found.tolist())
-            if not behind[q] or len(pieces[q]) + 1 >= reach
-        )
-        return windows
 
 
 def _fit(array: np.ndarray, size: int) -> np.ndarray:

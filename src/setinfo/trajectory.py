@@ -430,10 +430,10 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     steps run one after another on the calling thread, which the index
     requires.  Each step's sample is measured as it is built and dropped
     before the next one is built, so the run holds one step's sample at a
-    time, whatever ``k_max``.  The index's memos and scratch are cleared
-    before the call returns, so the index is freed with the call, without
-    waiting for a cyclic collection.  Results are keyed by agent name in
-    configuration order.
+    time, whatever ``k_max``.  Nothing the index holds points back to it,
+    so the index, its memos and its scratch are freed with the call,
+    without waiting for a cyclic collection.  Results are keyed by agent
+    name in configuration order.
     """
     docs, pools = resolve_inputs(cfg)
     token_lists = docs.token_lists
@@ -478,7 +478,6 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
             wall_time_s=time.perf_counter() - started,
             build_time_s=build_time_s,
         )
-    gram_index.clear()
     return results
 
 

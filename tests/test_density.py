@@ -709,13 +709,16 @@ class TestStepCapacities:
         index = CONCAT.gram_index()
         texts = [("the cat", "sat on", "the mat"), ("a dog", "ran to", "a door")] * 3
         triplets = tuple(Triplet(*map(index, t)) for t in texts)
-        batches = []
-        find = GramIndex.window_parts
-        monkeypatch.setattr(GramIndex, "window", lambda *args: pytest.fail("a window looked up on its own"))
+        batches, lookups = [], []
+        find, scan = GramIndex.window_parts, GramIndex._lookup
         monkeypatch.setattr(GramIndex, "window_parts", lambda self, t, h: batches.append(len(t)) or find(self, t, h))
+        monkeypatch.setattr(
+            GramIndex, "_lookup", lambda self, memo, t, spaced: lookups.append(spaced) or scan(self, memo, t, spaced)
+        )
         _step_capacities.cache_clear()
         _step_capacities(triplets, CONCAT)
         assert batches == [5 * len(triplets)]  # xy, yz, xz, xy+z and xz+y
+        assert lookups == [True]  # one lookup in the window memo, and no window on its own
 
     def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from setinfo import EmptyText, LingSet, hamming, join, ngram_set
+from setinfo import EmptyText, EstimatorConfig, LingSet, hamming, join, mutual_information, ngram_set
 from setinfo.ngrams import GramIndex
 
 from conftest import collector_disabled, lingsets, texts
@@ -63,6 +63,29 @@ class TestNgramSet:
         assert ngram_set("the cat", 1, 3, True).source == "the cat"
 
 
+def record_scans(monkeypatch) -> list[str]:
+    """From here on, the text of every piece and window that an index scans."""
+    calls = []
+    scan = GramIndex._lookup
+
+    def spy(self, memo, texts, spaced):
+        calls.extend(t for t in texts if t not in memo)
+        return scan(self, memo, texts, spaced)
+
+    monkeypatch.setattr(GramIndex, "_lookup", spy)
+    return calls
+
+
+def window_grams(index: GramIndex, a: str, b: str) -> frozenset[str]:
+    """The grams of ``index``'s window at the joining space of ``a + " " + b``."""
+    return index.grams_of(index.gather(index.window_parts([a], [b]))[0])
+
+
+def spaced_grams(key: str, n_min: int, n_max: int) -> frozenset[str]:
+    """Every gram of ``key`` that holds a space, by brute force."""
+    return frozenset(g for g in brute_force_grams(key, n_min, n_max) if " " in g)
+
+
 # Texts over letters and three kinds of whitespace, with leading, trailing and
 # doubled spaces and tokens shorter than a seam window's n_max - 1 characters.
 spaced_texts = st.text(alphabet="ab \t\n", min_size=1, max_size=14)
@@ -111,8 +134,8 @@ class TestGramIndex:
     def test_segments_equal_ngram_set(self, tokens, bounds, lengths, include_space):
         # Segments of one context, starting at its first token or mid-way,
         # built twice through one index, so the second pass meets memoized
-        # tokens, pair-keyed windows and windows cut from the pieces before
-        # a short one.  An empty token stands for a doubled space.
+        # tokens and windows, and windows clipped at a segment's start or
+        # end.  An empty token stands for a doubled space.
         segments = [
             tokens[start:end] for start, end in bounds if start < end <= len(tokens) and " ".join(tokens[start:end])
         ]
@@ -153,18 +176,51 @@ class TestGramIndex:
         assert set(ids.tolist()) & set(own.ids.tolist()) == {index.vocab[g] for g in own.grams & other.grams}
 
     def test_window_extracted_once(self, monkeypatch):
-        calls = []
-        scan = GramIndex._lookup
-
-        def spy(self, memo, texts, spaced):
-            calls.extend(t for t in texts if t not in memo)
-            return scan(self, memo, texts, spaced)
-
-        monkeypatch.setattr(GramIndex, "_lookup", spy)
+        calls = record_scans(monkeypatch)
         index = GramIndex(1, 3, True)
-        assert index.window("the cat", "sat on") is index.window("a cat", "sat")
+        (part,) = index.window_parts(["the cat"], ["sat on"])
+        assert index.window_parts(["a cat", "the cat"], ["sat", "sat on"]).tolist() == [part, part]
         assert calls == ["at sa"]
-        assert index.window("the cat", "sat on").grams == {" ", "t ", " s", "at ", "t s", " sa"}
+        assert window_grams(index, "the cat", "sat on") == {" ", "t ", " s", "at ", "t s", " sa"}
+
+    def test_one_window_one_scan(self, monkeypatch):
+        # The window that a segment holds at a space is the one a join of its
+        # two sides looks up: "x a " (the rule does not stop at the next
+        # space), scanned once for both.
+        calls = record_scans(monkeypatch)
+        index = GramIndex(1, 3, True)
+        (segment,) = index.segments(["x a b"], [["x", "a", "b"]])
+        (part,) = index.window_parts(["x"], ["a b"])
+        assert calls == ["x", "a", "b", "x a ", " a b"]
+        assert index.window_parts(["x a"], ["b"]).tolist() == [index._windows[" a b"]]
+        assert index._windows["x a "] == part
+        assert segment.grams == ngram_set("x a b", 1, 3, True).grams
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.text(alphabet="ab \t", min_size=1, max_size=14), st.integers(0, 13), st.sampled_from(GRAM_LENGTHS))
+    @example("ab", 0, (1, 3))  # no space: no window
+    @example("a  b", 1, (1, 4))  # an empty piece between two spaces
+    @example(" a", 0, (1, 1))  # n_max = 1: every window is " "
+    def test_segments_equal_window_parts_keys(self, text, split, lengths):
+        # ``segments`` looks up one window per space of the text, in order;
+        # the key at each space is ``_window_keys`` of the text's two sides.
+        keys = []
+        index = GramIndex(*lengths, True)
+        scan = index._lookup
+
+        def spy(memo, texts, spaced):
+            if spaced:
+                keys.extend(texts)
+            return scan(memo, texts, spaced)
+
+        index._lookup = spy
+        index.segments([text], [index.pieces(text)])
+        spaces = [p for p, c in enumerate(text) if c == " "]
+        assert len(keys) == len(spaces)
+        if spaces:
+            at = split % len(spaces)
+            p = spaces[at]
+            assert [keys[at]] == index._window_keys([text[:p]], [text[p + 1 :]])
 
     # Window sides: sources shorter than a window's reach, empty pieces
     # (doubled spaces), and sides holding spaces, so that a key may hold
@@ -182,9 +238,11 @@ class TestGramIndex:
     @example([("", ""), ("a  ", " b")], (1, 3), 0)
     def test_window_parts_equal_window(self, pairs, lengths, memoized):
         # Some keys are memoized by an earlier batch; the batch's parts must
-        # hold the grams that one-at-a-time ``window`` calls of a fresh index
-        # give, and with them ``ngram_set`` of the joined text is the union
-        # of its sides' and the window's grams.
+        # hold the grams that one-at-a-time calls of a fresh index give, the
+        # spaced grams of the slice of the joined text that reaches n_max - 1
+        # characters either side of the joining space, and with them
+        # ``ngram_set`` of the joined text is the union of its sides' and the
+        # window's grams.
         n_min, n_max = lengths
         index, one = GramIndex(n_min, n_max, True), GramIndex(n_min, n_max, True)
         index.window_parts([a for a, _ in pairs[:memoized]], [b for _, b in pairs[:memoized]])
@@ -196,27 +254,29 @@ class TestGramIndex:
 
         for (a, b), part in zip(pairs, parts.tolist()):
             window = index.grams_of(index.gather(np.array([part]))[0])
-            assert window == one.window(a, b).grams == index.window(a, b).grams
-            assert grams(a + " " + b) == grams(a) | grams(b) | window
+            joined, reach = a + " " + b, n_max - 1
+            assert window == window_grams(one, a, b) == window_grams(index, a, b)
+            assert window == spaced_grams(joined[max(len(a) - reach, 0) : len(a) + 1 + reach], n_min, n_max)
+            assert grams(joined) == grams(a) | grams(b) | window
 
-    def test_clear_frees_the_index_without_the_collector(self):
-        # Every set ``window`` memoizes points back to the index, a cycle;
-        # clear drops them, so the index dies with its last reference.  Sets
-        # built before still read their grams, and later calls fold again.
-        index = GramIndex(1, 3, True)
-        (segment,) = index.segments(["cd ab"], [["cd", "ab"]])
-        index.window("cd", "ab")
-        index.scratch = object()
-        index.clear()
-        assert index.scratch is None
-        assert index("ab cd ab") == ngram_set("ab cd ab", 1, 3, True)
-        index.clear()
-        assert segment.grams == ngram_set("cd ab", 1, 3, True).grams
-        ref = weakref.ref(index)
+    def test_an_index_dies_with_its_last_reference(self):
+        # Nothing an index holds points back to it: its sets point to it,
+        # and its memos hold part numbers.  An index that built sets, scanned
+        # windows and made a step scratch dies with its last reference, and
+        # its scratch with it, by reference counting alone.
+        cfg = EstimatorConfig(n_min=1, n_max=3, include_space=True, joint_mode="concat")
+        index = cfg.gram_index()
+        xs = index.segments(["cd ab", "ab c"], [["cd", "ab"], ["ab", "c"]])
+        ys = [index("ab cd ab"), index("c")]
+        assert mutual_information(list(zip(xs, ys)), cfg) == mutual_information(
+            [(ngram_set(x.source, 1, 3, True), ngram_set(y.source, 1, 3, True)) for x, y in zip(xs, ys)], cfg
+        )
+        assert index._windows and index.scratch is not None
+        refs = [weakref.ref(index), weakref.ref(index.scratch), weakref.ref(xs[0].ids.base)]
         with collector_disabled():
-            del index, segment
-            alive = ref() is not None
-        assert not alive
+            del index, xs, ys
+            alive = [ref() is not None for ref in refs]
+        assert alive == [False, False, False]
 
     def test_empty_text_and_bad_lengths_rejected(self):
         with pytest.raises(EmptyText):
@@ -312,12 +372,16 @@ class TestJoin:
         a = ngram_set(ta, n_min, n_max, include_space)
         b = ngram_set(tb, n_min, n_max, include_space)
         concat = join(a, b, "concat", n_min, n_max, include_space).grams
-        seams = GramIndex(n_min, n_max, True).window(ta, tb).grams if include_space else frozenset()
+        seams = window_grams(GramIndex(n_min, n_max, True), ta, tb) if include_space else frozenset()
         assert concat == a.grams | b.grams | seams
 
     def test_seam_window_for_unigrams_is_the_space(self):
-        assert GramIndex(1, 1, True).window("abc", "def").grams == frozenset({" "})
+        index = GramIndex(1, 1, True)
+        assert index._window_keys(["abc"], ["def"]) == [" "]
+        assert window_grams(index, "abc", "def") == frozenset({" "})
 
     def test_seam_window_short_segments(self):
         window = {g for g in ngram_set("a b", 1, 4, True).grams if " " in g}
-        assert GramIndex(1, 4, True).window("a", "b").grams == window
+        index = GramIndex(1, 4, True)
+        assert index._window_keys(["a"], ["b"]) == ["a b"]
+        assert window_grams(index, "a", "b") == window

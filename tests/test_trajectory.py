@@ -318,8 +318,8 @@ class TestRunSimulation:
 
     def test_a_finished_run_holds_no_index(self, monkeypatch):
         # Once the run returns, nothing, the step memo included, keeps its
-        # index alive, nor so the scratch the steps kept on it; the memos
-        # are cleared, so no cycle through them waits for the collector.
+        # index alive, nor so the scratch the steps kept on it; nothing the
+        # index holds points back to it, so no cycle waits for the collector.
         indexes = []
         monkeypatch.setattr(
             trajectory,
