@@ -67,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    if not Path(args.in_path).is_dir():
+        raise ValueError(f"--in must be a corpus directory, got {args.in_path}")
     docs = load_documents(args.in_path, strip_headers=args.strip_headers)
     if len(docs) == 0:
         print("ingest: no non-empty .txt documents found", file=sys.stderr)
@@ -128,6 +130,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    if args.window < 1:
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     names = selected_series(args.series)
     src = Path(args.in_path)
     files = sorted(src.glob("*.csv")) if src.is_dir() else [src]

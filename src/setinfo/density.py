@@ -56,6 +56,10 @@ index, such as ``entropy`` of plain ``ngram_set`` sets, makes a new index,
 and with it a new scratch, for the call.  No view of a scratch is
 returned: every capacity vector is a new array.
 
+A step is one ``step`` pass, one ``_capacities`` call on its x, y and z,
+which gives both its ``MiRecord`` and its joint-mass monitor counts; a
+run's ``compute_mi_record`` and ``joint_mass_monitor`` calls share it.
+
 All logarithms are natural; every quantity is in nats.
 """
 
@@ -527,72 +531,23 @@ def triplet_likelihood(t: "Triplet", sample: Sequence["Triplet"], cfg: Estimator
     return p_y_given_xz * p_z_given_x * p_x
 
 
-class _LastStep:
-    """A one-entry memo of ``fn(triplets, cfg)``, hit by the same triplets tuple and an equal config.
+def step(k: int, triplets: Sequence["Triplet"], cfg: EstimatorConfig) -> tuple[MiRecord, int, int]:
+    """One step's pass: its ``MiRecord`` and the joint-mass monitor's (violations, comparisons).
 
-    A hit compares the tuple's identity, not its members, so it costs O(1)
-    however large the step.  The memo holds the tuple, so its id cannot be
-    reused by another tuple while the entry lives.  A hit also empties the
-    memo: each call is served again at most once, which is all that
-    ``joint_mass_monitor`` after ``compute_mi_record`` asks, and a run whose
-    every step made both calls leaves nothing held.
+    One ``_capacities`` call gives the capacity vectors of x, y, z, xy, yz,
+    xz, xy+z and xz+y (7 distinct families in union mode, where xy+z =
+    xz+y = xyz, and 8 in concat mode).  Every MI is H(a) + H(b) - H(a+b)
+    in ``mutual_information``'s order, so the two agree bit for bit.  The
+    monitor compares, for each pairwise family (x,y), (y,z), (x,z) and each
+    member, P(joint) against both component marginals; joint mass above a
+    marginal's would contradict the monotonicity expected of a probability
+    on sets, and the violations are counted, not asserted.
     """
-
-    def __init__(self, fn):
-        functools.update_wrapper(self, fn)
-        self.fn = fn
-        self.cache_clear()
-
-    def __call__(self, triplets: tuple["Triplet", ...], cfg: EstimatorConfig):
-        last_triplets, last_cfg, value = self.last
-        if triplets is last_triplets and cfg == last_cfg:
-            self.hits += 1
-            self.last = (None, None, None)
-            return value
-        self.misses += 1
-        value = self.fn(triplets, cfg)
-        self.last = (triplets, cfg, value)
-        return value
-
-    def cache_clear(self) -> None:
-        self.last = (None, None, None)
-        self.hits = self.misses = 0
-
-
-@_LastStep
-def _step_capacities(
-    triplets: tuple["Triplet", ...], cfg: EstimatorConfig
-) -> tuple[np.ndarray, ...]:
-    """Capacity vectors of x, y, z, xy, yz, xz, xy+z and xz+y for one step (``_capacities``).
-
-    Union mode has 7 distinct families (xy+z = xz+y = xyz), concat mode 8.
-    The one-entry memo lets ``joint_mass_monitor`` reuse the vectors
-    ``compute_mi_record`` computed for the same tuple; they are returned
-    read-only.  The memo holds the step's sets, and through them the index
-    and its scratch, only until that reuse.
-    """
-    caps = tuple(_capacities([list(map(attrgetter(c), triplets)) for c in "xyz"], cfg))
-    for p in caps:
-        p.flags.writeable = False
-    return caps
-
-
-def compute_mi_record(
-    k: int, triplets: Sequence["Triplet"], cfg: EstimatorConfig
-) -> MiRecord:
-    """All five MI quantities plus marginal entropies for one step sample.
-
-    The capacities come from one ``_step_capacities`` pass.  Every MI is
-    H(a) + H(b) - H(a+b) in ``mutual_information``'s order, so the two agree
-    bit for bit.
-    """
-    triplets = tuple(triplets)
     if not triplets:
         raise EmptySample("a step sample must contain at least one triplet")
-    h_x, h_y, h_z, h_xy, h_yz, h_xz, h_xy_z, h_xz_y = (
-        _entropy_from_masses(p, cfg.entropy_mode) for p in _step_capacities(triplets, cfg)
-    )
-    return MiRecord(
+    caps = _capacities([list(map(attrgetter(c), triplets)) for c in "xyz"], cfg)
+    h_x, h_y, h_z, h_xy, h_yz, h_xz, h_xy_z, h_xz_y = (_entropy_from_masses(p, cfg.entropy_mode) for p in caps)
+    record = MiRecord(
         k=k,
         i_xy=h_x + h_y - h_xy,
         i_yz=h_y + h_z - h_yz,
@@ -604,25 +559,43 @@ def compute_mi_record(
         h_z=h_z,
         sample_size=len(triplets),
     )
-
-
-def joint_mass_monitor(
-    triplets: Sequence["Triplet"], cfg: EstimatorConfig
-) -> tuple[int, int]:
-    """Count joint realizations whose capacity exceeds a marginal's capacity.
-
-    For each pairwise family (x,y), (y,z), (x,z) and each sample member,
-    P(joint) is compared against both component marginals.  Joint mass
-    exceeding marginal mass would contradict the monotonicity expected of
-    a probability on sets; the violation fraction is reported per run, not
-    asserted.  Called on the step ``compute_mi_record`` just measured, it
-    reuses that call's capacity vectors.
-    """
-    triplets = tuple(triplets)
-    if not triplets:
-        raise EmptySample("joint_mass_monitor needs a non-empty sample")
-    p_x, p_y, p_z, p_xy, p_yz, p_xz, *_ = _step_capacities(triplets, cfg)
+    p_x, p_y, p_z, p_xy, p_yz, p_xz, *_ = caps
     violations = 0
     for pj, pa, pb in ((p_xy, p_x, p_y), (p_yz, p_y, p_z), (p_xz, p_x, p_z)):
         violations += int((pj > pa).sum()) + int((pj > pb).sum())
-    return violations, 6 * len(triplets)
+    return record, violations, 6 * len(triplets)
+
+
+# (triplets, cfg, (violations, comparisons)) of the last ``compute_mi_record``
+# step, until ``joint_mass_monitor`` takes them.
+_last_step: tuple = (None, None, None)
+
+
+def compute_mi_record(k: int, triplets: Sequence["Triplet"], cfg: EstimatorConfig) -> MiRecord:
+    """All five MI quantities plus marginal entropies for one step sample (``step``'s record).
+
+    The step's monitor counts are kept, with the triplets tuple and the
+    config, for a ``joint_mass_monitor`` call that follows on that tuple.
+    """
+    global _last_step
+    triplets = tuple(triplets)
+    record, violations, comparisons = step(k, triplets, cfg)
+    _last_step = (triplets, cfg, (violations, comparisons))
+    return record
+
+
+def joint_mass_monitor(triplets: Sequence["Triplet"], cfg: EstimatorConfig) -> tuple[int, int]:
+    """Count joint realizations whose capacity exceeds a marginal's capacity (``step``'s counts).
+
+    Called right after ``compute_mi_record`` with the same triplets tuple and
+    an equal config, it returns the counts that call's pass found, compared
+    by identity in O(1); on any other input it runs ``step`` itself.  Either
+    way it lets go of what ``compute_mi_record`` kept, so a run whose every
+    step made both calls leaves no step held.
+    """
+    global _last_step
+    last_triplets, last_cfg, counts = _last_step
+    _last_step = (None, None, None)
+    if triplets is last_triplets and cfg == last_cfg:
+        return counts
+    return step(0, tuple(triplets), cfg)[1:]

@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigInvalid(f"run.window must be >= 1, got {self.window}")
         if self.seed < 0:
             raise ConfigInvalid(f"run.seed must be >= 0, got {self.seed}")
+        if self.groups == ():
+            raise ConfigInvalid("corpus.groups must name at least one group, or be left out")
         if self.context_length < 3:
             raise ConfigInvalid(
                 f"context.length must be >= 3 so contexts can be split, got {self.context_length}"

@@ -152,6 +152,13 @@ class TestIngest:
     def test_missing_directory_fails(self, tmp_path):
         assert cli(["ingest", "--in", str(tmp_path / "nope"), "--out", str(tmp_path / "m.jsonl")]) == 1
 
+    def test_file_given_as_directory_fails_naming_the_flag(self, tmp_path, capsys):
+        text = tmp_path / "a.txt"
+        text.write_text("Some raw text here")
+        assert cli(["ingest", "--in", str(text), "--out", str(tmp_path / "m.jsonl")]) == 1
+        assert capsys.readouterr().err == f"setinfo ingest: --in must be a corpus directory, got {text}\n"
+        assert not (tmp_path / "m.jsonl").exists()
+
 
 class TestSimulate:
     def test_writes_one_csv_per_agent(self, tmp_path, capsys):
@@ -218,6 +225,7 @@ class TestSimulate:
         [
             "run.seed = -1",
             "run.workers = 2",
+            "corpus.groups =",
             "agent.random.path = nothing.jsonl",
             "agent.random.lexicon = verbs.txt",
             "agent.structured.kind = extractor",
@@ -482,6 +490,12 @@ class TestPlot:
         (out / "random_copy.csv").write_bytes((out / "random.csv").read_bytes())
         assert cli(["plot", "--in", str(out), "--out", str(tmp_path / "x.svg"), "--window", "2"]) == 1
         assert "agent 'random'" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_window_below_one_fails_naming_the_flag_before_reading_csvs(self, tmp_path, capsys):
+        (tmp_path / "run.csv").write_text("")  # reading it would fail: no header row
+        assert cli(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "x.svg"), "--window", "0"]) == 1
+        assert capsys.readouterr().err == "setinfo plot: --window must be >= 1, got 0\n"
         assert not (tmp_path / "x.svg").exists()
 
     def test_no_csvs_fails(self, tmp_path):

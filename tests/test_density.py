@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -40,11 +41,10 @@ from setinfo.density import (
     Scratch,
     _indicator_rows,
     _row_distances,
-    _step_capacities,
 )
 from setinfo.ngrams import GramIndex
 
-from conftest import lingsets, random_lingset
+from conftest import collector_disabled, lingsets, random_lingset
 
 UNION = EstimatorConfig()
 RAW = EstimatorConfig(entropy_mode="raw")
@@ -75,6 +75,11 @@ def joined(firsts, seconds, cfg: EstimatorConfig) -> list[LingSet]:
 def capacity_vector(family, cfg: EstimatorConfig) -> np.ndarray:
     """One family's capacities, as ``entropy`` computes them."""
     return density._capacities([list(family)], cfg)[0]
+
+
+def step_capacities(triplets, cfg: EstimatorConfig) -> list[np.ndarray]:
+    """A step's capacities of x, y, z, xy, yz, xz, xy+z and xz+y, as ``step`` computes them."""
+    return density._capacities([[getattr(t, c) for t in triplets] for c in "xyz"], cfg)
 
 
 def oracle_entropy(sets, cfg: EstimatorConfig) -> float:
@@ -507,11 +512,10 @@ class TestStepCapacities:
         zs = [t.z for t in triplets]
         xy, yz, xz = joined(xs, ys, cfg), joined(ys, zs, cfg), joined(xs, zs, cfg)
         families = [xs, ys, zs, xy, yz, xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
-        got = _step_capacities(tuple(triplets), cfg)
+        got = step_capacities(tuple(triplets), cfg)
         assert len(got) == len(families)
         for vector, family in zip(got, families):
             assert np.array_equal(vector, capacity_vector(family, cfg))
-            assert not vector.flags.writeable
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -604,6 +608,14 @@ class TestStepCapacities:
             sample_size=len(triplets),
         )
 
+    @staticmethod
+    def passes(monkeypatch) -> list[int]:
+        """From here on, the number of samples of every ``_capacities`` call."""
+        calls = []
+        capacities = density._capacities
+        monkeypatch.setattr(density, "_capacities", lambda samples, cfg: calls.append(len(samples)) or capacities(samples, cfg))
+        return calls
+
     @pytest.mark.parametrize(
         "cfg,distinct",
         [(UNION, [2, 3, 4, 6, 12, 4, 12]), (CONCAT, [2, 3, 4, 6, 12, 4, 12, 12])],
@@ -625,22 +637,43 @@ class TestStepCapacities:
         ys = ["sat on", "ran to", "slept by"]
         zs = ["the mat", "a door", "the sea", "my bed"]
         triplets = tuple(triplet(xs[i % 2], ys[i % 3], zs[i % 4], cfg) for i in range(12))
-        _step_capacities.cache_clear()
+        passes = self.passes(monkeypatch)
         compute_mi_record(1, triplets, cfg)
         joint_mass_monitor(triplets, cfg)
-        assert (_step_capacities.misses, _step_capacities.hits) == (1, 1)
+        assert passes == [3]  # one pass over x, y and z serves both calls
         # One Gram product per distinct family, over its distinct members only.
         assert shapes == [(u, u) for u in distinct]
 
-    def test_memo_hit_takes_the_same_tuple_and_an_equal_config(self, rng):
+    @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
+    def test_step_equals_record_and_monitor(self, rng, cfg):
+        triplets = tuple(random_triplets(rng, 8))
+        record, *counts = density.step(4, triplets, cfg)
+        fresh = tuple(list(triplets))  # another tuple, so neither call is served by the other
+        assert record == compute_mi_record(4, fresh, cfg)
+        assert tuple(counts) == joint_mass_monitor(triplets, cfg)
+
+    def test_monitor_takes_the_counts_of_the_same_tuple_and_an_equal_config(self, monkeypatch, rng):
         triplets = tuple(random_triplets(rng, 6))
-        _step_capacities.cache_clear()
-        expected = _step_capacities(triplets, UNION)
-        assert _step_capacities(triplets, EstimatorConfig()) is expected
-        copy = tuple(list(triplets))  # equal members, another tuple: computed again
-        for got, want in zip(_step_capacities(copy, UNION), expected):
-            assert np.array_equal(got, want)
-        assert (_step_capacities.misses, _step_capacities.hits) == (2, 1)
+        expected = density.step(1, triplets, UNION)[1:]
+        passes = self.passes(monkeypatch)
+        compute_mi_record(1, triplets, UNION)
+        assert joint_mass_monitor(triplets, EstimatorConfig()) == expected
+        assert len(passes) == 1
+        copy = tuple(list(triplets))  # equal members, another tuple: a second pass
+        compute_mi_record(1, triplets, UNION)
+        assert joint_mass_monitor(copy, UNION) == expected
+        assert len(passes) == 3
+
+    def test_monitor_lets_go_of_the_step(self):
+        # Once the monitor has taken the counts, nothing in density keeps
+        # the step's triplets, so only reference counts need to free them.
+        triplets = tuple(triplet(*texts) for texts in [("the cat", "sat on", "the mat"), ("a dog", "ran", "by")])
+        member = weakref.ref(triplets[0])
+        with collector_disabled():
+            compute_mi_record(1, triplets, UNION)
+            joint_mass_monitor(triplets, UNION)
+            del triplets
+            assert member() is None
 
     @staticmethod
     def scans(monkeypatch) -> list[str]:
@@ -676,15 +709,14 @@ class TestStepCapacities:
         calls = self.scans(monkeypatch)
         copies = [Triplet(*map(index, texts))] * 12
         steps = self.windows(monkeypatch)
-        _step_capacities.cache_clear()
         for _ in range(2):
             steps.append(set())
-            _step_capacities(tuple(copies), CONCAT)
+            step_capacities(tuple(copies), CONCAT)
         assert steps[0] and steps[0] == steps[1]  # windows recur across steps
         assert calls and max(Counter(calls).values()) == 1  # every scanned text is scanned once
         calls.clear()
         steps.append(set())
-        _step_capacities(tuple([triplet(*texts, CONCAT)] * 12), CONCAT)
+        step_capacities(tuple([triplet(*texts, CONCAT)] * 12), CONCAT)
         assert steps[2] and calls and max(Counter(calls).values()) == 1
 
     def test_seam_grams_run_once_per_distinct_window(self, monkeypatch):
@@ -700,8 +732,7 @@ class TestStepCapacities:
         steps = self.windows(monkeypatch)
         for sample in samples:
             steps.append(set())
-            _step_capacities.cache_clear()
-            _step_capacities(sample.triplets, CONCAT)
+            step_capacities(sample.triplets, CONCAT)
         assert steps[0] and steps[1] and steps[0] & steps[1]  # windows recur across steps
         assert max(Counter(calls).values()) == 1  # every scanned text is scanned once
 
@@ -715,20 +746,20 @@ class TestStepCapacities:
         monkeypatch.setattr(
             GramIndex, "_lookup", lambda self, memo, t, spaced: lookups.append(spaced) or scan(self, memo, t, spaced)
         )
-        _step_capacities.cache_clear()
-        _step_capacities(triplets, CONCAT)
+        step_capacities(triplets, CONCAT)
         assert batches == [5 * len(triplets)]  # xy, yz, xz, xy+z and xz+y
         assert lookups == [True]  # one lookup in the window memo, and no window on its own
 
-    def test_monitor_of_another_step_is_not_served_from_the_memo(self, rng):
+    def test_monitor_of_another_step_runs_its_own_pass(self, monkeypatch, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
-        _step_capacities.cache_clear()
-        expected = _step_capacities(b, UNION)
+        expected = {cfg: (density.step(1, a, cfg)[1:], density.step(1, b, cfg)[1:]) for cfg in (UNION, CONCAT)}
+        passes = self.passes(monkeypatch)
         compute_mi_record(1, a, UNION)
-        joint_mass_monitor(b, UNION)
-        assert _step_capacities.misses == 3
-        for got, want in zip(_step_capacities(b, UNION), expected):
-            assert np.array_equal(got, want)
+        assert joint_mass_monitor(b, UNION) == expected[UNION][1]  # another tuple
+        compute_mi_record(1, a, UNION)
+        assert joint_mass_monitor(a, CONCAT) == expected[CONCAT][0]  # another config
+        assert joint_mass_monitor(a, UNION) == expected[UNION][0]  # counts already taken
+        assert len(passes) == 5
 
 
 class TestRowKeys:
@@ -749,8 +780,7 @@ class TestRowKeys:
         identity_rows, _, _ = density._set_rows([[t.x for t in by_identity]], None, index, Scratch())
         grams_rows, _, _ = density._set_rows([[t.x for t in by_grams]], None, cfg.gram_index(), Scratch())
         assert (len(identity_rows), len(grams_rows)) == (3, 2)
-        _step_capacities.cache_clear()
-        for got, want in zip(_step_capacities(by_identity, cfg), _step_capacities(by_grams, cfg)):
+        for got, want in zip(step_capacities(by_identity, cfg), step_capacities(by_grams, cfg)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cfg", [UNION, CONCAT], ids=["union", "concat"])
@@ -764,7 +794,6 @@ class TestRowKeys:
             *build_step_samples("random", docs.token_lists, 2, 40, np.random.default_rng(4), 10, index),
             *build_step_samples("gold_file", gold, 1, 40, np.random.default_rng(5), 10, index),
         ]
-        _step_capacities.cache_clear()
         for sample in samples:
             compute_mi_record(sample.k, sample.triplets, cfg)
             joint_mass_monitor(sample.triplets, cfg)
@@ -788,8 +817,7 @@ class TestRowKeys:
             xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
             xy, xz = joined(xs, ys, cfg), joined(xs, zs, cfg)
             families = [xs, ys, zs, xy, joined(ys, zs, cfg), xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
-            _step_capacities.cache_clear()
-            got = _step_capacities(triplets, cfg)
+            got = step_capacities(triplets, cfg)
             assert len(made) == 2 and made[1].scratch is not None
             for vector, family in zip(got, families, strict=True):
                 h = density._entropy_from_masses(vector, cfg.entropy_mode)
@@ -841,7 +869,7 @@ class TestDistinctRows:
         xs, ys, zs = ([getattr(t, c) for t in triplets] for c in "xyz")
         xy, xz = joined(xs, ys, cfg), joined(xs, zs, cfg)
         families = [xs, ys, zs, xy, joined(ys, zs, cfg), xz, joined(xy, zs, cfg), joined(xz, ys, cfg)]
-        got = _step_capacities(triplets, cfg)
+        got = step_capacities(triplets, cfg)
         for vector, family in zip(got, families, strict=True):
             want = full_matrix_capacities(family, bandwidth)
             assert np.array_equal(vector, want)
@@ -878,14 +906,12 @@ def test_large_union_step_memory_stays_within_its_documented_terms():
     bound = 10 * n * v + 4 * n * v + 24 * n * n + 2**20
     # A new index holds no scratch yet, so the peak counts every buffer the step makes.
     assert triplets[0].x.index.scratch is None
-    _step_capacities.cache_clear()
     tracemalloc.start()
     try:
-        _step_capacities(triplets, UNION)
+        step_capacities(triplets, UNION)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    _step_capacities.cache_clear()
     assert peak < bound
 
 
@@ -950,19 +976,18 @@ class TestScratch:
         index = cfg.gram_index()
         steps = self.steps(index)
         bigger = self.steps(index, per_step=60)["random"]
-        _step_capacities.cache_clear()
-        kept = _step_capacities(steps["random"], cfg)
+        kept = step_capacities(steps["random"], cfg)
         copies = [v.copy() for v in kept]
         # Another shape, entropies through the same scratch and through a
         # call's own, and a step that regrows the buffers.
-        _step_capacities(steps["pool"], cfg)
+        step_capacities(steps["pool"], cfg)
         xs = [t.x for t in steps["pool"]]
         entropy(xs, cfg)
         mutual_information([(t.x, t.y) for t in steps["random"]], cfg)
         plain = [ngram_set(t.x.source, cfg.n_min, cfg.n_max, cfg.include_space) for t in steps["pool"]]
         assert entropy(plain, cfg) == entropy(xs, cfg)
         before = self.buffers(index)
-        later = _step_capacities(bigger, cfg)
+        later = step_capacities(bigger, cfg)
         assert any(self.buffers(index)[role] is not buffer for role, buffer in before.items())
         for got, want in zip(kept, copies, strict=True):
             assert np.array_equal(got, want)
@@ -974,16 +999,15 @@ class TestScratch:
     def test_a_step_that_fits_keeps_every_buffer(self, cfg):
         index = cfg.gram_index()
         steps = self.steps(index)
-        _step_capacities.cache_clear()
-        first = _step_capacities(steps["random"], cfg)
+        first = step_capacities(steps["random"], cfg)
         buffers = self.buffers(index)
         assert set(buffers) == {"rows", "part", "even", "odd"}
-        # The same step as another tuple (the memo misses), and a part of it.
+        # The same step as another tuple, and a part of it.
         for triplets in (tuple(steps["random"]), steps["random"][:25], steps["random"][5:]):
-            _step_capacities(triplets, cfg)
+            step_capacities(triplets, cfg)
             assert self.buffers(index).keys() == buffers.keys()
             assert all(self.buffers(index)[role] is buffer for role, buffer in buffers.items())
-        for got, want in zip(_step_capacities(tuple(steps["random"]), cfg), first, strict=True):
+        for got, want in zip(step_capacities(tuple(steps["random"]), cfg), first, strict=True):
             assert np.array_equal(got, want)
 
 

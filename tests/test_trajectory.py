@@ -154,6 +154,7 @@ class TestRunConfig:
             {"synthetic_p_pref": -0.1},
             {"synthetic_p_pref": float("nan")},
             {"seed": -1},
+            {"groups": ()},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -317,7 +318,7 @@ class TestRunSimulation:
             assert a[name].records == b[name].records
 
     def test_a_finished_run_holds_no_index(self, monkeypatch):
-        # Once the run returns, nothing, the step memo included, keeps its
+        # Once the run returns, nothing, density's record-to-monitor hand-off included, keeps its
         # index alive, nor so the scratch the steps kept on it; nothing the
         # index holds points back to it, so no cycle waits for the collector.
         indexes = []
