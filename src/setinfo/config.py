@@ -18,7 +18,7 @@ class ConfigInvalid(ValueError):
 
 
 class MalformedLine(ValueError):
-    """A JSONL line could not be turned into a record; the message names the file and line."""
+    """A line of a JSONL or trajectory CSV file could not be read; the message names the file and line."""
 
     def __init__(self, path: str | Path, line_no: int, message: str) -> None:
         super().__init__(f"{path}: line {line_no}: {message}")

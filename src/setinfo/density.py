@@ -60,6 +60,9 @@ A step is one ``step`` pass, one ``_capacities`` call on its x, y and z,
 which gives both its ``MiRecord`` and its joint-mass monitor counts; a
 run's ``compute_mi_record`` and ``joint_mass_monitor`` calls share it.
 
+The kernel has one formula, ``_gauss``, and every exp and log is libm's
+(``math.exp``, ``math.log``), not numpy's, whose kernels vary with the SIMD
+level numpy dispatches to: a step's values do not depend on that dispatch.
 All logarithms are natural; every quantity is in nats.
 """
 
@@ -151,16 +154,12 @@ def kernel(a: LingSet, b: LingSet, bandwidth: float) -> float:
     """
     if not 0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
-    h = hamming(a, b)
-    return math.exp(-(h * h) / (2.0 * bandwidth * bandwidth)) / math.sqrt(
-        2.0 * math.pi * bandwidth * bandwidth
-    )
+    return _gauss(hamming(a, b), bandwidth)
 
 
-def _kernel_from_distances(d: np.ndarray, bandwidth: float) -> np.ndarray:
-    return np.exp(-(d * d) / (2.0 * bandwidth * bandwidth)) / math.sqrt(
-        2.0 * math.pi * bandwidth * bandwidth
-    )
+def _gauss(h: int, bandwidth: float) -> float:
+    """The one kernel formula, of the integer distance ``h``, through libm's ``exp``."""
+    return math.exp(-(h * h) / (2.0 * bandwidth * bandwidth)) / math.sqrt(2.0 * math.pi * bandwidth * bandwidth)
 
 
 def _index_for(first: LingSet, cfg: EstimatorConfig) -> GramIndex:
@@ -322,8 +321,8 @@ def _row_distances(m: np.ndarray, scratch: Scratch) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _kernel_table(bandwidth: float, size: int) -> np.ndarray:
-    """``_kernel_from_distances`` of the distances 0 .. size - 1, read-only."""
-    table = _kernel_from_distances(np.arange(size, dtype=np.float64), bandwidth)
+    """``_gauss`` of the distances 0 .. size - 1, read-only."""
+    table = np.array([_gauss(h, bandwidth) for h in range(size)])
     table.flags.writeable = False
     return table
 
@@ -444,15 +443,14 @@ def capacity(target: LingSet, sample: Sequence[LingSet], cfg: EstimatorConfig) -
     sample = list(sample)
     if not sample:
         raise EmptySample("capacity needs a non-empty sample")
-    d = np.array([hamming(target, s) for s in sample], dtype=np.float64)
-    return float(_kernel_from_distances(d, cfg.bandwidth).mean())
+    return float(np.mean([_gauss(hamming(target, s), cfg.bandwidth) for s in sample]))
 
 
 def _entropy_from_masses(p: np.ndarray, mode: str) -> float:
+    """-sum p ln p over the masses (rescaled to sum to 1 in normalized mode), with libm's ``log``."""
     if mode == "normalized":
-        q = p / p.sum()
-        return float(-(q * np.log(q)).sum())
-    return float(-(p * np.log(p)).sum())
+        p = p / p.sum()
+    return float(-(p * np.array(list(map(math.log, p.tolist())))).sum())
 
 
 def _entropies(samples: list[list[LingSet]], cfg: EstimatorConfig, name: str) -> list[float]:

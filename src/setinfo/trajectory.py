@@ -31,6 +31,7 @@ from .agents import (
 )
 from .config import (
     ConfigInvalid,
+    MalformedLine,
     as_bool,
     as_float,
     as_int,
@@ -89,6 +90,11 @@ class RunConfig:
             raise ConfigInvalid(f"run.seed must be >= 0, got {self.seed}")
         if self.groups == ():
             raise ConfigInvalid("corpus.groups must name at least one group, or be left out")
+        if self.corpus_path == "synthetic":  # a generated corpus is neither filtered nor stripped
+            if self.groups is not None:
+                raise ConfigInvalid("corpus.groups filters a loaded corpus, not corpus.path = synthetic")
+            if self.strip_headers:
+                raise ConfigInvalid("corpus.strip_headers applies to a loaded corpus, not corpus.path = synthetic")
         if self.context_length < 3:
             raise ConfigInvalid(
                 f"context.length must be >= 3 so contexts can be split, got {self.context_length}"
@@ -541,11 +547,11 @@ def write_all_csv(results: dict[str, TrajectoryResult], out_dir: str | Path) -> 
 
 
 def read_csv(path: str | Path) -> tuple[dict[str, str], dict[str, list[float]]]:
-    """Parse a trajectory CSV back into (metadata, column series)."""
+    """Parse a trajectory CSV back into (metadata, column series); MalformedLine for a bad data row."""
     meta: dict[str, str] = {}
     columns: dict[str, list[float]] = {}
     header: list[str] | None = None
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -559,8 +565,14 @@ def read_csv(path: str | Path) -> tuple[dict[str, str], dict[str, list[float]]]:
             header = line.split(",")
             columns = {name: [] for name in header}
             continue
-        for name, cell in zip(header, line.split(",")):
-            columns[name].append(float(cell))
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise MalformedLine(path, line_no, f"{len(cells)} cells, but the header has {len(header)}")
+        for name, cell in zip(header, cells):
+            try:
+                columns[name].append(float(cell))
+            except ValueError:
+                raise MalformedLine(path, line_no, f"{name}: not a number: {cell!r}") from None
     if header is None:
         raise ValueError(f"no header row found in {path}")
     return meta, columns

@@ -38,7 +38,7 @@ def report(num: int, name: str, detail: str = "") -> None:
     print(f"ACCEPTANCE {num} {name}: PASS{suffix}")
 
 
-def full_scale_config(joint_mode: str) -> RunConfig:
+def full_scale_config(joint_mode: str, entropy_mode: str = "raw") -> RunConfig:
     return RunConfig(
         corpus_path="synthetic",
         synthetic_sentences=12000,
@@ -49,7 +49,7 @@ def full_scale_config(joint_mode: str) -> RunConfig:
         window=50,
         seed=42,
         estimator=EstimatorConfig(
-            bandwidth=5.0, entropy_mode="raw", joint_mode=joint_mode
+            bandwidth=5.0, entropy_mode=entropy_mode, joint_mode=joint_mode
         ),
         agents=(
             AgentSpec(kind="random"),
@@ -118,43 +118,62 @@ def test_criterion_5_splitter_uniformity():
 
 
 @pytest.fixture(scope="module")
-def fidelity_run():
-    started = time.perf_counter()
-    results = run_simulation(full_scale_config("union"))
-    return results, time.perf_counter() - started
+def full_scale_run():
+    """The full-scale run of a (joint mode, entropy mode), as (results, seconds), made once per module."""
+    runs = {}
+
+    def run(joint_mode: str, entropy_mode: str = "raw"):
+        if (joint_mode, entropy_mode) not in runs:
+            started = time.perf_counter()
+            results = run_simulation(full_scale_config(joint_mode, entropy_mode))
+            runs[joint_mode, entropy_mode] = results, time.perf_counter() - started
+        return runs[joint_mode, entropy_mode]
+
+    return run
 
 
-def test_criterion_6_structured_mi_separation(fidelity_run):
-    results, elapsed = fidelity_run
-    structured = results["structured"]
-    random_agent = results["random"]
+def test_criterion_6_structured_mi_separation(full_scale_run):
+    details = []
+    for joint_mode in ("union", "concat"):
+        results, elapsed = full_scale_run(joint_mode)
+        structured = results["structured"]
+        random_agent = results["random"]
 
-    xy = structured.rolling["i_xy"]
-    yz = structured.rolling["i_yz"]
-    xz = structured.rolling["i_xz"]
-    assert len(xy) == 120 - 50 + 1
-    dominant = sum(1 for a, b, c in zip(xy, yz, xz) if a > b and a > c)
-    fraction = dominant / len(xy)
-    assert fraction >= 0.90
+        xy = structured.rolling["i_xy"]
+        yz = structured.rolling["i_yz"]
+        xz = structured.rolling["i_xz"]
+        assert len(xy) == 120 - 50 + 1
+        dominant = sum(1 for a, b, c in zip(xy, yz, xz) if a > b and a > c)
+        fraction = dominant / len(xy)
+        assert fraction >= 0.90, joint_mode
 
-    mean_structured = fmean_records(structured.records)
-    mean_random = fmean_records(random_agent.records)
-    assert mean_structured > mean_random
-    assert elapsed <= 120.0
-    report(
-        6,
-        "structured MI separation",
-        f"i_xy dominant at {dominant}/{len(xy)} rolling points; "
-        f"mean i_xy {mean_structured:.3f} > {mean_random:.3f}; {elapsed:.0f}s",
-    )
+        mean_structured = fmean_records(structured.records)
+        mean_random = fmean_records(random_agent.records)
+        assert mean_structured > mean_random, joint_mode
+        assert elapsed <= 120.0
+        details.append(
+            f"{joint_mode}: i_xy dominant at {dominant}/{len(xy)} rolling points; "
+            f"mean i_xy {mean_structured:.3f} > {mean_random:.3f}; {elapsed:.0f}s"
+        )
+    report(6, "structured MI separation", "; ".join(details))
+
+
+def test_normalized_mode_ranks_yz_above_xy(full_scale_run):
+    # What the default entropy mode shows at full scale: the structured agent's
+    # strongest MI is the verb-object one, i_yz, and its i_xy still sits above
+    # the random agent's.  Criterion 6's dominance does not hold in this mode.
+    results, _ = full_scale_run("union", "normalized")
+    structured, random_agent = results["structured"].records, results["random"].records
+    mean_yz = sum(rec.i_yz for rec in structured) / len(structured)
+    assert mean_yz > fmean_records(structured) > fmean_records(random_agent)
 
 
 def fmean_records(records) -> float:
     return sum(rec.i_xy for rec in records) / len(records)
 
 
-def test_criterion_7_joint_mass_monitor(tmp_path):
-    results = run_simulation(full_scale_config("concat"))
+def test_criterion_7_joint_mass_monitor(full_scale_run, tmp_path):
+    results, _ = full_scale_run("concat")
     fractions = {}
     for name, result in results.items():
         fraction = result.violation_fraction

@@ -226,6 +226,9 @@ class TestSimulate:
             "run.seed = -1",
             "run.workers = 2",
             "corpus.groups =",
+            # Read only from a loaded corpus, so never hashed unread.
+            "corpus.groups = foo",
+            "corpus.strip_headers = true",
             "agent.random.path = nothing.jsonl",
             "agent.random.lexicon = verbs.txt",
             "agent.structured.kind = extractor",
@@ -490,6 +493,22 @@ class TestPlot:
         (out / "random_copy.csv").write_bytes((out / "random.csv").read_bytes())
         assert cli(["plot", "--in", str(out), "--out", str(tmp_path / "x.svg"), "--window", "2"]) == 1
         assert "agent 'random'" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_bad_cell_fails_naming_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        write_run_config(cfg)
+        out = tmp_path / "out"
+        cli(["simulate", "--config", str(cfg), "--out", str(out)])
+        csv = out / "random.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        row = next(n for n, line in enumerate(lines) if line.startswith("k,")) + 1
+        k, _, rest = lines[row].split(",", 2)  # the first step's i_xy replaced
+        lines[row] = f"{k},x,{rest}"
+        csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli(["plot", "--in", str(out), "--out", str(tmp_path / "x.svg"), "--window", "2"]) == 1
+        assert capsys.readouterr().err == f"setinfo plot: {csv}: line {row + 1}: i_xy: not a number: 'x'\n"
         assert not (tmp_path / "x.svg").exists()
 
     def test_window_below_one_fails_naming_the_flag_before_reading_csvs(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
@@ -19,6 +20,7 @@ from setinfo import (
     EmptySample,
     EstimatorConfig,
     LingSet,
+    RunConfig,
     Triplet,
     capacity,
     compute_mi_record,
@@ -31,12 +33,15 @@ from setinfo import (
     kernel,
     mutual_information,
     ngram_set,
+    run_simulation,
     synth_corpus,
     triplet_likelihood,
 )
 from setinfo import density
 from setinfo.agents import build_step_samples
 from setinfo.density import (
+    ENTROPY_MODES,
+    JOINT_MODES,
     MiRecord,
     Scratch,
     _indicator_rows,
@@ -235,6 +240,43 @@ def test_import_pins_blas_to_one_thread_unless_set(given, expected):
         [sys.executable, "-c", code], env={**env, **given}, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == expected
+
+
+def record_bits() -> list[str]:
+    """``float.hex`` of every record value of a 12-step run (seed 42, 100 actions), per mode and agent."""
+    fields = ("i_xy", "i_yz", "i_xz", "i_xy_z", "i_xz_y", "h_x", "h_y", "h_z")
+    bits = []
+    for joint_mode in JOINT_MODES:
+        for entropy_mode in ENTROPY_MODES:
+            estimator = EstimatorConfig(entropy_mode=entropy_mode, joint_mode=joint_mode)
+            results = run_simulation(RunConfig(k_max=12, window=4, seed=42, estimator=estimator))
+            bits += [getattr(r, f).hex() for result in results.values() for r in result.records for f in fields]
+    return bits
+
+
+def test_record_bits_do_not_depend_on_numpy_dispatch():
+    # numpy picks its SIMD kernels at import, and NPY_DISABLE_CPU_FEATURES turns
+    # the named targets off in the process that reads it; names a host lacks
+    # are ignored.  Each subprocess runs the same 12 steps with fewer targets.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(Path(__file__).parent), env.get("PYTHONPATH")]))
+    code = "import json, test_density; print(json.dumps(test_density.record_bits()))"
+    levels = ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 AVX512_ICL AVX512_SPR X86_V3"]
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code], env={**env, "NPY_DISABLE_CPU_FEATURES": level},
+            stdout=subprocess.PIPE, text=True,
+        )
+        for level in levels
+    ]
+    here = record_bits()
+    assert len(here) == 2 * 2 * 2 * 12 * 8
+    for level, run in zip(levels, runs):
+        out, _ = run.communicate()
+        assert run.returncode == 0
+        there = json.loads(out)
+        moved = sum(a != b for a, b in zip(here, there, strict=True))
+        assert moved == 0, f"{moved} of {len(here)} record values differ with {level} disabled"
 
 
 class TestCapacity:
@@ -825,9 +867,8 @@ class TestRowKeys:
 
 
 def full_matrix_capacities(family: list[LingSet], bandwidth: float) -> np.ndarray:
-    """Row means of the full n x n kernel matrix of per-pair ``hamming`` distances."""
-    d = np.array([[hamming(a, b) for b in family] for a in family], dtype=np.float64)
-    return density._kernel_from_distances(d, bandwidth).mean(axis=1)
+    """Row means of the full n x n matrix of per-pair ``kernel`` values."""
+    return np.array([[kernel(a, b, bandwidth) for b in family] for a in family]).mean(axis=1)
 
 
 class TestDistinctRows:
@@ -877,14 +918,15 @@ class TestDistinctRows:
 
     @pytest.mark.parametrize("bandwidth", [0.7, 5.0, 40.0])
     def test_kernel_table_equals_elementwise_kernel(self, bandwidth):
-        # Every distance 0 .. 2 * bound, bound = 1000 grams a row, shuffled into
-        # an n x n matrix as the full-matrix path laid them out.
+        # Every distance 0 .. 2 * bound, bound = 1000 grams a row, against the
+        # public kernel to the bit: h grams against no grams are at distance h.
         bound = 1000
         size = 1 << (2 * bound).bit_length()
         table = density._kernel_table(bandwidth, size)
         assert len(table) > 2 * bound and not table.flags.writeable
-        d = np.random.default_rng(7).permutation(size).reshape(32, size // 32)
-        assert np.array_equal(table[d], density._kernel_from_distances(d.astype(np.float64), bandwidth))
+        grams, empty = [f"g{i}" for i in range(size)], LingSet(grams=frozenset(), source="")
+        want = [kernel(LingSet(grams=frozenset(grams[:h]), source=""), empty, bandwidth) for h in range(size)]
+        assert table.tolist() == want
         for h in (0, 1, 5, 2 * bound):
             assert table[h] == pytest.approx(gauss(h, bandwidth), rel=1e-15, abs=0)
 

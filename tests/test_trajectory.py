@@ -18,6 +18,7 @@ from setinfo import (
     Document,
     DocumentCollection,
     EstimatorConfig,
+    MalformedLine,
     RunConfig,
     compute_mi_record,
     ngram_set,
@@ -155,6 +156,8 @@ class TestRunConfig:
             {"synthetic_p_pref": float("nan")},
             {"seed": -1},
             {"groups": ()},
+            {"groups": ("a",)},
+            {"strip_headers": True},
         ],
     )
     def test_invalid_rejected(self, overrides):
@@ -570,6 +573,19 @@ class TestCsv:
         for rec, i_xy, h_x in zip(results["structured"].records, columns["i_xy"], columns["h_x"]):
             assert abs(i_xy - rec.i_xy) < 1e-10
             assert abs(h_x - rec.h_x) < 1e-10
+
+    @pytest.mark.parametrize(
+        "row,cause",
+        [("1,0.4", "2 cells, but the header has 3"), ("1,x,0.1", "i_xy: not a number: 'x'")],
+        ids=["short-row", "not-a-number"],
+    )
+    def test_bad_data_row_named_by_file_and_line(self, tmp_path, row, cause):
+        # A short row read silently would put its series out of step.
+        path = tmp_path / "run.csv"
+        path.write_text(f"# seed = 1\nk,i_xy,i_xz\n0,0.5,0.1\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: line 4: {cause}"
 
     def test_demarcken_column_is_binary(self, tmp_path):
         results = run_simulation(small_config())
