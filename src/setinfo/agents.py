@@ -399,11 +399,13 @@ def build_step_samples(
     are drawn in one ``integers`` call.  This is the one place text becomes
     gram sets: each distinct segment text of a step is turned into a ``LingSet`` once, by
     ``gram_set`` (in a run, the run's index), and every triplet of the step
-    holding that text shares it.  A step's sets are built in one
-    ``GramIndex.segments`` call: a random step's from the tokens it cut, a
-    pool step's from their ``pieces``.  Nothing is kept from one step to
-    the next but the index's memos, so a step's sample is freed once its
-    caller drops it.
+    holding that text shares it.  A step's new sets are built in one
+    ``GramIndex.segments`` call, from their texts.  What is kept from one
+    step to the next: the index's memo, and, for a pool agent, one set
+    per distinct pool text drawn so far (the pool bounds them), until the
+    returned generator is dropped or runs out, so that each pool text is
+    built once.  A random step keeps none of its sets, and every step's
+    sample is freed once its caller drops it.
     """
     if kind == "random":
         if context_length < 3:
@@ -422,16 +424,14 @@ def build_step_samples(
             second = np.where(second == first, context_length - 2, second)
             low = (np.minimum(first, second) + 1).tolist()
             high = (np.maximum(first, second) + 1).tolist()
-            segments = [seg for toks, i, j in zip(windows, low, high) for seg in (toks[:i], toks[i:j], toks[j:])]
-            texts = [" ".join(seg) for seg in segments]
+            texts = [" ".join(seg) for toks, i, j in zip(windows, low, high) for seg in (toks[:i], toks[i:j], toks[j:])]
             sets: dict[str, LingSet] = {}
-            new = dict(zip(texts, segments))
         else:
             picks = step_rng.integers(len(source), size=per_step).tolist()
             texts = [text for i in picks for text in source[i]]
             sets = pool_sets
-            new = {text: gram_set.pieces(text) for text in dict.fromkeys(texts) if text not in sets}
-        sets.update(zip(new, gram_set.segments(list(new), list(new.values()))))
+        new = [text for text in dict.fromkeys(texts) if text not in sets]
+        sets.update(zip(new, gram_set.segments(new)))
         flat = list(map(sets.__getitem__, texts))
         return StepSample(k, tuple(map(Triplet, flat[0::3], flat[1::3], flat[2::3])))
 

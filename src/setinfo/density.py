@@ -29,9 +29,9 @@ and one scatter fills the boolean rows of the distinct sets
 (``_set_rows``).  No joined set is built: a joined family's rows are the
 OR of its parts' rows.  A concat join, like ``join``, reads the sources:
 a set the index did not build enters it as the index's set of its source,
-and the seam grams across the joining space come from the index's window
-memo, which ``GramIndex.segments`` fills by the same rule: the window at
-a space is the slice of its text ``n_max - 1`` characters either side of
+and the seam grams across the joining space come from the index's memo,
+which ``GramIndex.segments`` fills by the same rule: the window at a
+space is the slice of its text ``n_max - 1`` characters either side of
 it.  All of a call's windows are looked up in one
 ``GramIndex.window_parts`` batch, as part numbers whose gram ids one
 gather takes from the index's store.
@@ -114,8 +114,7 @@ class EstimatorConfig:
     include_space: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError(f"estimator.bandwidth must be positive and finite, got {self.bandwidth}")
+        _check_bandwidth(self.bandwidth)
         if self.entropy_mode not in ENTROPY_MODES:
             raise ValueError(f"estimator.entropy_mode must be one of {ENTROPY_MODES}")
         if self.joint_mode not in JOINT_MODES:
@@ -126,7 +125,7 @@ class EstimatorConfig:
             raise ValueError(f"ngram.n_max must be >= ngram.n_min ({self.n_min}), got {self.n_max}")
 
     def gram_index(self) -> GramIndex:
-        """A new index that builds gram sets under this run's n-gram settings."""
+        """A new index under this run's n-gram settings; a run builds every set through one, by ``segments(texts)``."""
         return GramIndex(self.n_min, self.n_max, self.include_space)
 
 
@@ -152,9 +151,21 @@ def kernel(a: LingSet, b: LingSet, bandwidth: float) -> float:
     Maximal, 1/sqrt(2 pi bandwidth^2), exactly when the gram sets coincide;
     strictly decreasing in the distance.
     """
-    if not 0 < bandwidth < math.inf:
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    _check_bandwidth(bandwidth)
     return _gauss(hamming(a, b), bandwidth)
+
+
+def _check_bandwidth(bandwidth: float) -> None:
+    """Reject a bandwidth that ``_gauss`` cannot take: its 2ς² must be above 0 and its 2π·ς² finite.
+
+    Past about 5e153, 2π·ς² overflows and every kernel value is 0; below
+    about 1e-162, 2ς² underflows to 0 and the exponent divides by it.
+    """
+    if not (bandwidth > 0 and 2.0 * bandwidth * bandwidth > 0 and 2.0 * math.pi * bandwidth * bandwidth < math.inf):
+        raise ValueError(
+            f"estimator.bandwidth must be positive and finite, with 2*bandwidth**2 above 0"
+            f" and 2*pi*bandwidth**2 finite, got {bandwidth}"
+        )
 
 
 def _gauss(h: int, bandwidth: float) -> float:
@@ -404,7 +415,7 @@ def _capacities(samples: Sequence[Sequence[LingSet]], cfg: EstimatorConfig) -> l
     concat = cfg.joint_mode == "concat" and k > 1
     foreign = concat and list(dict.fromkeys([s.source for s in chain(*samples) if s.index is not index]))
     if foreign:
-        built = dict(zip(foreign, index.segments(foreign, [index.pieces(t) for t in foreign])))
+        built = dict(zip(foreign, index.segments(foreign)))
         families += [[s if s.index is index else built[s.source] for s in f] for f in samples]
     windows = None
     if concat and cfg.include_space:

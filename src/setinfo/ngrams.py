@@ -7,18 +7,18 @@ of the metric space regardless of how they were written down.
 
 ``ngram_set`` builds one set from scratch.  A run builds its sets through
 one ``GramIndex`` instead, which gives every gram of the run an int id and
-memoizes the grams of each distinct space-free piece (token memo, bounded
-by the corpus vocabulary) and of each distinct seam window (window memo,
-bounded by the distinct windows), each as a numbered part of one id
-store.  A memo is looked up a batch of texts at a time, and the texts it
-lacks are scanned and stored together.  One method, ``GramIndex.segments``,
-builds every such set as the union of its pieces' grams and of the
-windows between them; the set carries its gram ids, from which the
-estimator builds its rows without looking at a gram string, and its
-grams are derived from the ids only when read.  One rule cuts every seam
-window, for ``segments`` and for the estimator's concat joins
-(``GramIndex.window_parts``) alike: the window at a space of a text is
-the slice of the text ``n_max - 1`` characters either side of it.
+memoizes the grams of each distinct space-free piece and of each distinct
+seam window in one memo, bounded by the distinct pieces and windows, each
+as a numbered part of one id store.  The memo is looked up a batch of
+texts at a time, and the texts it lacks are scanned and stored together.
+One method, ``GramIndex.segments``, builds every such set from its text
+alone, as the union of its pieces' grams and of the windows between them;
+the set carries its gram ids, from which the estimator builds its rows
+without looking at a gram string, and its grams are derived from the ids
+only when read.  One rule cuts every seam window, for ``segments`` and
+for the estimator's concat joins (``GramIndex.window_parts``) alike: the
+window at a space of a text is the slice of the text ``n_max - 1``
+characters either side of it.
 """
 
 from __future__ import annotations
@@ -141,30 +141,31 @@ def join(
 class GramIndex:
     """Gram ids and memoized gram sets for one run's n-gram settings.
 
-    ``segments`` builds the set of each text from the text's ``pieces``: a
-    set equal to ``ngram_set(text, n_min, n_max, include_space)`` that
-    carries its gram ids; calling the index on one text is ``segments`` of
-    that text.  Without ``include_space`` a set is the union of the grams
-    of ``text.split()``.  With it, the text is cut at each space into
-    pieces, each scanned whole (a piece may be empty, or hold tabs or
-    newlines), and a gram that holds a space is found in the window of
-    that space.  One rule cuts every window: the window at a space ``p``
-    of a text is ``text[max(p - reach, 0) : p + 1 + reach]``, with
-    ``reach = n_max - 1``, since a gram of at most ``n_max`` characters
-    that holds that space lies inside it.  A join's window is the rule
-    applied to ``a + " " + b`` at the joining space.  The pieces (a token
-    memo, bounded by the distinct pieces) and the windows (a window memo,
-    bounded by the distinct windows) are memoized for as long as the index
-    lives, each as a numbered part whose gram ids sit in one store, part
-    after part; so is ``vocab``, which numbers every gram on first sight,
-    with its inverse, through which a built set's grams are derived when
-    first read.  Both memos are looked up, and their misses scanned, a
-    batch at a time (``_lookup``).  ``scratch`` holds the estimator's step
-    buffers (``density.Scratch``) from the first step on, for as long as
-    the index lives.  The sets an index builds point to it, and nothing in
-    the index points to a set, so an index dies with its last reference.
-    Nothing here is locked: an index, and the steps that use it, belong to
-    one thread.
+    ``segments`` builds the set of each text: a set equal to
+    ``ngram_set(text, n_min, n_max, include_space)`` that carries its gram
+    ids.  Without ``include_space`` a set is the union of the grams of the
+    pieces ``text.split()``.  With it, the text is cut at each space into
+    the pieces ``text.split(" ")``, each scanned whole (a piece may be
+    empty, or hold tabs or newlines), and a gram that holds a space is
+    found in the window of that space.  One rule cuts every window: the
+    window at a space ``p`` of a text is ``text[max(p - reach, 0) : p + 1 +
+    reach]``, with ``reach = n_max - 1``, since a gram of at most ``n_max``
+    characters that holds that space lies inside it.  A join's window is
+    the rule applied to ``a + " " + b`` at the joining space.  One memo,
+    bounded by the distinct pieces and windows, keeps each of them for as
+    long as the index lives, as a numbered part whose gram ids sit in one
+    store, part after part: a piece's part holds all its grams and a
+    window's only those that hold a space.  The two never share a key,
+    since a piece holds no space and a window always does.  So is
+    ``vocab`` kept, which numbers every gram on first sight, with its
+    inverse, through which a built set's grams are derived when first
+    read.  The memo is looked up, and its misses scanned, a batch at a
+    time (``_lookup``).  ``scratch`` holds the estimator's step buffers
+    (``density.Scratch``) from the first step on, for as long as the index
+    lives.  The sets an index builds point to it, and nothing in the index
+    points to a set, so an index dies with its last reference.  Nothing
+    here is locked: an index, and the steps that use it, belong to one
+    thread.
     """
 
     def __init__(self, n_min: int, n_max: int, include_space: bool) -> None:
@@ -174,12 +175,10 @@ class GramIndex:
         self.vocab: dict[str, int] = {}
         self._inverse: list[str] = []  # the gram of each id, up to where grams_of last read
         self.scratch: Scratch | None = None  # set by the estimator's first step on this index's sets
-        self._token_ids: dict[str, int] = {}  # the token memo: each piece's part
-        self._windows: dict[str, int] = {}  # the window memo: each window's part, by its text
-        # Part p's gram ids are _store[_offsets[p] : _offsets[p + 1]]; part 0 is empty.
+        self._parts: dict[str, int] = {}  # the memo: the part of each piece and window, by its text
+        # Part p's gram ids are _store[_offsets[p] : _offsets[p + 1]].
         self._store = np.zeros(0, dtype=np.int32)
-        self._offsets = np.zeros(2, dtype=np.intp)
-        self._parts = 1
+        self._offsets = np.zeros(1, dtype=np.intp)
 
     def number(self, grams: Iterable[str]) -> np.ndarray:
         """The ids of ``grams``, numbering the ones not seen before."""
@@ -193,38 +192,37 @@ class GramIndex:
             inverse.extend(islice(self.vocab, len(inverse), None))
         return frozenset(map(inverse.__getitem__, ids.tolist()))
 
-    def _lookup(self, memo: dict[str, int], texts: list[str], spaced: bool) -> list[int]:
-        """The part of each of ``texts`` in ``memo``; the ones not in it are scanned together first.
+    def _lookup(self, texts: list[str]) -> list[int]:
+        """The part of each of ``texts``; the ones not in the memo are scanned together first.
 
         A missing text becomes a new part holding the ids of its distinct
-        grams (only those holding a space if ``spaced``; "" has none),
-        numbered as in ``number``; the parts of all the missing texts are
-        written to the store in one append.  Each text's gram set lives only
-        while it is numbered: holding them all at once raised a short run's
-        peak RSS.
+        grams, only those that hold a space if the text holds one ("" has
+        none), numbered as in ``number``; the parts of all the missing texts
+        are written to the store in one append.  Each text's gram set lives
+        only while it is numbered: holding them all at once raised a short
+        run's peak RSS.
         """
+        memo = self._parts
         parts = list(map(memo.get, texts))
         if None not in parts:
             return parts
         missing = list(dict.fromkeys(t for t, p in zip(texts, parts) if p is None))
         n_min, n_max, _ = self.settings
         vocab = self.vocab
-        found = [
-            [
-                vocab.setdefault(g, len(vocab))
-                for g in {t[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(t) - n + 1)}
-                if not spaced or " " in g
-            ]
-            for t in missing
-        ]
+        found = []
+        for t in missing:
+            grams = {t[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(t) - n + 1)}
+            if " " in t:
+                found.append([vocab.setdefault(g, len(vocab)) for g in grams if " " in g])
+            else:
+                found.append([vocab.setdefault(g, len(vocab)) for g in grams])
         ids = np.fromiter(chain.from_iterable(found), dtype=np.int32)
-        first, start = self._parts, int(self._offsets[self._parts])
+        first, start = len(memo), int(self._offsets[len(memo)])
         end = first + len(missing)
         self._store = _fit(self._store, start + len(ids))
         self._offsets = _fit(self._offsets, end + 1)
         self._store[start : start + len(ids)] = ids
         np.cumsum([start, *map(len, found)], out=self._offsets[first : end + 1])
-        self._parts = end
         memo.update(zip(missing, range(first, end)))
         return list(map(memo.get, texts))
 
@@ -246,7 +244,7 @@ class GramIndex:
         ``include_space`` no gram crosses a space, and a concat join equals
         the union.
         """
-        return np.array(self._lookup(self._windows, self._window_keys(tails, heads), True), dtype=np.intp)
+        return np.array(self._lookup(self._window_keys(tails, heads)), dtype=np.intp)
 
     def gather(self, parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gram ids of ``parts``, part after part in one array, and where each part starts and ends in it.
@@ -267,57 +265,38 @@ class GramIndex:
         at[bounds[:-1][filled]] = first - np.concatenate(([0], last[:-1]))
         return self._store[np.cumsum(at, out=at)], bounds
 
-    def pieces(self, text: str) -> list[str]:
-        """How ``text`` is cut: at each space with ``include_space``, else at every whitespace run."""
-        return text.split(" ") if self.settings[2] else text.split()
+    def segments(self, texts: Sequence[str]) -> list[LingSet]:
+        """The set of each of ``texts``, equal to ``ngram_set(text, n_min, n_max, include_space)``.
 
-    def __call__(self, text: str) -> LingSet:
-        if not text:
-            raise EmptyText("cannot build an n-gram set from empty text")
-        return self.segments([text], [self.pieces(text)])[0]
-
-    def segments(self, texts: Sequence[str], tokens: Sequence[Sequence[str]]) -> list[LingSet]:
-        """The set of each text, given as its pieces: ``tokens[i] == self.pieces(texts[i])``.
-
-        Each set equals ``ngram_set(texts[i], n_min, n_max, include_space)``.
-        The pieces of all the texts are numbered in one lookup in the token
-        memo, an empty one as the empty set.  With ``include_space`` the
-        window at each space inside a text is cut from one string of all
-        the pieces, at bounds computed in one pass and clipped to the text,
-        and all the windows are looked up in one batch in the window memo.
-        Each text's parts, its pieces and the windows between them, lie
-        next to each other in one sequence, and one ``gather`` from the
-        store lays all their gram ids out in one array; each set's ids are
-        one contiguous slice of it, and the sets' grams are not built.
+        Each text is cut into its pieces and, with ``include_space``, the
+        window at each of its spaces, in text order, and all the texts'
+        pieces and windows are looked up in one batch in the memo; "" is
+        the empty set, as is a text of whitespace alone without
+        ``include_space``.  One ``gather`` from the store lays all their
+        gram ids out in one array; each set's ids are one contiguous slice
+        of it, and the sets' grams are not built.
         """
         if not texts:  # a pool step whose texts are all built already
             return []
-        pieces = list(chain.from_iterable(tokens))
-        counts = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        # Part k of the sequence is piece k/2 for even k, and for odd k the
-        # window at the space after piece (k-1)/2: empty where the next
-        # piece belongs to another text, after the last piece, or without
-        # include_space.
-        sequence = np.zeros(2 * len(pieces), dtype=np.intp)
-        sequence[0::2] = self._lookup(self._token_ids, pieces, False)
-        if self.settings[2] and len(pieces) > 1:
-            reach = self.settings[1] - 1
-            joined = " ".join(pieces)
-            lengths = np.fromiter(map(len, pieces), dtype=np.intp, count=len(pieces))
-            stops = np.cumsum(lengths + 1) - 1  # where each piece stops in ``joined``: at the space after it
-            owner = np.repeat(np.arange(len(tokens)), counts)
-            inner = np.flatnonzero(owner[1:] == owner[:-1])  # the pieces followed by a space of their text
-            at, first, last = stops[inner], starts[owner[inner]], ends[owner[inner]] - 1
-            begin = np.maximum(at - reach, stops[first] - lengths[first]).tolist()  # clipped to the text
-            end = np.minimum(at + 1 + reach, stops[last]).tolist()
-            keys = [joined[a:b] for a, b in zip(begin, end)]
-            sequence[2 * inner + 1] = self._lookup(self._windows, keys, True)
-        flat, bounds = self.gather(sequence)
-        lo = bounds[2 * starts].tolist()
-        hi = bounds[np.maximum(2 * ends - 1, 2 * starts)].tolist()
-        return [LingSet(None, text, self, flat[a:b]) for text, a, b in zip(texts, lo, hi)]
+        reach, include_space = self.settings[1] - 1, self.settings[2]
+        keys: list[str] = []
+        add = keys.append
+        ends = []  # where each text's keys end in ``keys``
+        for text in texts:
+            if not include_space:
+                keys += text.split()
+            else:
+                pieces = text.split(" ")
+                at = -1  # the space after each piece but the last
+                for piece in pieces[:-1]:
+                    at += len(piece) + 1
+                    add(piece)
+                    add(text[at - reach if at > reach else 0 : at + 1 + reach])
+                add(pieces[-1])
+            ends.append(len(keys))
+        flat, bounds = self.gather(np.array(self._lookup(keys), dtype=np.intp))
+        hi = bounds[ends].tolist()
+        return [LingSet(None, text, self, flat[a:b]) for text, a, b in zip(texts, [0, *hi], hi)]
 
 
 def _fit(array: np.ndarray, size: int) -> np.ndarray:

@@ -434,12 +434,12 @@ def run_simulation(cfg: RunConfig) -> dict[str, TrajectoryResult]:
     steps, so a bad one fails the run at once; of the documents, only their
     token lists are kept from then on.  Every gram set of the run is built
     by ``build_step_samples`` through one ``cfg.estimator.gram_index()``,
-    made for this call, whose gram ids and memos every step then uses.  The
+    made for this call, whose gram ids and memo every step then uses.  The
     steps run one after another on the calling thread, which the index
     requires.  Each step's sample is measured as it is built and dropped
     before the next one is built, so the run holds one step's sample at a
     time, whatever ``k_max``.  Nothing the index holds points back to it,
-    so the index, its memos and its scratch are freed with the call,
+    so the index, its memo and its scratch are freed with the call,
     without waiting for a cyclic collection.  Results are keyed by agent
     name in configuration order.
     """

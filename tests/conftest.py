@@ -20,6 +20,11 @@ texts = st.text(
 lingsets = texts.map(lambda t: ngram_set(t, 1, 3, True))
 
 
+def built_by(index):
+    """The function that builds the set of one text through ``index``."""
+    return lambda text: index.segments([text])[0]
+
+
 def one_object_per_value(strings) -> bool:
     """Whether each distinct value among ``strings`` is one object."""
     strings = list(strings)  # keeps every object alive while ids are taken

@@ -4,6 +4,7 @@ import gc
 import inspect
 import json
 import tracemalloc
+import weakref
 from dataclasses import replace
 from itertools import chain
 from unittest import mock
@@ -37,7 +38,7 @@ from setinfo.ngrams import GramIndex, ngram_set
 from setinfo.trajectory import grammar_from_file
 
 import scalar_draws
-from conftest import one_object_per_value
+from conftest import collector_disabled, one_object_per_value
 
 
 GRAM_SET = EstimatorConfig().gram_index()
@@ -609,9 +610,9 @@ class TestBuildStepSamples:
         class RecordingIndex(GramIndex):
             """Records the texts of every ``segments`` call."""
 
-            def segments(self, texts, tokens):
+            def segments(self, texts):
                 calls.append(list(texts))
-                return super().segments(texts, tokens)
+                return super().segments(texts)
 
         gram_set = RecordingIndex(*EstimatorConfig(n_max=4, include_space=False).gram_index().settings)
         docs, gold = synth_corpus(400, np.random.default_rng(11))
@@ -634,6 +635,29 @@ class TestBuildStepSamples:
                     assert shared.setdefault(s.source, s) is s
             if kind == "random":
                 assert set(calls[0]) & set(calls[1])  # a text that recurs is built again
+
+    def test_a_pool_agent_keeps_the_sets_of_drawn_texts_while_its_generator_runs(self):
+        # A pool step's sample is freed once dropped, but the sets of the
+        # texts it drew are kept, and a later step that draws one of those
+        # texts gets the same set, until the generator is dropped.
+        pool = [(f"x{i}", f"y {i}", f"z{i} a") for i in range(8)]
+        with collector_disabled():
+            samples = build_step_samples("gold_file", pool, 6, 3, np.random.default_rng(0), 10, GRAM_SET)
+            first = next(samples)
+            drawn = {s.source for t in first.triplets for s in (t.x, t.y, t.z)}
+            refs = [weakref.ref(first), weakref.ref(first.triplets[0])]
+            ids = weakref.ref(first.triplets[0].x.ids.base)  # the array every set of the first step slices
+            del first
+            assert [ref() is None for ref in refs] == [True, True]
+            kept = []
+            for _ in range(3):
+                sets = [s for t in next(samples).triplets for s in (t.x, t.y, t.z)]
+                kept += [(s.source in drawn, s.ids.base is ids()) for s in sets]
+            del sets
+            assert set(kept) == {(True, True), (False, False)}
+            assert ids() is not None
+            del samples
+            assert ids() is None
 
     @pytest.mark.parametrize("include_space", [True, False])
     def test_pool_texts_with_runs_of_spaces_and_tabs_equal_ngram_set(self, include_space):

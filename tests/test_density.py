@@ -49,7 +49,7 @@ from setinfo.density import (
 )
 from setinfo.ngrams import GramIndex
 
-from conftest import collector_disabled, lingsets, random_lingset
+from conftest import built_by, collector_disabled, lingsets, random_lingset
 
 UNION = EstimatorConfig()
 RAW = EstimatorConfig(entropy_mode="raw")
@@ -125,11 +125,23 @@ class TestEstimatorConfig:
             {"bandwidth": float("inf")},
             {"n_min": 0},
             {"n_min": 3, "n_max": 1},
+            {"bandwidth": 1e160},  # 2*pi*bandwidth**2 overflows
+            {"bandwidth": 1e-170},  # 2*bandwidth**2 underflows to 0
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             EstimatorConfig(**kwargs)
+
+    @pytest.mark.parametrize("bandwidth", [1e150, 1e-150])
+    def test_extreme_bandwidths_in_range_give_finite_values(self, bandwidth, rng):
+        triplets = tuple(random_triplets(rng, 6)) + (triplet("the cat", "sat on", "the mat"),) * 2
+        for mode in ENTROPY_MODES:
+            for joint_mode in JOINT_MODES:
+                cfg = EstimatorConfig(bandwidth=bandwidth, entropy_mode=mode, joint_mode=joint_mode)
+                record = compute_mi_record(1, triplets, cfg)
+                assert all(math.isfinite(v) for v in vars(record).values()), record
+                assert math.isfinite(entropy([t.x for t in triplets], cfg))
 
 
 class TestKernel:
@@ -167,8 +179,8 @@ class TestKernel:
 
     def test_bad_bandwidth(self):
         s = ngram_set("x", 1, 1, True)
-        for bandwidth in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError):
+        for bandwidth in (0.0, float("nan"), float("inf"), 1e160, 1e-170):
+            with pytest.raises(ValueError, match=r"^estimator\.bandwidth"):
                 kernel(s, s, bandwidth)
 
 
@@ -578,7 +590,7 @@ class TestStepCapacities:
         cfg = EstimatorConfig(
             joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space
         )
-        index = cfg.gram_index()
+        index = built_by(cfg.gram_index())
 
         def plain(text: str) -> LingSet:
             return ngram_set(text, n_min, n_max, include_space)
@@ -618,9 +630,9 @@ class TestStepCapacities:
         n_min, n_max = lengths
         cfg = EstimatorConfig(joint_mode=mode, n_min=n_min, n_max=n_max, include_space=include_space)
         builders = [
-            cfg.gram_index(),
+            built_by(cfg.gram_index()),
             lambda text: ngram_set(text, n_min, n_max, include_space),
-            GramIndex(*other),
+            built_by(GramIndex(*other)),
             lambda text: ngram_set(text, *other),
         ]
         triplets = [
@@ -723,9 +735,9 @@ class TestStepCapacities:
         calls = []
         scan = GramIndex._lookup
 
-        def spy(self, memo, texts, spaced):
-            calls.extend(dict.fromkeys(t for t in texts if t not in memo))
-            return scan(self, memo, texts, spaced)
+        def spy(self, texts):
+            calls.extend(dict.fromkeys(t for t in texts if t not in self._parts))
+            return scan(self, texts)
 
         monkeypatch.setattr(GramIndex, "_lookup", spy)
         return calls
@@ -749,7 +761,7 @@ class TestStepCapacities:
         texts = ("the cat", "sat on", "the mat")
         index = CONCAT.gram_index()
         calls = self.scans(monkeypatch)
-        copies = [Triplet(*map(index, texts))] * 12
+        copies = [Triplet(*index.segments(texts))] * 12
         steps = self.windows(monkeypatch)
         for _ in range(2):
             steps.append(set())
@@ -781,16 +793,14 @@ class TestStepCapacities:
     def test_a_step_finds_its_windows_in_one_batch(self, monkeypatch):
         index = CONCAT.gram_index()
         texts = [("the cat", "sat on", "the mat"), ("a dog", "ran to", "a door")] * 3
-        triplets = tuple(Triplet(*map(index, t)) for t in texts)
+        triplets = tuple(Triplet(*index.segments(t)) for t in texts)
         batches, lookups = [], []
         find, scan = GramIndex.window_parts, GramIndex._lookup
         monkeypatch.setattr(GramIndex, "window_parts", lambda self, t, h: batches.append(len(t)) or find(self, t, h))
-        monkeypatch.setattr(
-            GramIndex, "_lookup", lambda self, memo, t, spaced: lookups.append(spaced) or scan(self, memo, t, spaced)
-        )
+        monkeypatch.setattr(GramIndex, "_lookup", lambda self, t: lookups.append(t) or scan(self, t))
         step_capacities(triplets, CONCAT)
         assert batches == [5 * len(triplets)]  # xy, yz, xz, xy+z and xz+y
-        assert lookups == [True]  # one lookup in the window memo, and no window on its own
+        assert len(lookups) == 1 and all(" " in key for key in lookups[0])  # one lookup, of windows alone
 
     def test_monitor_of_another_step_runs_its_own_pass(self, monkeypatch, rng):
         a, b = tuple(random_triplets(rng, 6)), tuple(random_triplets(rng, 6))
@@ -816,7 +826,7 @@ class TestRowKeys:
         texts = [("aaa", "b c", "dd"), ("aaaa", "b c", "dd"), ("aaa", "c", "e f"), ("b", "aaaa", "c d")]
         index = cfg.gram_index()
         built: dict[str, LingSet] = {}
-        by_identity = tuple(Triplet(*(built.setdefault(t, index(t)) for t in texts_)) for texts_ in texts)
+        by_identity = tuple(Triplet(*(built.setdefault(t, built_by(index)(t)) for t in texts_)) for texts_ in texts)
         by_grams = tuple(triplet(*texts_, cfg) for texts_ in texts)
         assert ngram_set("aaa", 1, 3, True).grams == ngram_set("aaaa", 1, 3, True).grams
         identity_rows, _, _ = density._set_rows([[t.x for t in by_identity]], None, index, Scratch())
@@ -903,7 +913,7 @@ class TestDistinctRows:
         index = cfg.gram_index()
 
         def build(text: str) -> LingSet:
-            return index(text if not include_space or text.strip() else "a")
+            return built_by(index)(text if not include_space or text.strip() else "a")
 
         triples = [Triplet(*map(build, t)) for t in pool]
         triplets = tuple(triples[i % len(triples)] for i in picks)

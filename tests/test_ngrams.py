@@ -68,9 +68,9 @@ def record_scans(monkeypatch) -> list[str]:
     calls = []
     scan = GramIndex._lookup
 
-    def spy(self, memo, texts, spaced):
-        calls.extend(t for t in texts if t not in memo)
-        return scan(self, memo, texts, spaced)
+    def spy(self, texts):
+        calls.extend(t for t in texts if t not in self._parts)
+        return scan(self, texts)
 
     monkeypatch.setattr(GramIndex, "_lookup", spy)
     return calls
@@ -102,23 +102,54 @@ class TestGramIndex:
     @example(["ab", "b a", "ab"], (1, 1), True)
     @example(["a", "  "], (1, 3), False)  # a text without pieces after one with pieces
     def test_fold_equals_ngram_set(self, texts, lengths, include_space):
-        # One index builds every text in turn, so later texts fold memoized
-        # pieces and windows, and another builds them all in one ``segments``
-        # call; each set must equal the scan of its whole text, and its ids
-        # must be exactly the vocabulary ids of its grams.
+        # One index builds every text in its own ``segments`` call, so later
+        # texts fold memoized pieces and windows, and another builds them all
+        # in one call; each set must equal the scan of its whole text, and
+        # its ids must be exactly the vocabulary ids of its grams.
         n_min, n_max = lengths
         index = GramIndex(n_min, n_max, include_space)
         batch = GramIndex(n_min, n_max, include_space)
-        in_one_call = batch.segments(texts, [batch.pieces(text) for text in texts])
+        in_one_call = batch.segments(texts)
         for text, together in zip(texts, in_one_call, strict=True):
             want = ngram_set(text, n_min, n_max, include_space)
-            for got, built_by in ((index(text), index), (together, batch)):
+            for got, built_by in ((index.segments([text])[0], index), (together, batch)):
                 assert got.grams == want.grams
                 assert got == want
                 assert got.index is built_by
                 assert set(got.ids.tolist()) == {built_by.vocab[g] for g in want.grams}
         for built_by in (index, batch):
             assert sorted(built_by.vocab.values()) == list(range(len(built_by.vocab)))
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(spaced_texts, min_size=1, max_size=6), st.sampled_from(GRAM_LENGTHS), st.booleans())
+    @example(["  a\tb  c\n "], (1, 1), True)  # doubled, leading and trailing spaces; n_max = 1
+    @example(["  a\tb  c\n "], (1, 1), False)
+    @example([" a", "a "], (2, 4), True)
+    @example(["\n\t", " "], (1, 3), False)  # whitespace alone: no piece
+    def test_memo_keys_are_pieces_and_windows(self, texts, lengths, include_space):
+        # The memo holds exactly the texts' pieces and, with include_space,
+        # the window at each of their spaces, cut by the rule from the whole
+        # text; a piece holds no space and all its grams, a window at least
+        # one space and exactly its grams that hold one.  The sets equal
+        # ``ngram_set`` of their texts.
+        n_min, n_max = lengths
+        reach = n_max - 1
+        index = GramIndex(n_min, n_max, include_space)
+        for text, got in zip(texts, index.segments(texts), strict=True):
+            assert got.grams == ngram_set(text, n_min, n_max, include_space).grams
+        pieces = {p for text in texts for p in (text.split(" ") if include_space else text.split())}
+        windows = {
+            text[max(p - reach, 0) : p + 1 + reach]
+            for text in texts
+            for p, c in enumerate(text)
+            if c == " " and include_space
+        }
+        assert index._parts.keys() == pieces | windows
+        assert not any(" " in p for p in pieces) and all(" " in w for w in windows)
+        for key, part in index._parts.items():
+            grams = index.grams_of(index.gather(np.array([part]))[0])
+            full = frozenset(brute_force_grams(key, n_min, n_max))
+            assert grams == (spaced_grams(key, n_min, n_max) if key in windows else full)
 
     @settings(deadline=None, max_examples=200)
     @given(
@@ -143,7 +174,7 @@ class TestGramIndex:
         index = GramIndex(n_min, n_max, include_space)
         for batch in (segments, segments[::-1]):
             texts = [" ".join(seg) for seg in batch]
-            got = index.segments(texts, batch)
+            got = index.segments(texts)
             assert len(got) == len(texts)
             assert len({id(s.ids.base) for s in got}) <= 1  # slices of one array
             for text, s in zip(texts, got):
@@ -154,8 +185,7 @@ class TestGramIndex:
 
     def test_grams_are_derived_from_ids_on_first_read(self, monkeypatch):
         index = GramIndex(1, 3, True)
-        (s,) = index.segments(["ab cd"], [["ab", "cd"]])
-        folded = index("ab cd")
+        s, folded = index.segments(["ab cd"]) + index.segments(["ab cd"])
         reads = []
         grams_of = index.grams_of
         monkeypatch.setattr(index, "grams_of", lambda ids: reads.append(ids) or grams_of(ids))
@@ -169,7 +199,7 @@ class TestGramIndex:
 
     def test_number_reuses_the_ids_of_seen_grams(self):
         index = GramIndex(1, 2, True)
-        own = index("ab a")
+        (own,) = index.segments(["ab a"])
         other = ngram_set("ba c", 1, 2, True)
         ids = index.number(other.grams)
         assert sorted(ids.tolist()) == sorted(index.vocab[g] for g in other.grams)
@@ -186,14 +216,15 @@ class TestGramIndex:
     def test_one_window_one_scan(self, monkeypatch):
         # The window that a segment holds at a space is the one a join of its
         # two sides looks up: "x a " (the rule does not stop at the next
-        # space), scanned once for both.
+        # space), scanned once for both.  A text's pieces and windows are
+        # looked up in text order.
         calls = record_scans(monkeypatch)
         index = GramIndex(1, 3, True)
-        (segment,) = index.segments(["x a b"], [["x", "a", "b"]])
+        (segment,) = index.segments(["x a b"])
         (part,) = index.window_parts(["x"], ["a b"])
-        assert calls == ["x", "a", "b", "x a ", " a b"]
-        assert index.window_parts(["x a"], ["b"]).tolist() == [index._windows[" a b"]]
-        assert index._windows["x a "] == part
+        assert calls == ["x", "x a ", "a", " a b", "b"]
+        assert index.window_parts(["x a"], ["b"]).tolist() == [index._parts[" a b"]]
+        assert index._parts["x a "] == part
         assert segment.grams == ngram_set("x a b", 1, 3, True).grams
 
     @settings(deadline=None, max_examples=300)
@@ -208,13 +239,12 @@ class TestGramIndex:
         index = GramIndex(*lengths, True)
         scan = index._lookup
 
-        def spy(memo, texts, spaced):
-            if spaced:
-                keys.extend(texts)
-            return scan(memo, texts, spaced)
+        def spy(texts):
+            keys.extend(t for t in texts if " " in t)
+            return scan(texts)
 
         index._lookup = spy
-        index.segments([text], [index.pieces(text)])
+        index.segments([text])
         spaces = [p for p, c in enumerate(text) if c == " "]
         assert len(keys) == len(spaces)
         if spaces:
@@ -266,21 +296,25 @@ class TestGramIndex:
         # its scratch with it, by reference counting alone.
         cfg = EstimatorConfig(n_min=1, n_max=3, include_space=True, joint_mode="concat")
         index = cfg.gram_index()
-        xs = index.segments(["cd ab", "ab c"], [["cd", "ab"], ["ab", "c"]])
-        ys = [index("ab cd ab"), index("c")]
+        xs = index.segments(["cd ab", "ab c"])
+        ys = index.segments(["ab cd ab", "c"])
         assert mutual_information(list(zip(xs, ys)), cfg) == mutual_information(
             [(ngram_set(x.source, 1, 3, True), ngram_set(y.source, 1, 3, True)) for x, y in zip(xs, ys)], cfg
         )
-        assert index._windows and index.scratch is not None
+        assert any(" " in key for key in index._parts) and index.scratch is not None
         refs = [weakref.ref(index), weakref.ref(index.scratch), weakref.ref(xs[0].ids.base)]
         with collector_disabled():
             del index, xs, ys
             alive = [ref() is not None for ref in refs]
         assert alive == [False, False, False]
 
-    def test_empty_text_and_bad_lengths_rejected(self):
-        with pytest.raises(EmptyText):
-            GramIndex(1, 3, True)("")
+    def test_bad_lengths_rejected_and_empty_text_is_the_empty_set(self):
+        # Unlike ``ngram_set``, ``segments`` takes "": a concat join of a set
+        # whose source is "" reads the set of that source, as ``join``
+        # reads ``"" + " " + b``.
+        for include_space in (True, False):
+            (s,) = GramIndex(1, 3, include_space).segments([""])
+            assert s.grams == frozenset() and s.source == ""
         with pytest.raises(ValueError):
             GramIndex(0, 3, True)
         with pytest.raises(ValueError):

@@ -221,6 +221,8 @@ class TestRunConfig:
             ({"agent.structured.kind": "oracle"}, r"^agent\.structured\.kind"),
             ({"run.workers": "0"}, r"^run\.workers"),
             ({"run.workers": "4"}, r"^run\.workers"),
+            ({"estimator.bandwidth": "1e160"}, r"^estimator\.bandwidth"),
+            ({"estimator.bandwidth": "1e-170"}, r"^estimator\.bandwidth"),
         ],
     )
     def test_from_dict_rejects_naming_the_cause(self, values, named):
